@@ -1,98 +1,36 @@
-//! Sharded, concurrent segment-store engine.
+//! Per-strip segment-store engine.
 //!
-//! [`StoreEngine`] owns the per-strip segment stores that used to live as a
-//! plain `HashMap<StripId, Box<S>>` inside the SRP planner. Shards are
-//! grouped into `N` lock-striped partitions (`strip % N`, one
-//! [`std::sync::RwLock`] each), so:
-//!
-//! * earliest-collision probes — including batched probes for a candidate
-//!   route whose segments span many strips — take only read locks and can
-//!   run concurrently across partitions ([`StoreEngine::collide_many`] fans
-//!   out with `std::thread::scope` when more than one partition is touched
-//!   and the host has more than one core);
-//! * inserts and removals take only the owning partition's write lock, so
-//!   independent warehouse regions never contend;
-//! * route retirement is batched: [`StoreEngine::remove_batch`] groups the
-//!   drained retire queue into per-shard removal lists and applies each
-//!   shard's list under a single lock acquisition via
-//!   [`SegmentStore::remove_batch`], instead of one map traversal per
-//!   segment.
-//!
-//! Determinism: every operation is order-preserving — `collide_many`
-//! returns results in input order regardless of how the fan-out is
-//! scheduled, and shard contents do not depend on the partition count — so
-//! an engine with any `N` produces bit-identical planning results to the
-//! serial (`N = 1`) path. The partition count only changes who may touch
-//! the structure concurrently.
+//! [`StoreEngine`] owns the segment stores of the SRP planner, one per
+//! strip that currently carries traffic. Shards are allocated on first
+//! insert and dropped once their last segment leaves, so idle strips cost
+//! nothing; queries against an idle strip are answered by one shared empty
+//! store. Route retirement is batched: [`StoreEngine::remove_batch`]
+//! groups the drained retire queue into per-shard removal lists and hands
+//! each list to [`SegmentStore::remove_batch`] in one call, instead of one
+//! map lookup per segment.
 
 use crate::intersect::SegCollision;
 use crate::segment::Segment;
 use crate::store::{SegmentId, SegmentStore};
 use carp_warehouse::memory;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
 
 /// Key of one shard. This is the planner's `StripId`; the engine lives one
-/// layer below the strip graph and only needs a hashable partition key.
+/// layer below the strip graph and only needs a hashable key.
 pub type ShardKey = u32;
-
-/// Minimum batch size before a probe fan-out spawns threads: below this the
-/// per-thread setup cost dwarfs the probes themselves.
-const PARALLEL_PROBE_MIN: usize = 32;
-
-/// Minimum batch size before an [`StoreEngine::eval_many`] fan-out spawns
-/// threads. Each evaluation job is a whole store-level search (an
-/// intra-strip plan or a crossing scan) — orders of magnitude heavier than
-/// one collision probe — so the fan-out pays for itself at much smaller
-/// batches than [`PARALLEL_PROBE_MIN`].
-const PARALLEL_EVAL_MIN: usize = 3;
 
 /// Cumulative operation counters of an engine (monotone; never reset).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
-    /// `collide_many` calls.
-    pub probe_batches: u64,
-    /// Individual queries across all `collide_many` calls.
+    /// `earliest_collision` probes.
     pub probe_queries: u64,
-    /// Partition groups across all `collide_many` calls (the fan-out width
-    /// summed over batches).
-    pub probe_groups: u64,
-    /// `collide_many` calls that actually ran on scoped threads.
-    pub parallel_batches: u64,
     /// `remove_batch` calls.
     pub retire_batches: u64,
     /// Segments removed across all `remove_batch` calls.
     pub retired_segments: u64,
-    /// `eval_many` calls (batched edge-cost evaluations).
-    pub eval_batches: u64,
-    /// Individual jobs across all `eval_many` calls.
-    pub eval_jobs: u64,
-    /// `eval_many` calls that actually ran on scoped threads.
-    pub parallel_eval_batches: u64,
 }
 
 impl EngineStats {
-    /// Mean partition fan-out per probe batch (1.0 = fully serial).
-    pub fn probe_parallelism(&self) -> f64 {
-        if self.probe_batches == 0 {
-            0.0
-        } else {
-            self.probe_groups as f64 / self.probe_batches as f64
-        }
-    }
-
-    /// Share of probe batches that actually fanned out on scoped threads.
-    /// 0.0 means every batch took the serial path (single-core host, one
-    /// partition, or batches below the fan-out threshold).
-    pub fn parallel_share(&self) -> f64 {
-        if self.probe_batches == 0 {
-            0.0
-        } else {
-            self.parallel_batches as f64 / self.probe_batches as f64
-        }
-    }
-
     /// Mean segments retired per removal batch.
     pub fn mean_retire_batch(&self) -> f64 {
         if self.retire_batches == 0 {
@@ -101,433 +39,118 @@ impl EngineStats {
             self.retired_segments as f64 / self.retire_batches as f64
         }
     }
-
-    /// Mean jobs per `eval_many` batch (the frontier width the search
-    /// actually gathers).
-    pub fn mean_eval_batch(&self) -> f64 {
-        if self.eval_batches == 0 {
-            0.0
-        } else {
-            self.eval_jobs as f64 / self.eval_batches as f64
-        }
-    }
-
-    /// Share of `eval_many` batches that actually fanned out on scoped
-    /// threads.
-    pub fn eval_parallel_share(&self) -> f64 {
-        if self.eval_batches == 0 {
-            0.0
-        } else {
-            self.parallel_eval_batches as f64 / self.eval_batches as f64
-        }
-    }
 }
 
-/// One lock stripe: the shards whose key hashes onto this partition.
-#[derive(Debug, Default)]
-struct Partition<S> {
-    /// Shards are boxed and allocated lazily: most strips carry no traffic
-    /// at any given moment, and inline store shells in the map slots would
-    /// dominate the engine's memory footprint.
-    shards: HashMap<ShardKey, Box<S>>,
-}
-
-/// The sharded, concurrent segment-store engine (see module docs).
-#[derive(Debug)]
+/// The per-strip segment-store engine (see module docs).
+#[derive(Debug, Clone, Default)]
 pub struct StoreEngine<S: SegmentStore> {
-    partitions: Vec<RwLock<Partition<S>>>,
+    /// Shards are boxed: most strips carry no traffic at any given moment,
+    /// and inline store shells in the map slots would dominate the
+    /// engine's memory footprint.
+    shards: HashMap<ShardKey, Box<S>>,
     /// Shared empty store handed out for shards with no segments.
     empty: S,
-    /// Worker threads available for probe fan-out (cached at construction).
-    threads: usize,
-    probe_batches: AtomicU64,
-    probe_queries: AtomicU64,
-    probe_groups: AtomicU64,
-    parallel_batches: AtomicU64,
-    retire_batches: AtomicU64,
-    retired_segments: AtomicU64,
-    eval_batches: AtomicU64,
-    eval_jobs: AtomicU64,
-    parallel_eval_batches: AtomicU64,
+    stats: EngineStats,
 }
 
 impl<S: SegmentStore + Default> StoreEngine<S> {
-    /// Create an engine with `partitions` lock stripes (clamped to ≥ 1),
-    /// using every core the host advertises for fan-outs.
-    pub fn new(partitions: usize) -> Self {
-        Self::with_parallelism(
-            partitions,
-            std::thread::available_parallelism().map_or(1, |p| p.get()),
-        )
+    /// An empty engine.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Create an engine with an explicit worker-thread budget instead of
-    /// the detected core count. `threads <= 1` (clamped to ≥ 1) forces
-    /// every fan-out onto the serial path; `threads > 1` enables the
-    /// scoped-thread path even on hosts that report a single core —
-    /// results are identical either way (the fan-out is order-preserving),
-    /// so tests use this to pin both paths deterministically.
-    pub fn with_parallelism(partitions: usize, threads: usize) -> Self {
-        let n = partitions.max(1);
-        StoreEngine {
-            partitions: (0..n).map(|_| RwLock::new(Partition::default())).collect(),
-            empty: S::default(),
-            threads: threads.max(1),
-            probe_batches: AtomicU64::new(0),
-            probe_queries: AtomicU64::new(0),
-            probe_groups: AtomicU64::new(0),
-            parallel_batches: AtomicU64::new(0),
-            retire_batches: AtomicU64::new(0),
-            retired_segments: AtomicU64::new(0),
-            eval_batches: AtomicU64::new(0),
-            eval_jobs: AtomicU64::new(0),
-            parallel_eval_batches: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of lock-striped partitions.
-    pub fn partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// Worker threads available for fan-outs (fixed at construction).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    #[inline]
-    fn partition_of(&self, key: ShardKey) -> usize {
-        key as usize % self.partitions.len()
-    }
-
-    #[inline]
-    fn read(&self, idx: usize) -> std::sync::RwLockReadGuard<'_, Partition<S>> {
-        self.partitions[idx].read().expect("engine lock poisoned")
-    }
-
-    #[inline]
-    fn write(&self, idx: usize) -> std::sync::RwLockWriteGuard<'_, Partition<S>> {
-        self.partitions[idx].write().expect("engine lock poisoned")
-    }
-
-    /// Insert a segment into `key`'s shard (allocated on first use) under
-    /// the owning partition's write lock. Returns the removal handle.
-    pub fn insert(&self, key: ShardKey, seg: Segment) -> SegmentId {
-        self.write(self.partition_of(key))
-            .shards
-            .entry(key)
-            .or_default()
-            .insert(seg)
+    /// Insert a segment into `key`'s shard (allocated on first use).
+    /// Returns the removal handle.
+    pub fn insert(&mut self, key: ShardKey, seg: Segment) -> SegmentId {
+        self.shards.entry(key).or_default().insert(seg)
     }
 
     /// Remove one segment. Empty shards are dropped. Prefer
     /// [`StoreEngine::remove_batch`] for retirement.
-    pub fn remove(&self, key: ShardKey, id: SegmentId, seg: &Segment) -> bool {
-        let mut part = self.write(self.partition_of(key));
-        let Some(store) = part.shards.get_mut(&key) else {
+    pub fn remove(&mut self, key: ShardKey, id: SegmentId, seg: &Segment) -> bool {
+        let Some(store) = self.shards.get_mut(&key) else {
             return false;
         };
         let removed = store.remove(id, seg);
         if removed && store.is_empty() {
-            part.shards.remove(&key);
+            self.shards.remove(&key);
         }
         removed
     }
 
     /// Apply a whole retirement batch: removals are grouped per shard and
-    /// each shard's list lands in one [`SegmentStore::remove_batch`] call
-    /// under a single write-lock acquisition of the owning partition.
+    /// each shard's list lands in one [`SegmentStore::remove_batch`] call.
     /// Returns how many segments were actually removed.
-    pub fn remove_batch(&self, removals: &[(ShardKey, SegmentId, Segment)]) -> usize {
+    pub fn remove_batch(&mut self, removals: &[(ShardKey, SegmentId, Segment)]) -> usize {
         if removals.is_empty() {
             return 0;
         }
-        // Group by partition, then by shard within the partition.
-        let n = self.partitions.len();
-        let mut by_partition: Vec<HashMap<ShardKey, Vec<(SegmentId, Segment)>>> =
-            (0..n).map(|_| HashMap::new()).collect();
+        let mut groups: HashMap<ShardKey, Vec<(SegmentId, Segment)>> = HashMap::new();
         for &(key, id, seg) in removals {
-            by_partition[self.partition_of(key)]
-                .entry(key)
-                .or_default()
-                .push((id, seg));
+            groups.entry(key).or_default().push((id, seg));
         }
         let mut removed = 0usize;
-        for (idx, groups) in by_partition.into_iter().enumerate() {
-            if groups.is_empty() {
-                continue;
-            }
-            let mut part = self.write(idx);
-            for (key, list) in groups {
-                if let Some(store) = part.shards.get_mut(&key) {
-                    removed += store.remove_batch(&list);
-                    if store.is_empty() {
-                        part.shards.remove(&key);
-                    }
+        for (key, list) in groups {
+            if let Some(store) = self.shards.get_mut(&key) {
+                removed += store.remove_batch(&list);
+                if store.is_empty() {
+                    self.shards.remove(&key);
                 }
             }
         }
-        self.retire_batches.fetch_add(1, Ordering::Relaxed);
-        self.retired_segments
-            .fetch_add(removed as u64, Ordering::Relaxed);
+        self.stats.retire_batches += 1;
+        self.stats.retired_segments += removed as u64;
         removed
     }
 
     /// Earliest collision of one candidate segment against `key`'s shard.
-    pub fn earliest_collision(&self, key: ShardKey, seg: &Segment) -> Option<SegCollision> {
-        self.probe_queries.fetch_add(1, Ordering::Relaxed);
-        self.read(self.partition_of(key))
-            .shards
+    pub fn earliest_collision(&mut self, key: ShardKey, seg: &Segment) -> Option<SegCollision> {
+        self.stats.probe_queries += 1;
+        self.shards
             .get(&key)
             .and_then(|s| s.earliest_collision(seg))
     }
 
-    /// Earliest collisions of a batch of candidate segments spanning many
-    /// shards, in input order. Queries are grouped per partition; when more
-    /// than one partition is touched, the batch is large enough and the
-    /// host has spare cores, the groups run concurrently on scoped threads
-    /// (each under its own read lock). Results are assembled by original
-    /// index, so the answer is independent of scheduling.
-    pub fn collide_many(&self, queries: &[(ShardKey, Segment)]) -> Vec<Option<SegCollision>> {
-        self.probe_batches.fetch_add(1, Ordering::Relaxed);
-        self.probe_queries
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        let n = self.partitions.len();
-        // Group query indices by partition.
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, (key, _)) in queries.iter().enumerate() {
-            groups[self.partition_of(*key)].push(i);
-        }
-        let touched: Vec<usize> = (0..n).filter(|&p| !groups[p].is_empty()).collect();
-        self.probe_groups
-            .fetch_add(touched.len() as u64, Ordering::Relaxed);
-
-        let mut results: Vec<Option<SegCollision>> = vec![None; queries.len()];
-        let run_group =
-            |part: &Partition<S>, idxs: &[usize]| -> Vec<(usize, Option<SegCollision>)> {
-                // Within a partition, group consecutive same-shard queries so
-                // each shard answers through one `collide_many` call.
-                let mut out = Vec::with_capacity(idxs.len());
-                let mut i = 0;
-                while i < idxs.len() {
-                    let key = queries[idxs[i]].0;
-                    let mut j = i;
-                    while j < idxs.len() && queries[idxs[j]].0 == key {
-                        j += 1;
-                    }
-                    let batch: Vec<Segment> = idxs[i..j].iter().map(|&q| queries[q].1).collect();
-                    let answers = part.shards.get(&key).map_or_else(
-                        || self.empty.collide_many(&batch),
-                        |s| s.collide_many(&batch),
-                    );
-                    out.extend(idxs[i..j].iter().copied().zip(answers));
-                    i = j;
-                }
-                out
-            };
-
-        if touched.len() > 1 && self.threads > 1 && queries.len() >= PARALLEL_PROBE_MIN {
-            self.parallel_batches.fetch_add(1, Ordering::Relaxed);
-            let answers: Vec<Vec<(usize, Option<SegCollision>)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = touched
-                    .iter()
-                    .map(|&p| {
-                        let idxs = &groups[p];
-                        scope.spawn(move || run_group(&self.read(p), idxs))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("probe worker panicked"))
-                    .collect()
-            });
-            for (i, r) in answers.into_iter().flatten() {
-                results[i] = r;
-            }
-        } else {
-            for &p in &touched {
-                for (i, r) in run_group(&self.read(p), &groups[p]) {
-                    results[i] = r;
-                }
-            }
-        }
-        results
-    }
-
-    /// Evaluate a batch of independent per-shard jobs, in input order: each
-    /// job `(key, q)` is answered by `f(store, q)` against `key`'s store
-    /// (the shared empty stand-in when the shard was never touched). Jobs
-    /// are grouped per partition; when more than one partition is touched,
-    /// the engine has a multi-thread budget and the batch clears
-    /// [`PARALLEL_EVAL_MIN`], the groups run concurrently on scoped threads
-    /// — each under its own read lock, never more than one lock per worker,
-    /// so `f` must not call back into the engine. Results are assembled by
-    /// original index, so the answer is independent of scheduling.
-    ///
-    /// This is the generic sibling of [`StoreEngine::collide_many`] for
-    /// callers whose per-shard work is a whole search (an intra-strip plan,
-    /// a crossing scan) rather than a single collision probe.
-    pub fn eval_many<Q, R>(&self, jobs: &[(ShardKey, Q)], f: impl Fn(&S, &Q) -> R + Sync) -> Vec<R>
-    where
-        Q: Sync,
-        R: Send,
-    {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        self.eval_batches.fetch_add(1, Ordering::Relaxed);
-        self.eval_jobs
-            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-        let n = self.partitions.len();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, (key, _)) in jobs.iter().enumerate() {
-            groups[self.partition_of(*key)].push(i);
-        }
-        let touched: Vec<usize> = (0..n).filter(|&p| !groups[p].is_empty()).collect();
-
-        let run_group = |part: &Partition<S>, idxs: &[usize]| -> Vec<(usize, R)> {
-            idxs.iter()
-                .map(|&i| {
-                    let (key, q) = &jobs[i];
-                    let store = part.shards.get(key).map_or(&self.empty, |b| &**b);
-                    (i, f(store, q))
-                })
-                .collect()
-        };
-
-        let mut slots: Vec<Option<R>> = (0..jobs.len()).map(|_| None).collect();
-        if touched.len() > 1 && self.threads > 1 && jobs.len() >= PARALLEL_EVAL_MIN {
-            self.parallel_eval_batches.fetch_add(1, Ordering::Relaxed);
-            let answers: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = touched
-                    .iter()
-                    .map(|&p| {
-                        let idxs = &groups[p];
-                        scope.spawn(move || run_group(&self.read(p), idxs))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("eval worker panicked"))
-                    .collect()
-            });
-            for (i, r) in answers.into_iter().flatten() {
-                slots[i] = Some(r);
-            }
-        } else {
-            for &p in &touched {
-                for (i, r) in run_group(&self.read(p), &groups[p]) {
-                    slots[i] = Some(r);
-                }
-            }
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("every job answered exactly once"))
-            .collect()
-    }
-
-    /// Run a closure against `key`'s store under the partition's read lock
-    /// (an empty stand-in when the shard was never touched). This is how
-    /// the intra-strip planner borrows a store for the duration of one leg.
-    pub fn with_shard<R>(&self, key: ShardKey, f: impl FnOnce(&S) -> R) -> R {
-        let part = self.read(self.partition_of(key));
-        f(part.shards.get(&key).map_or(&self.empty, |b| &**b))
+    /// `key`'s store (the shared empty stand-in when the shard was never
+    /// touched). This is how the intra-strip planner reads a store for the
+    /// duration of one leg.
+    pub fn shard(&self, key: ShardKey) -> &S {
+        self.shards.get(&key).map_or(&self.empty, |b| &**b)
     }
 
     /// Number of segments in `key`'s shard.
     pub fn shard_len(&self, key: ShardKey) -> usize {
-        self.with_shard(key, |s| s.len())
+        self.shard(key).len()
     }
 
     /// Snapshot of `key`'s shard, for tests and debugging.
     pub fn snapshot(&self, key: ShardKey) -> Vec<Segment> {
-        self.with_shard(key, |s| s.snapshot())
+        self.shard(key).snapshot()
     }
 
     /// Total segments across all shards.
     pub fn total_segments(&self) -> usize {
-        self.partitions
-            .iter()
-            .map(|p| {
-                p.read()
-                    .expect("engine lock poisoned")
-                    .shards
-                    .values()
-                    .map(|s| s.len())
-                    .sum::<usize>()
-            })
-            .sum()
+        self.shards.values().map(|s| s.len()).sum()
     }
 
     /// Number of live (non-empty) shards.
     pub fn active_shards(&self) -> usize {
-        self.partitions
-            .iter()
-            .map(|p| p.read().expect("engine lock poisoned").shards.len())
-            .sum()
+        self.shards.len()
     }
 
     /// Estimated heap bytes of the engine (MC metric): shard stores plus
-    /// the partition maps.
+    /// the shard map.
     pub fn memory_bytes(&self) -> usize {
-        let shards: usize = self
-            .partitions
-            .iter()
-            .map(|p| {
-                let part = p.read().expect("engine lock poisoned");
-                part.shards
-                    .values()
-                    .map(|s| s.memory_bytes() + core::mem::size_of::<S>())
-                    .sum::<usize>()
-                    + memory::hashmap_bytes(&part.shards)
-            })
-            .sum();
-        shards + self.partitions.len() * core::mem::size_of::<RwLock<Partition<S>>>()
+        self.shards
+            .values()
+            .map(|s| s.memory_bytes() + core::mem::size_of::<S>())
+            .sum::<usize>()
+            + memory::hashmap_bytes(&self.shards)
     }
 
     /// Cumulative operation counters.
     pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            probe_batches: self.probe_batches.load(Ordering::Relaxed),
-            probe_queries: self.probe_queries.load(Ordering::Relaxed),
-            probe_groups: self.probe_groups.load(Ordering::Relaxed),
-            parallel_batches: self.parallel_batches.load(Ordering::Relaxed),
-            retire_batches: self.retire_batches.load(Ordering::Relaxed),
-            retired_segments: self.retired_segments.load(Ordering::Relaxed),
-            eval_batches: self.eval_batches.load(Ordering::Relaxed),
-            eval_jobs: self.eval_jobs.load(Ordering::Relaxed),
-            parallel_eval_batches: self.parallel_eval_batches.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl<S: SegmentStore + Clone> Clone for StoreEngine<S> {
-    fn clone(&self) -> Self {
-        StoreEngine {
-            partitions: self
-                .partitions
-                .iter()
-                .map(|p| {
-                    RwLock::new(Partition {
-                        shards: p.read().expect("engine lock poisoned").shards.clone(),
-                    })
-                })
-                .collect(),
-            empty: self.empty.clone(),
-            threads: self.threads,
-            probe_batches: AtomicU64::new(self.probe_batches.load(Ordering::Relaxed)),
-            probe_queries: AtomicU64::new(self.probe_queries.load(Ordering::Relaxed)),
-            probe_groups: AtomicU64::new(self.probe_groups.load(Ordering::Relaxed)),
-            parallel_batches: AtomicU64::new(self.parallel_batches.load(Ordering::Relaxed)),
-            retire_batches: AtomicU64::new(self.retire_batches.load(Ordering::Relaxed)),
-            retired_segments: AtomicU64::new(self.retired_segments.load(Ordering::Relaxed)),
-            eval_batches: AtomicU64::new(self.eval_batches.load(Ordering::Relaxed)),
-            eval_jobs: AtomicU64::new(self.eval_jobs.load(Ordering::Relaxed)),
-            parallel_eval_batches: AtomicU64::new(
-                self.parallel_eval_batches.load(Ordering::Relaxed),
-            ),
-        }
+        self.stats
     }
 }
 
@@ -542,81 +165,31 @@ mod tests {
     }
 
     #[test]
-    fn insert_probe_remove_roundtrip_across_partitions() {
-        for parts in [1usize, 2, 4, 8] {
-            let engine: StoreEngine<SlopeIndexStore> = StoreEngine::new(parts);
-            let mut handles = Vec::new();
-            for key in 0..32u32 {
-                handles.push((
-                    key,
-                    engine.insert(key, seg(0, key as i32)),
-                    seg(0, key as i32),
-                ));
-            }
-            assert_eq!(engine.total_segments(), 32);
-            assert_eq!(engine.active_shards(), 32);
-            for key in 0..32u32 {
-                assert!(engine
-                    .earliest_collision(key, &seg(1, key as i32))
-                    .is_some());
-                assert!(engine
-                    .earliest_collision(key, &seg(10, key as i32))
-                    .is_none());
-            }
-            let removals: Vec<_> = handles.iter().map(|&(k, id, s)| (k, id, s)).collect();
-            assert_eq!(engine.remove_batch(&removals), 32);
-            assert_eq!(engine.total_segments(), 0);
-            assert_eq!(engine.active_shards(), 0, "empty shards must be dropped");
+    fn insert_probe_remove_roundtrip() {
+        let mut engine: StoreEngine<SlopeIndexStore> = StoreEngine::new();
+        let mut removals = Vec::new();
+        for key in 0..32u32 {
+            let s = seg(0, key as i32);
+            removals.push((key, engine.insert(key, s), s));
         }
-    }
-
-    #[test]
-    fn collide_many_matches_serial_probes_for_every_partition_count() {
-        let reference: StoreEngine<NaiveStore> = StoreEngine::new(1);
-        let mut population = Vec::new();
-        let mut state = 0xdead_beefu64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..400 {
-            let key = (rng() % 64) as u32;
-            let t0 = (rng() % 50) as u32;
-            let s0 = (rng() % 16) as i32;
-            population.push((key, Segment::wait(t0, t0 + (rng() % 6) as u32, s0)));
+        assert_eq!(engine.total_segments(), 32);
+        assert_eq!(engine.active_shards(), 32);
+        for key in 0..32u32 {
+            assert!(engine
+                .earliest_collision(key, &seg(1, key as i32))
+                .is_some());
+            assert!(engine
+                .earliest_collision(key, &seg(10, key as i32))
+                .is_none());
         }
-        for &(key, s) in &population {
-            reference.insert(key, s);
-        }
-        let queries: Vec<(ShardKey, Segment)> = (0..300)
-            .map(|_| {
-                let key = (rng() % 64) as u32;
-                let t0 = (rng() % 50) as u32;
-                (key, Segment::travel(t0, 0, 15))
-            })
-            .collect();
-        let expected: Vec<_> = queries
-            .iter()
-            .map(|(k, q)| reference.earliest_collision(*k, q))
-            .collect();
-        for parts in [1usize, 2, 4, 8] {
-            let engine: StoreEngine<NaiveStore> = StoreEngine::new(parts);
-            for &(key, s) in &population {
-                engine.insert(key, s);
-            }
-            assert_eq!(
-                engine.collide_many(&queries),
-                expected,
-                "partition count {parts} diverged from the serial reference"
-            );
-        }
+        assert_eq!(engine.remove_batch(&removals), 32);
+        assert_eq!(engine.total_segments(), 0);
+        assert_eq!(engine.active_shards(), 0, "empty shards must be dropped");
     }
 
     #[test]
     fn single_remove_drops_empty_shards_and_refuses_unknown() {
-        let engine: StoreEngine<SlopeIndexStore> = StoreEngine::new(4);
+        let mut engine: StoreEngine<SlopeIndexStore> = StoreEngine::new();
         let s = seg(0, 3);
         let id = engine.insert(7, s);
         assert!(!engine.remove(9, id, &s), "wrong shard refused");
@@ -626,36 +199,40 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_probe_and_retire_batches() {
-        let engine: StoreEngine<NaiveStore> = StoreEngine::new(4);
+    fn untouched_shards_read_as_empty() {
+        let mut engine: StoreEngine<NaiveStore> = StoreEngine::new();
+        engine.insert(0, seg(0, 0));
+        assert_eq!(engine.shard_len(0), 1);
+        assert_eq!(engine.shard_len(99), 0);
+        assert!(engine.snapshot(99).is_empty());
+        assert!(engine.earliest_collision(99, &seg(0, 0)).is_none());
+    }
+
+    #[test]
+    fn stats_track_probes_and_retire_batches() {
+        let mut engine: StoreEngine<NaiveStore> = StoreEngine::new();
         let mut removals = Vec::new();
         for key in 0..8u32 {
             let s = seg(0, 0);
             removals.push((key, engine.insert(key, s), s));
         }
-        let queries: Vec<(ShardKey, Segment)> = (0..8u32).map(|k| (k, seg(1, 0))).collect();
-        let answers = engine.collide_many(&queries);
-        assert!(answers.iter().all(|a| a.is_some()));
+        for key in 0..8u32 {
+            assert!(engine.earliest_collision(key, &seg(1, 0)).is_some());
+        }
         engine.remove_batch(&removals);
         let stats = engine.stats();
-        assert_eq!(stats.probe_batches, 1);
         assert_eq!(stats.probe_queries, 8);
-        assert_eq!(
-            stats.probe_groups, 4,
-            "8 keys over 4 partitions touch all 4"
-        );
         assert_eq!(stats.retire_batches, 1);
         assert_eq!(stats.retired_segments, 8);
-        assert!((stats.probe_parallelism() - 4.0).abs() < 1e-9);
         assert!((stats.mean_retire_batch() - 8.0).abs() < 1e-9);
     }
 
     #[test]
     fn clone_preserves_contents_and_counters() {
-        let engine: StoreEngine<SlopeIndexStore> = StoreEngine::new(2);
+        let mut engine: StoreEngine<SlopeIndexStore> = StoreEngine::new();
         engine.insert(1, seg(0, 0));
         engine.insert(2, seg(5, 1));
-        let _ = engine.collide_many(&[(1, seg(1, 0)), (2, seg(6, 1))]);
+        let _ = engine.earliest_collision(1, &seg(1, 0));
         let clone = engine.clone();
         assert_eq!(clone.total_segments(), 2);
         assert_eq!(clone.snapshot(1), engine.snapshot(1));
@@ -663,57 +240,8 @@ mod tests {
     }
 
     #[test]
-    fn eval_many_preserves_input_order_on_both_paths() {
-        // Same population, one engine forced serial (threads = 1) and one
-        // forced onto the scoped-thread path (threads = 4, which works even
-        // on a single-core host): answers must be identical and in input
-        // order either way.
-        let build = |threads: usize| {
-            let engine: StoreEngine<SlopeIndexStore> = StoreEngine::with_parallelism(8, threads);
-            for key in 0..24u32 {
-                engine.insert(key, seg(key, key as i32));
-            }
-            engine
-        };
-        let serial = build(1);
-        let parallel = build(4);
-        assert_eq!(serial.threads(), 1);
-        assert_eq!(parallel.threads(), 4);
-        let jobs: Vec<(ShardKey, u32)> = (0..24u32).rev().map(|k| (k, k)).collect();
-        let f = |store: &SlopeIndexStore, k: &u32| (*k, store.len());
-        let a = serial.eval_many(&jobs, f);
-        let b = parallel.eval_many(&jobs, f);
-        assert_eq!(a, b);
-        for (i, (k, len)) in a.iter().enumerate() {
-            assert_eq!(*k, jobs[i].1, "result {i} out of input order");
-            assert_eq!(*len, 1, "shard {k} holds one segment");
-        }
-        assert_eq!(serial.stats().parallel_eval_batches, 0);
-        assert_eq!(parallel.stats().parallel_eval_batches, 1);
-        assert_eq!(parallel.stats().eval_jobs, 24);
-        assert!((parallel.stats().mean_eval_batch() - 24.0).abs() < 1e-9);
-        assert!((parallel.stats().eval_parallel_share() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn eval_many_hands_empty_store_for_untouched_shards() {
-        let engine: StoreEngine<NaiveStore> = StoreEngine::with_parallelism(4, 4);
-        engine.insert(0, seg(0, 0));
-        let jobs: Vec<(ShardKey, ())> = vec![(0, ()), (99, ()), (7, ())];
-        let lens = engine.eval_many(&jobs, |store, _| store.len());
-        assert_eq!(lens, vec![1, 0, 0]);
-        // Empty input returns immediately and is not counted as a batch.
-        assert!(engine
-            .eval_many::<(), usize>(&[], |s, _| s.len())
-            .is_empty());
-        let stats = engine.stats();
-        assert_eq!(stats.eval_batches, 1);
-        assert_eq!(stats.eval_jobs, 3);
-    }
-
-    #[test]
     fn memory_shrinks_after_batch_retirement() {
-        let engine: StoreEngine<SlopeIndexStore> = StoreEngine::new(4);
+        let mut engine: StoreEngine<SlopeIndexStore> = StoreEngine::new();
         let empty = engine.memory_bytes();
         let mut removals = Vec::new();
         for key in 0..16u32 {
@@ -723,7 +251,7 @@ mod tests {
         let peak = engine.memory_bytes();
         assert!(peak > empty);
         engine.remove_batch(&removals);
-        // Shard maps keep their capacity, so the floor is not exactly the
+        // The shard map keeps its capacity, so the floor is not exactly the
         // empty baseline — but dropping the stores must reclaim the bulk.
         assert!(engine.memory_bytes() < peak);
     }

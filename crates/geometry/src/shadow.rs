@@ -103,18 +103,6 @@ impl SegmentStore for ShadowStore {
         a
     }
 
-    fn collide_many(&self, queries: &[Segment]) -> Vec<Option<SegCollision>> {
-        let a = self.fast.collide_many(queries);
-        let b = self.naive.collide_many(queries);
-        for ((q, ra), rb) in queries.iter().zip(&a).zip(&b) {
-            assert_eq!(
-                ra, rb,
-                "shadow-store divergence in collide_many on {q}: slope-index {ra:?}, naive {rb:?}"
-            );
-        }
-        a
-    }
-
     fn earliest_free_point(&self, t0: Time, t1: Time, s: i32) -> Option<Time> {
         let a = self.fast.earliest_free_point(t0, t1, s);
         let b = self.naive.earliest_free_point(t0, t1, s);

@@ -22,10 +22,9 @@ pub type SegmentId = u64;
 /// A collection of segments supporting insertion, removal and
 /// earliest-collision queries (the operations of Algorithm 3).
 ///
-/// Stores are `Send + Sync`: the sharded [`crate::engine::StoreEngine`]
-/// fans batched collision probes out across partitions with scoped
-/// threads, which requires shared read access from worker threads. All
-/// stores here are plain owned data structures, so the bound is free.
+/// Stores are `Send + Sync` so a planner owning them can move to a service
+/// worker thread. All stores here are plain owned data structures, so the
+/// bound is free.
 pub trait SegmentStore: Send + Sync {
     /// Insert a segment, returning its removal handle.
     fn insert(&mut self, seg: Segment) -> SegmentId;
@@ -50,14 +49,6 @@ pub trait SegmentStore: Send + Sync {
     /// segment (exact discrete semantics), or `None` when the candidate is
     /// compatible with all of them.
     fn earliest_collision(&self, seg: &Segment) -> Option<SegCollision>;
-
-    /// Earliest collisions of many candidate segments, in input order.
-    /// Semantically `queries.iter().map(|q| self.earliest_collision(q))`;
-    /// the engine layer uses this per shard so a whole group of probes
-    /// runs under a single lock acquisition.
-    fn collide_many(&self, queries: &[Segment]) -> Vec<Option<SegCollision>> {
-        queries.iter().map(|q| self.earliest_collision(q)).collect()
-    }
 
     /// Earliest integer time `t ∈ [t0, t1]` at which grid number `s` is
     /// unoccupied — i.e. the point probe `Segment::point(t, s)` reports no

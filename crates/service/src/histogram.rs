@@ -6,9 +6,10 @@
 //! branchless-ish binary search + increment, and the memory footprint is
 //! constant no matter how many requests flow through. Percentiles are
 //! reported as the upper bound of the bucket where the cumulative count
-//! crosses the rank — a deterministic, slightly pessimistic estimate whose
-//! error is bounded by the bucket ratio (≤ 2.5×), plenty for p50/p95/p99
-//! trend tracking across runs.
+//! crosses the rank, clamped to the largest recorded sample — a
+//! deterministic, slightly pessimistic estimate whose error is bounded by
+//! the bucket ratio (≤ 2.5×), plenty for p50/p95/p99 trend tracking across
+//! runs, and never outside the recorded `[min, max]`.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -101,8 +102,11 @@ impl LatencyHistogram {
     }
 
     /// Percentile estimate in microseconds: the upper bound of the bucket
-    /// where the cumulative count reaches `ceil(p · total)`. `p` is clamped
-    /// into (0, 1]; an empty histogram reports 0.
+    /// where the cumulative count reaches `ceil(p · total)`, clamped to the
+    /// largest recorded sample (a bucket bound can exceed every sample in
+    /// its bucket). The bound is never below the smallest sample, so the
+    /// estimate stays within the recorded range. `p` is clamped into
+    /// (0, 1]; an empty histogram reports 0.
     pub fn percentile_us(&self, p: f64) -> u64 {
         if self.total == 0 {
             return 0;
@@ -115,7 +119,9 @@ impl LatencyHistogram {
         for (i, &c) in self.counts.iter().enumerate() {
             cum += c;
             if cum >= rank {
-                return BOUNDS_US.get(i).copied().unwrap_or(self.max_us);
+                return BOUNDS_US
+                    .get(i)
+                    .map_or(self.max_us, |&b| b.min(self.max_us));
             }
         }
         self.max_us
@@ -239,7 +245,8 @@ mod tests {
     #[test]
     fn bimodal_distribution_separates_modes() {
         // 95 fast samples at 8 µs, 5 slow at 40 ms: p50/p95 sit in the fast
-        // mode's bucket, p99 in the slow mode's.
+        // mode's bucket, p99 in the slow mode's (whose 50 ms bound clamps to
+        // the 40 ms max).
         let mut h = LatencyHistogram::new();
         for _ in 0..95 {
             h.record_us(8);
@@ -249,16 +256,43 @@ mod tests {
         }
         assert_eq!(h.percentile_us(0.50), 10);
         assert_eq!(h.percentile_us(0.95), 10);
-        assert_eq!(h.percentile_us(0.99), 50_000);
+        assert_eq!(h.percentile_us(0.99), 40_000);
     }
 
     #[test]
     fn single_sample_all_percentiles_agree() {
+        // The sample's bucket bound is 200 µs; clamped to the sample itself.
         let mut h = LatencyHistogram::new();
         h.record(Duration::from_micros(137));
         for p in [0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(h.percentile_us(p), 200, "p={p}");
+            assert_eq!(h.percentile_us(p), 137, "p={p}");
         }
+    }
+
+    #[test]
+    fn percentiles_stay_within_the_recorded_range() {
+        // Sub-µs samples truncate to 0 µs: the 1 µs bucket bound must not
+        // report a p50 above the 0 µs max.
+        let mut sub = LatencyHistogram::new();
+        for _ in 0..10 {
+            sub.record(Duration::from_nanos(400));
+        }
+        assert_eq!(sub.max_us(), 0);
+        assert_eq!(sub.percentile_us(0.50), 0);
+        assert_eq!(sub.percentile_us(0.99), 0);
+
+        // Mid-bucket samples: 30..=40 µs sit in the (20, 50] bucket, whose
+        // bound 50 lies above the 40 µs max.
+        let mut mid = LatencyHistogram::new();
+        mid.record(Duration::from_nanos(300));
+        for us in 30..=40u64 {
+            mid.record_us(us);
+        }
+        let s = mid.summary();
+        assert!(s.p50_us <= s.p99_us, "{s:?}");
+        assert!(s.p99_us <= s.max_us, "{s:?}");
+        assert_eq!(s.max_us, 40);
+        assert_eq!(s.p99_us, 40);
     }
 
     #[test]

@@ -24,7 +24,12 @@ use std::collections::HashMap;
 /// run was served under) and `wire` (the tenant's frame/byte encode-decode
 /// counters), now that all loadgen traffic flows through the wire
 /// protocol.
-pub const BENCH_VERSION: u32 = 3;
+///
+/// v4: each run carries one engine block, `service.engine`, holding the
+/// final post-shutdown view (the run-level `engine` duplicate is gone),
+/// and `EngineMetrics` lost the probe-batch and eval-batch fields with the
+/// parallel engine paths they described.
+pub const BENCH_VERSION: u32 = 4;
 
 /// Result of one load run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -67,24 +72,24 @@ pub struct LoadReport {
     /// digest (the determinism pin the CI job checks).
     pub routes_digest: u64,
     /// Full service metrics snapshot (queue, latency percentiles,
-    /// counters), fetched through the wire (`MetricsQuery`).
+    /// counters), fetched through the wire (`MetricsQuery`). Its `engine`
+    /// block is the planner's final view, read after shutdown.
     pub service: ServiceMetrics,
     /// Per-tenant wire traffic: frames/bytes encoded and decoded for this
     /// tenant, plus protocol errors attributed to it.
     pub wire: WireCounters,
-    /// Engine counters read from the planner after shutdown (the service
-    /// snapshot holds the last mid-run view; this is the final one).
-    pub engine: Option<EngineMetrics>,
 }
 
 impl LoadReport {
-    /// Assemble a report from a finished run's raw pieces.
+    /// Assemble a report from a finished run's raw pieces. `engine` is the
+    /// planner's post-shutdown view; it replaces the last mid-run one the
+    /// service snapshot carries.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn build(
         scenario: &LoadScenario,
         tenant: String,
         final_routes: &HashMap<RequestId, Route>,
-        service: ServiceMetrics,
+        mut service: ServiceMetrics,
         wire: WireCounters,
         engine: Option<EngineMetrics>,
         wall_secs: f64,
@@ -95,6 +100,7 @@ impl LoadReport {
         audit_conflicts: usize,
         makespan: Time,
     ) -> Self {
+        service.engine = engine;
         let throughput_rps = if wall_secs > 0.0 {
             service.planned as f64 / wall_secs
         } else {
@@ -119,7 +125,6 @@ impl LoadReport {
             routes_digest: routes_digest(final_routes),
             service,
             wire,
-            engine,
         }
     }
 }

@@ -14,10 +14,8 @@
 //! routes, so commits are a linearization point. The default mode
 //! ([`PlanningService::spawn`]) satisfies it the blunt way — one worker
 //! thread owns the planner and both plans and commits — and gets its
-//! parallelism from (a) many submitters enqueueing concurrently, (b) the
-//! planner's own engine fanning probe batches out across partitions
-//! ([`StoreEngine`](../../carp_geometry/engine/struct.StoreEngine.html)),
-//! and (c) metrics readers never touching the planner.
+//! parallelism from many submitters enqueueing concurrently and from
+//! metrics readers never touching the planner.
 //!
 //! [`PlanningService::spawn_speculative`] decouples planning latency from
 //! the commit point: `workers` threads plan candidates against replicas of

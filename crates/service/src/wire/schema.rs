@@ -436,14 +436,8 @@ pub fn encode_metrics_reply(metrics: &ServiceMetrics, wire: &WireCounters) -> Ve
         None => w.put_u8(0),
         Some(e) => {
             w.put_u8(1);
-            w.put_u64(e.probe_batches);
             w.put_u64(e.probe_queries);
-            w.put_f64(e.probe_parallelism);
-            w.put_f64(e.probe_parallel_share);
             w.put_f64(e.retire_batch_size);
-            w.put_u64(e.eval_batches);
-            w.put_u64(e.eval_jobs);
-            w.put_f64(e.eval_parallel_share);
             w.put_u64(e.soft_bookings);
             w.put_u64(e.window_debt);
         }
@@ -478,14 +472,8 @@ pub fn decode_metrics_reply(payload: &[u8]) -> Result<(ServiceMetrics, WireCount
     let engine = match r.u8()? {
         0 => None,
         1 => Some(EngineMetrics {
-            probe_batches: r.u64()?,
             probe_queries: r.u64()?,
-            probe_parallelism: r.f64()?,
-            probe_parallel_share: r.f64()?,
             retire_batch_size: r.f64()?,
-            eval_batches: r.u64()?,
-            eval_jobs: r.u64()?,
-            eval_parallel_share: r.f64()?,
             soft_bookings: r.u64()?,
             window_debt: r.u64()?,
         }),
@@ -817,16 +805,10 @@ mod tests {
             commit_latency: zero_latency(),
             turnaround_latency: zero_latency(),
             engine: Some(EngineMetrics {
-                probe_batches: 10,
                 probe_queries: 100,
-                probe_parallelism: 3.5,
-                probe_parallel_share: 0.75,
-                retire_batch_size: 8.0,
-                eval_batches: 4,
-                eval_jobs: 64,
-                eval_parallel_share: 1.0,
-                soft_bookings: 0,
-                window_debt: 0,
+                retire_batch_size: 8.5,
+                soft_bookings: 3,
+                window_debt: 1,
             }),
         };
         let wire = WireCounters {
@@ -842,6 +824,6 @@ mod tests {
         assert_eq!(m2.workers, 4);
         assert_eq!(m2.submitted, 100);
         assert_eq!(m2.queue_latency.mean_us, 12.5);
-        assert_eq!(m2.engine.unwrap().probe_parallelism, 3.5);
+        assert_eq!(m2.engine, metrics.engine);
     }
 }

@@ -1,6 +1,6 @@
 //! The deadline path against the *real* SRP planner: an over-budget plan
 //! must be cancelled post-commit, and that cancel must actually retire the
-//! route's segments from the sharded store engine — otherwise every
+//! route's segments from the segment-store engine — otherwise every
 //! refused request would leak phantom traffic that blocks later robots.
 
 use carp_service::service::{PlanResponse, PlanningService, ServiceConfig};

@@ -85,6 +85,17 @@ fn w2_load_at_1x_and_4x_is_collision_free_and_deterministic() {
         r1.routes_digest, r1b.routes_digest,
         "W-2@1x not reproducible"
     );
+
+    // Absolute pins of the committed route sets. Only a change that is
+    // meant to alter routes (planner search rules, the task generator, the
+    // day workflow or the digest itself) may re-pin these, and it must say
+    // so; a refactor or speedup that moves them is a bug.
+    assert_eq!(
+        r1.routes_digest, 16920713747252020565,
+        "W-2@1x routes moved"
+    );
+    assert_eq!(r4.routes_digest, 282179651509069869, "W-2@4x routes moved");
+    assert_eq!((r1.makespan, r4.makespan), (1094, 886));
 }
 
 /// An impossible deadline refuses every request but never stalls the run:

@@ -60,10 +60,6 @@ pub struct DayReport {
     pub mean_task_latency: f64,
     /// Completed tasks per simulated hour.
     pub throughput_per_hour: f64,
-    /// Mean partition fan-out per batched collision probe of the planner's
-    /// sharded store engine (1.0 = fully serial; 0.0 when the planner has
-    /// no engine or issued no batches).
-    pub engine_probe_parallelism: f64,
     /// Mean segments retired per batched engine removal (0.0 when the
     /// planner has no engine or never retired a batch).
     pub retire_batch_size: f64,
@@ -76,13 +72,6 @@ pub struct DayReport {
     /// Hard-layer overwrites are asserted in the reservation table, so
     /// this is the only window-consistency debt a planner can report.
     pub window_debt: u64,
-    /// Batched edge-cost evaluation calls issued by the inter-strip
-    /// search's frontier batching (0 for planners without a batched
-    /// search).
-    pub eval_batches: u64,
-    /// Share of evaluation batches that actually ran on scoped threads —
-    /// whether search parallelism engaged at all on this host.
-    pub eval_parallel_share: f64,
 }
 
 impl DayReport {
@@ -210,12 +199,9 @@ impl Recorder {
             audit_conflicts,
             mean_task_latency,
             throughput_per_hour,
-            engine_probe_parallelism: 0.0,
             retire_batch_size: 0.0,
             soft_bookings: 0,
             window_debt: 0,
-            eval_batches: 0,
-            eval_parallel_share: 0.0,
         }
     }
 }

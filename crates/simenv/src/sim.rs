@@ -611,12 +611,9 @@ impl<'a, P: Planner> Simulation<'a, P> {
             audit_conflicts,
         );
         if let Some(m) = self.planner.engine_metrics() {
-            report.engine_probe_parallelism = m.probe_parallelism;
             report.retire_batch_size = m.retire_batch_size;
             report.soft_bookings = m.soft_bookings;
             report.window_debt = m.window_debt;
-            report.eval_batches = m.eval_batches;
-            report.eval_parallel_share = m.eval_parallel_share;
         }
         (report, self.planner)
     }

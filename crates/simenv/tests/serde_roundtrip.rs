@@ -29,12 +29,9 @@ fn sample_report() -> DayReport {
         audit_conflicts: 0,
         mean_task_latency: 33.4,
         throughput_per_hour: 105.0,
-        engine_probe_parallelism: 3.2,
         retire_batch_size: 11.5,
         soft_bookings: 42,
         window_debt: 7,
-        eval_batches: 61,
-        eval_parallel_share: 0.75,
     }
 }
 
@@ -50,8 +47,7 @@ fn day_report_round_trips_through_json() {
     assert_eq!(back.snapshots.len(), 2);
     assert_eq!(back.soft_bookings, 42);
     assert_eq!(back.window_debt, 7);
-    assert_eq!(back.eval_batches, 61);
-    assert!((back.eval_parallel_share - 0.75).abs() < 1e-12);
+    assert!((back.retire_batch_size - 11.5).abs() < 1e-12);
 }
 
 #[test]

@@ -61,34 +61,12 @@ pub struct SrpConfig {
     /// Record the Fig. 22(a) TC breakdown (adds two `Instant` reads per
     /// intra-strip call; off by default to keep TC comparisons clean).
     pub instrument: bool,
-    /// Lock-striped partitions of the segment-store engine
-    /// ([`StoreEngine`]). `1` is the serial path (bit-identical to the
-    /// pre-engine planner); higher counts let batched collision probes fan
-    /// out across partitions on multi-core hosts. Routes are identical for
-    /// every value — only concurrency changes.
-    pub store_partitions: usize,
-    /// Maximum frontier batch gathered by the Phase-1 search for one
-    /// partition-parallel edge-cost evaluation (DESIGN.md §11). `0` or `1`
-    /// disables batching — every edge is evaluated one at a time exactly
-    /// when it reaches the top of the heap. Batching also self-disables
-    /// when the engine has a single thread or a single partition (the
-    /// fan-out could never engage, so speculation would be pure overhead).
-    /// Routes are bit-identical for every value: batching only
-    /// *pre-evaluates* costs the serial pop loop would compute anyway, and
-    /// the pop/commit order never changes.
-    pub frontier_batch: usize,
-    /// Worker-thread budget handed to the engine's fan-outs. `None`
-    /// detects the host's core count; `Some(1)` forces every fan-out
-    /// serial; `Some(t > 1)` enables the scoped-thread path even on
-    /// single-core hosts (the conformance suite pins both paths with it).
-    pub engine_threads: Option<usize>,
     /// Cooperative cancellation token ([`Planner::arm_cancel`]): the
-    /// Phase-1 search polls it every few heap pops and at each frontier
-    /// batch, abandoning the request (→ `Infeasible`, nothing committed)
-    /// once it fires. `None` (the default) never cancels. The token only
-    /// *stops* work — with it unfired, routes are bit-identical to an
-    /// unarmed run, so the determinism contract is untouched whenever
-    /// deadlines are disabled.
+    /// Phase-1 search polls it every few heap pops, abandoning the request
+    /// (→ `Infeasible`, nothing committed) once it fires. `None` (the
+    /// default) never cancels. The token only *stops* work — with it
+    /// unfired, routes are bit-identical to an unarmed run, so the
+    /// determinism contract is untouched whenever deadlines are disabled.
     pub cancel: Option<carp_warehouse::planner::CancelToken>,
 }
 
@@ -103,9 +81,6 @@ impl Default for SrpConfig {
             use_fallback: true,
             fallback: AStarConfig::default(),
             instrument: false,
-            store_partitions: 1,
-            frontier_batch: 64,
-            engine_threads: None,
             cancel: None,
         }
     }
@@ -125,22 +100,7 @@ pub struct SrpStats {
     /// Strip-graph nodes settled across all requests.
     pub strips_settled: usize,
     /// Intra-strip planning calls.
-    ///
-    /// Note: with frontier batching enabled this counts *evaluations*, and
-    /// batches may speculatively evaluate edges the serial pop loop would
-    /// have skipped — so the counter can differ between batch sizes even
-    /// though routes, costs and provenance are bit-identical.
     pub intra_calls: usize,
-    /// Frontier batches gathered by the Phase-1 search (each one
-    /// partition-parallel `eval_many` fan-out; DESIGN.md §11).
-    pub frontier_batches: usize,
-    /// Edge evaluations across all frontier batches.
-    pub frontier_evals: usize,
-    /// Edge evaluations *skipped* by the frontier gather because the
-    /// target strip was already priced at the batch's f-value — the
-    /// pending node entry settles it before the edge entry could win, so
-    /// pricing the edge is provably wasted work (DESIGN.md §11).
-    pub frontier_skips: usize,
     /// Nanoseconds in inter-strip search bookkeeping (when instrumented).
     pub inter_ns: u64,
     /// Nanoseconds in intra-strip planning + collision queries.
@@ -250,10 +210,7 @@ impl ParentLite {
 /// makes every live key unique — node entries carry `NO_EDGE`, deferred
 /// edge entries carry the edge's adjacency index, and each `(strip, edge)`
 /// is pushed at most once per search — so the pop order is a total order
-/// over entries, independent of the heap's internal layout. That is what
-/// lets the frontier batcher drain and re-push a cost level without
-/// perturbing determinism (tie-breaks by node id, never by thread
-/// arrival).
+/// over entries, independent of the heap's internal layout.
 type SearchKey = (Time, core::cmp::Reverse<Time>, StripId, u32);
 
 /// Sentinel edge index marking a node (settle) entry.
@@ -268,13 +225,12 @@ struct ResolveCtx {
     sd_is_rack: bool,
     o: Cell,
     d: Cell,
-    goal_slot: usize,
 }
 
 /// Resolve one edge's transit pair under all the rack rules; `None` when
 /// the edge is unusable for this request. Pure in `(graph, ctx, u, k, gu)`
-/// — shared by the pop loop and the frontier batcher so both see the same
-/// edges.
+/// — shared by the settle step and the deferred edge evaluation so both
+/// see the same edges.
 fn resolve_edge(
     graph: &StripGraph,
     ctx: &ResolveCtx,
@@ -301,96 +257,6 @@ fn resolve_edge(
     Some((v, v_is_goal_rack, g_u, g_v))
 }
 
-/// One gathered edge evaluation: everything needed to price the edge
-/// without touching search state, so a batch of these can run on the
-/// engine's scoped threads.
-struct EdgeJob {
-    /// Dense directed-edge index — the cost-cache slot.
-    eid: usize,
-    /// Source strip (shard of the phase-A intra plan + exit-wait probe).
-    u: StripId,
-    /// Target strip (shard of the phase-B entry scan).
-    v: StripId,
-    /// Settle time of `u` — the leg's start time.
-    settle_at: Time,
-    /// Entry offset within `u`.
-    from_off: i32,
-    /// Transit-cell offset within `u`.
-    exit_off: i32,
-    /// Transit pair `g_u → g_v`.
-    g_u: Cell,
-    g_v: Cell,
-    /// Offset of `g_v` within `v`.
-    v_off: i32,
-}
-
-/// Phase-A job payload: the intra-strip leg to the transit cell.
-struct LegQuery {
-    t: Time,
-    from: i32,
-    to: i32,
-}
-
-/// Phase-B job payload: the boundary-crossing scan out of the transit
-/// cell.
-struct CrossQuery {
-    arrive: Time,
-    wait_limit: Time,
-    g_u: Cell,
-    g_v: Cell,
-    v_off: i32,
-}
-
-/// Longest wait permissible at the transit cell `exit_off` of `store_u`
-/// after arriving at `arrive` (shared by the serial `cross_cost` and the
-/// batched phase A, so both paths price edges identically).
-fn exit_wait_limit<S: SegmentStore>(
-    store_u: &S,
-    arrive: Time,
-    exit_off: i32,
-    max_entry_delay: Time,
-) -> Time {
-    let probe = Segment::wait(arrive, arrive + max_entry_delay, exit_off);
-    match store_u.earliest_collision(&probe) {
-        Some(c) => {
-            debug_assert!(c.time > arrive, "transit cell reached collision-free");
-            (c.time - 1 - arrive).min(max_entry_delay)
-        }
-        None => max_entry_delay,
-    }
-}
-
-/// Earliest boundary departure in `[arrive, arrive + wait_limit]` for the
-/// motion `g_u → g_v`, judged against the target strip's store and the
-/// global crossings table (shared by the serial `cross_cost` and the
-/// batched phase B). A departure is valid when nobody crosses the other
-/// way at that instant and the entry point `(depart + 1, v_off)` is free.
-fn cross_scan<S: SegmentStore>(
-    store_v: &S,
-    crossings: &HashSet<(Cell, Cell, Time)>,
-    arrive: Time,
-    wait_limit: Time,
-    g_u: Cell,
-    g_v: Cell,
-    v_off: i32,
-) -> Option<Time> {
-    let deadline = arrive + wait_limit;
-    let mut depart = arrive;
-    while depart <= deadline {
-        // Earliest free entry instant in the next strip ≥ depart + 1; the
-        // single-pass store override replaces one point probe per delta.
-        let entry = store_v.earliest_free_point(depart + 1, deadline + 1, v_off)?;
-        let candidate = entry - 1;
-        // Cross-strip swap: someone crossing the other way at `candidate`.
-        if crossings.contains(&(g_v, g_u, candidate)) {
-            depart = candidate + 1;
-            continue;
-        }
-        return Some(candidate);
-    }
-    None
-}
-
 /// Reusable per-request search state, generation-stamped so consecutive
 /// plans never re-clear the dense arrays.
 #[derive(Debug, Default, Clone)]
@@ -401,19 +267,10 @@ struct SearchScratch {
     dist_v: Vec<Time>,
     entry: Vec<Cell>,
     parent: Vec<ParentLite>,
-    /// Per-directed-edge cost cache, generation-stamped like the node
-    /// arrays and indexed by [`StripGraph::edge_index`]. Holds the result
-    /// of one edge evaluation (`Some(arrival)` / `None` = infeasible) so
-    /// frontier batches can pre-evaluate costs the pop loop reads later.
-    /// Sound because an edge's evaluation inputs (source settle time and
-    /// entry cell, the immutable stores, the crossings set) are all fixed
-    /// for the remainder of one search.
-    cost_stamp: Vec<u32>,
-    cost_v: Vec<Option<Time>>,
 }
 
 impl SearchScratch {
-    fn begin(&mut self, n: usize, m: usize) {
+    fn begin(&mut self, n: usize) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
             self.settled_stamp.resize(n, 0);
@@ -421,16 +278,11 @@ impl SearchScratch {
             self.entry.resize(n, Cell::new(0, 0));
             self.parent.resize(n, ParentLite::NONE);
         }
-        if self.cost_stamp.len() < m {
-            self.cost_stamp.resize(m, 0);
-            self.cost_v.resize(m, None);
-        }
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             // Extremely rare wrap: hard-reset the stamps.
             self.stamp.fill(0);
             self.settled_stamp.fill(0);
-            self.cost_stamp.fill(0);
             self.gen = 1;
         }
     }
@@ -458,28 +310,12 @@ impl SearchScratch {
         self.settled_stamp[i] = self.gen;
     }
 
-    /// Cached evaluation of directed edge `eid` this search, if any:
-    /// `Some(result)` where `result` is the arrival time or `None` for an
-    /// infeasible edge.
-    #[inline]
-    fn cached_cost(&self, eid: usize) -> Option<Option<Time>> {
-        (self.cost_stamp[eid] == self.gen).then(|| self.cost_v[eid])
-    }
-
-    #[inline]
-    fn cache_cost(&mut self, eid: usize, result: Option<Time>) {
-        self.cost_stamp[eid] = self.gen;
-        self.cost_v[eid] = result;
-    }
-
     fn memory_bytes(&self) -> usize {
         carp_warehouse::memory::vec_bytes(&self.stamp)
             + carp_warehouse::memory::vec_bytes(&self.settled_stamp)
             + carp_warehouse::memory::vec_bytes(&self.dist_v)
             + carp_warehouse::memory::vec_bytes(&self.entry)
             + carp_warehouse::memory::vec_bytes(&self.parent)
-            + carp_warehouse::memory::vec_bytes(&self.cost_stamp)
-            + carp_warehouse::memory::vec_bytes(&self.cost_v)
     }
 }
 
@@ -489,9 +325,7 @@ impl SearchScratch {
 pub struct SrpPlanner<S: SegmentStore = SlopeIndexStore> {
     matrix: WarehouseMatrix,
     graph: StripGraph,
-    /// The sharded segment-store engine owning all per-strip stores
-    /// (lock-striped by `StripId % partitions`; see
-    /// `SrpConfig::store_partitions`).
+    /// The engine owning all per-strip segment stores.
     engine: StoreEngine<S>,
     /// Directed boundary motions of active routes.
     crossings: HashSet<(Cell, Cell, Time)>,
@@ -516,14 +350,10 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
     /// Build an SRP planner with a custom segment store implementation.
     pub fn with_store(matrix: WarehouseMatrix, config: SrpConfig) -> Self {
         let graph = StripGraph::build(&matrix);
-        let engine = match config.engine_threads {
-            Some(t) => StoreEngine::with_parallelism(config.store_partitions, t),
-            None => StoreEngine::new(config.store_partitions),
-        };
         SrpPlanner {
             matrix,
             graph,
-            engine,
+            engine: StoreEngine::new(),
             crossings: HashSet::new(),
             committed: HashMap::new(),
             retire_queue: BTreeSet::new(),
@@ -556,14 +386,6 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
     /// The segment-store engine (for inspection and its operation stats).
     pub fn engine(&self) -> &StoreEngine<S> {
         &self.engine
-    }
-
-    /// Run a closure against one strip's segment store under the engine's
-    /// read lock (an empty stand-in when the strip carries no traffic).
-    /// Replaces the pre-engine `store_for_strip` reference accessor, which
-    /// cannot outlive a lock guard.
-    pub fn with_store_for_strip<R>(&self, sid: StripId, f: impl FnOnce(&S) -> R) -> R {
-        self.engine.with_shard(sid, f)
     }
 
     /// Byte breakdown of [`Planner::memory_bytes`] for diagnostics:
@@ -654,7 +476,8 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         let sid = self.graph.strip_of(&self.matrix, cell);
         let off = self.graph.strip(sid).offset_of(cell);
         self.engine
-            .with_shard(sid, |store| store.earliest_free_point(t, t + limit, off))
+            .shard(sid)
+            .earliest_free_point(t, t + limit, off)
     }
 
     /// Plan a route at strip level; `None` means the restricted search
@@ -691,7 +514,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         };
         let n = self.graph.num_vertices();
         let goal_slot = n; // dense index of the GOAL pseudo-node
-        self.scratch.begin(n + 1, self.graph.num_directed_edges());
+        self.scratch.begin(n + 1);
         // Min-heap on (f, Reverse(g)): among equal f the deepest entry wins,
         // so the search dives along one optimal staircase instead of
         // flooding the whole equal-cost plateau between origin and
@@ -703,10 +526,6 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         // intra-strip + crossing evaluation runs only when that bound
         // reaches the top of the heap. Long full-width aisles have O(W)
         // edges, so eager evaluation would dominate the whole search.
-        // With frontier batching on, reaching an unevaluated edge entry
-        // first gathers every same-`f` edge entry in the heap and prices
-        // them in one partition-parallel fan-out (DESIGN.md §11); the pop
-        // loop below is unchanged either way.
         let mut heap: BinaryHeap<core::cmp::Reverse<SearchKey>> = BinaryHeap::new();
         self.scratch
             .relax(su as usize, start_t, o, ParentLite::NONE);
@@ -724,18 +543,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             sd_is_rack,
             o,
             d,
-            goal_slot,
         };
-        // Batched pre-evaluation only pays when the engine can actually fan
-        // the batch out: more than one scoped thread AND more than one
-        // partition to spread jobs over. Otherwise every speculative
-        // evaluation is serial wasted work, so fall back to pure
-        // one-edge-at-a-time relaxation (results are bit-identical either
-        // way; this is strictly a cost gate).
-        let batch_enabled = self.config.frontier_batch > 1
-            && self.engine.threads() > 1
-            && self.config.store_partitions > 1;
-
         // Honour a token that fired before the search even started (the
         // periodic poll below only triggers every 64 pops, which a short
         // search never reaches).
@@ -743,7 +551,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             return None;
         }
         let mut pops: u64 = 0;
-        while let Some(core::cmp::Reverse((f, core::cmp::Reverse(at), u, edge_k))) = heap.pop() {
+        while let Some(core::cmp::Reverse((_, core::cmp::Reverse(at), u, edge_k))) = heap.pop() {
             if u == GOAL {
                 break;
             }
@@ -774,27 +582,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                 if self.scratch.settled(vi) || self.scratch.dist(vi).is_some_and(|dv| dv <= at) {
                     continue;
                 }
-                let eid = self.graph.edge_index(u, edge_k as usize);
-                let result = match self.scratch.cached_cost(eid) {
-                    Some(cached) => cached,
-                    None => {
-                        if batch_enabled {
-                            // Gather every same-f edge entry still in the
-                            // heap and price the lot in one fan-out; this
-                            // entry's own evaluation lands in the cache.
-                            self.relax_frontier_batch(&mut heap, &ctx, f);
-                        }
-                        match self.scratch.cached_cost(eid) {
-                            Some(cached) => cached,
-                            None => {
-                                let r = self.eval_edge_serial(u, settle_at, gu, g_u, g_v);
-                                self.scratch.cache_cost(eid, r);
-                                r
-                            }
-                        }
-                    }
-                };
-                let Some(arrival) = result else {
+                let Some(arrival) = self.eval_edge(u, settle_at, gu, g_u, g_v) else {
                     continue;
                 };
                 let depart = arrival - 1;
@@ -954,9 +742,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         let started = self.now();
         self.stats.intra_calls += 1;
         let intra = self.config.intra;
-        let arrive = self
-            .engine
-            .with_shard(strip, |s| plan_within_cost(s, t, from, to, &intra));
+        let arrive = plan_within_cost(self.engine.shard(strip), t, from, to, &intra);
         self.lap(started, |s| &mut s.intra_ns);
         arrive
     }
@@ -965,17 +751,15 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
     fn intra_full(&mut self, strip: StripId, t: Time, from: i32, to: i32) -> Option<IntraRoute> {
         let started = self.now();
         let intra = self.config.intra;
-        let leg = self
-            .engine
-            .with_shard(strip, |s| plan_within(s, t, from, to, &intra));
+        let leg = plan_within(self.engine.shard(strip), t, from, to, &intra);
         self.lap(started, |s| &mut s.intra_ns);
         leg
     }
 
     /// Find the earliest boundary departure `>= arrive` for the motion
-    /// `g_u -> g_v` (cost phase: no leg materialization). Delegates to the
-    /// same [`exit_wait_limit`] / [`cross_scan`] helpers as the batched
-    /// frontier evaluation, so both paths price edges identically.
+    /// `g_u -> g_v` (cost phase: no leg materialization). A departure is
+    /// valid when nobody crosses the other way at that instant and the
+    /// entry point `(depart + 1, v_off)` of the next strip is free.
     fn cross_cost(
         &mut self,
         u: StripId,
@@ -985,28 +769,46 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         g_v: Cell,
     ) -> Option<Time> {
         let started = self.now();
+        // Longest wait permissible at the transit cell.
         let max_entry_delay = self.config.max_entry_delay;
-        // Exit-wait probe, then entry scan: two *sequential* shard borrows
-        // — never nested, so the engine's partition locks cannot
-        // self-deadlock even when strips `u` and `v` share a partition.
-        let wait_limit = self.engine.with_shard(u, |store_u| {
-            exit_wait_limit(store_u, arrive, exit_off, max_entry_delay)
-        });
+        let probe = Segment::wait(arrive, arrive + max_entry_delay, exit_off);
+        let wait_limit = match self.engine.shard(u).earliest_collision(&probe) {
+            Some(c) => {
+                debug_assert!(c.time > arrive, "transit cell reached collision-free");
+                (c.time - 1 - arrive).min(max_entry_delay)
+            }
+            None => max_entry_delay,
+        };
         let v = self.graph.strip_of(&self.matrix, g_v);
         let v_off = self.graph.strip(v).offset_of(g_v);
-        let crossings = &self.crossings;
-        let found = self.engine.with_shard(v, |store_v| {
-            cross_scan(store_v, crossings, arrive, wait_limit, g_u, g_v, v_off)
-        });
+        let store_v = self.engine.shard(v);
+        let deadline = arrive + wait_limit;
+        let mut depart = arrive;
+        let mut found = None;
+        while depart <= deadline {
+            // Earliest free entry instant in the next strip ≥ depart + 1; the
+            // single-pass store override replaces one point probe per delta.
+            let Some(entry) = store_v.earliest_free_point(depart + 1, deadline + 1, v_off) else {
+                break;
+            };
+            let candidate = entry - 1;
+            // Cross-strip swap: someone crossing the other way at `candidate`.
+            if self.crossings.contains(&(g_v, g_u, candidate)) {
+                depart = candidate + 1;
+                continue;
+            }
+            found = Some(candidate);
+            break;
+        }
         self.lap(started, |s| &mut s.intra_ns);
         found
     }
 
-    /// Price one edge the serial way: intra-strip leg to the transit cell,
-    /// then the boundary-crossing scan. Returns the arrival time in the
-    /// next strip (`depart + 1`), or `None` when the edge is infeasible at
-    /// this settle time.
-    fn eval_edge_serial(
+    /// Price one edge: intra-strip leg to the transit cell, then the
+    /// boundary-crossing scan. Returns the arrival time in the next strip
+    /// (`depart + 1`), or `None` when the edge is infeasible at this settle
+    /// time.
+    fn eval_edge(
         &mut self,
         u: StripId,
         settle_at: Time,
@@ -1019,202 +821,6 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             self.intra_cost(u, settle_at, strip_u.offset_of(gu), strip_u.offset_of(g_u))?;
         let depart = self.cross_cost(u, arrive, strip_u.offset_of(g_u), g_u, g_v)?;
         Some(depart + 1)
-    }
-
-    /// Batched frontier expansion (DESIGN.md §11): drain every deferred
-    /// edge entry at cost level `f0` from the heap, price the eligible
-    /// uncached ones in two partition-parallel [`StoreEngine::eval_many`]
-    /// fan-outs (phase A: intra leg + exit-wait limit on shard `u`; phase
-    /// B: crossing scan on shard `v`), commit all results to the per-search
-    /// cost cache, and push the drained entries back unchanged.
-    ///
-    /// Determinism: the heap leaves this function with exactly the entry
-    /// multiset it had on entry, and live heap keys are unique
-    /// ([`SearchKey`] docs), so the pop order is unchanged. Each evaluation
-    /// is a pure function of inputs frozen for the rest of the search (the
-    /// source strip's settle time and entry cell, the stores — mutated only
-    /// between searches — and the crossings set), so a cached result equals
-    /// what the pop loop would compute on the spot. The eligibility filters
-    /// (`settled(v)`, `dist(v) <= bound`) are monotone — they only skip
-    /// evaluations whose pop-time guards would discard them anyway. Extra
-    /// speculative evaluations are wasted work at worst, never a route
-    /// change.
-    fn relax_frontier_batch(
-        &mut self,
-        heap: &mut BinaryHeap<core::cmp::Reverse<SearchKey>>,
-        ctx: &ResolveCtx,
-        f0: Time,
-    ) {
-        // Per-batch cancellation poll (the satellite hook): a fired token
-        // skips the speculative fan-out entirely; the pop loop notices the
-        // cancellation within its next poll window and unwinds.
-        if self.cancelled() {
-            return;
-        }
-        let cap = self.config.frontier_batch;
-        let mut stash: Vec<SearchKey> = Vec::new();
-        let mut jobs: Vec<EdgeJob> = Vec::new();
-        let mut skips: usize = 0;
-        {
-            let graph = &self.graph;
-            let scratch = &self.scratch;
-            let use_h = self.config.use_heuristic;
-            let skips = &mut skips;
-            let mut consider = |key: SearchKey, jobs: &mut Vec<EdgeJob>| {
-                let (_, core::cmp::Reverse(at), u, edge_k) = key;
-                if u == GOAL || edge_k == NO_EDGE {
-                    return;
-                }
-                let eid = graph.edge_index(u, edge_k as usize);
-                if scratch.cached_cost(eid).is_some() {
-                    return;
-                }
-                let ui = u as usize;
-                let gu = scratch.entry[ui];
-                let Some(settle_at) = scratch.dist(ui) else {
-                    return;
-                };
-                let Some((v, v_is_goal_rack, g_u, g_v)) =
-                    resolve_edge(graph, ctx, u, edge_k as usize, gu)
-                else {
-                    return;
-                };
-                // Monotone guards: a settled target stays settled and dist
-                // only decreases, so anything skipped here would also be
-                // skipped by the pop-time guards.
-                let vi = if v_is_goal_rack {
-                    ctx.goal_slot
-                } else {
-                    v as usize
-                };
-                if scratch.settled(vi) || scratch.dist(vi).is_some_and(|dv| dv <= at) {
-                    return;
-                }
-                // Frontier gather skip: if the target is already priced at
-                // this batch's f-value, its pending *node* entry
-                // `(f0, Reverse(dv), v, NO_EDGE)` orders strictly before
-                // this edge entry (`dv > at` from the guard above, and the
-                // heap breaks f-ties by larger g first), so `v` settles
-                // before the edge entry resurfaces and the pop-time settled
-                // guard discards it unevaluated. Pricing the edge now is
-                // provably wasted work — count it instead of jobbing it.
-                if let Some(dv) = scratch.dist(vi) {
-                    let h_v = if use_h {
-                        scratch.entry[vi].manhattan(ctx.d)
-                    } else {
-                        0
-                    };
-                    if dv + h_v == f0 {
-                        *skips += 1;
-                        return;
-                    }
-                }
-                let strip_u = graph.strip(u);
-                let v_strip = if v_is_goal_rack { ctx.sd } else { v };
-                debug_assert!(graph.strip(v_strip).contains(g_v));
-                jobs.push(EdgeJob {
-                    eid,
-                    u,
-                    v: v_strip,
-                    settle_at,
-                    from_off: strip_u.offset_of(gu),
-                    exit_off: strip_u.offset_of(g_u),
-                    g_u,
-                    g_v,
-                    v_off: graph.strip(v_strip).offset_of(g_v),
-                });
-            };
-            while jobs.len() < cap {
-                let Some(&core::cmp::Reverse(key)) = heap.peek() else {
-                    break;
-                };
-                if key.0 != f0 {
-                    break;
-                }
-                heap.pop();
-                stash.push(key);
-                consider(key, &mut jobs);
-            }
-        }
-        for key in stash {
-            heap.push(core::cmp::Reverse(key));
-        }
-        self.stats.frontier_skips += skips;
-        if jobs.is_empty() {
-            return;
-        }
-
-        let started = self.now();
-        // Phase A (shard u): intra-strip leg to the transit cell plus the
-        // exit-wait limit. Phase B (shard v): the crossing scan for the
-        // survivors. Each phase borrows one shard per job — never two at
-        // once — preserving the engine's no-nested-locks invariant.
-        let intra = self.config.intra;
-        let max_entry_delay = self.config.max_entry_delay;
-        let a_jobs: Vec<(ShardKey, LegQuery)> = jobs
-            .iter()
-            .map(|j| {
-                (
-                    j.u,
-                    LegQuery {
-                        t: j.settle_at,
-                        from: j.from_off,
-                        to: j.exit_off,
-                    },
-                )
-            })
-            .collect();
-        let a_out = self.engine.eval_many(&a_jobs, |store, q: &LegQuery| {
-            plan_within_cost(store, q.t, q.from, q.to, &intra).map(|arrive| {
-                (
-                    arrive,
-                    exit_wait_limit(store, arrive, q.to, max_entry_delay),
-                )
-            })
-        });
-        let mut b_slots: Vec<usize> = Vec::with_capacity(jobs.len());
-        let mut b_jobs: Vec<(ShardKey, CrossQuery)> = Vec::with_capacity(jobs.len());
-        for (i, a) in a_out.iter().enumerate() {
-            if let Some((arrive, wait_limit)) = *a {
-                b_slots.push(i);
-                b_jobs.push((
-                    jobs[i].v,
-                    CrossQuery {
-                        arrive,
-                        wait_limit,
-                        g_u: jobs[i].g_u,
-                        g_v: jobs[i].g_v,
-                        v_off: jobs[i].v_off,
-                    },
-                ));
-            }
-        }
-        let crossings = &self.crossings;
-        let b_out = self.engine.eval_many(&b_jobs, |store, q: &CrossQuery| {
-            cross_scan(
-                store,
-                crossings,
-                q.arrive,
-                q.wait_limit,
-                q.g_u,
-                q.g_v,
-                q.v_off,
-            )
-        });
-        // Serial commit: results land in the cache by job order (the order
-        // is immaterial — one slot per edge — but the commit never runs on
-        // worker threads).
-        let mut results: Vec<Option<Time>> = vec![None; jobs.len()];
-        for (slot, depart) in b_slots.into_iter().zip(b_out) {
-            results[slot] = depart.map(|dep| dep + 1);
-        }
-        self.lap(started, |s| &mut s.intra_ns);
-        for (job, result) in jobs.iter().zip(results) {
-            self.scratch.cache_cost(job.eid, result);
-        }
-        self.stats.intra_calls += jobs.len();
-        self.stats.frontier_batches += 1;
-        self.stats.frontier_evals += jobs.len();
     }
 
     /// Grid-level fallback (§VI remarks): rebuild a reservation table from
@@ -1252,15 +858,13 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
     fn commit(&mut self, id: RequestId, route: &Route, path: PlannerPath) {
         let started = self.now();
         let dec = decompose(&self.matrix, &self.graph, route);
-        // Pre-commit validation as one batched probe over the whole
-        // candidate route (its segments span many strips, so this is the
-        // engine's parallel fan-out path on multi-core hosts). The check is
-        // always on: a colliding commit means a planner bug, and one batch
-        // probe per commit is noise next to the search that produced it.
-        let hits = self.engine.collide_many(&dec.segments);
-        for ((sid, seg), hit) in dec.segments.iter().zip(&hits) {
+        // Pre-commit validation of every segment against its strip's
+        // store. The check is always on: a colliding commit means a planner
+        // bug, and one probe per segment is noise next to the search that
+        // produced the route.
+        for &(sid, seg) in &dec.segments {
             assert!(
-                hit.is_none(),
+                self.engine.earliest_collision(sid, &seg).is_none(),
                 "committing colliding segment {seg} in strip {sid}"
             );
         }
@@ -1286,9 +890,9 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
 
     /// Remove a batch of committed routes from the collision state. All
     /// their segments are retired through one [`StoreEngine::remove_batch`]
-    /// call — per-shard removal lists applied under a single lock
-    /// acquisition each — instead of one map traversal per segment. Ids
-    /// with no committed route (already retired, cancelled) are skipped.
+    /// call — one removal list per shard — instead of one map traversal
+    /// per segment. Ids with no committed route (already retired,
+    /// cancelled) are skipped.
     fn retire_batch(&mut self, ids: &[RequestId]) {
         let mut removals: Vec<(ShardKey, SegmentId, Segment)> = Vec::new();
         for id in ids {
@@ -1464,14 +1068,8 @@ impl<S: SegmentStore + Default> Planner for SrpPlanner<S> {
     fn engine_metrics(&self) -> Option<EngineMetrics> {
         let stats = self.engine.stats();
         Some(EngineMetrics {
-            probe_batches: stats.probe_batches,
             probe_queries: stats.probe_queries,
-            probe_parallelism: stats.probe_parallelism(),
-            probe_parallel_share: stats.parallel_share(),
             retire_batch_size: stats.mean_retire_batch(),
-            eval_batches: stats.eval_batches,
-            eval_jobs: stats.eval_jobs,
-            eval_parallel_share: stats.eval_parallel_share(),
             soft_bookings: 0,
             window_debt: 0,
         })

@@ -158,11 +158,6 @@ pub struct StripGraph {
     cell_to_strip: Vec<StripId>,
     /// Directed adjacency lists (both directions of each undirected edge).
     adj: Vec<Vec<StripEdge>>,
-    /// Prefix offsets into a dense numbering of *directed* edges: the edges
-    /// of strip `u` occupy indices `edge_base[u] .. edge_base[u + 1]`. The
-    /// planner's per-search edge-cost cache is a flat array over this
-    /// numbering.
-    edge_base: Vec<u32>,
     /// Number of undirected edges.
     num_edges: usize,
 }
@@ -268,19 +263,10 @@ impl StripGraph {
             }
         }
 
-        let mut edge_base = Vec::with_capacity(adj.len() + 1);
-        let mut acc = 0u32;
-        edge_base.push(0);
-        for list in &adj {
-            acc += list.len() as u32;
-            edge_base.push(acc);
-        }
-
         StripGraph {
             strips,
             cell_to_strip,
             adj,
-            edge_base,
             num_edges,
         }
     }
@@ -311,22 +297,6 @@ impl StripGraph {
     /// Number of undirected edges (Table II "Strip-based #edges").
     pub fn num_edges(&self) -> usize {
         self.num_edges
-    }
-
-    /// Dense index of the `k`-th directed edge out of strip `u`, unique
-    /// across the whole graph (see `edge_base`).
-    #[inline]
-    pub fn edge_index(&self, u: StripId, k: usize) -> usize {
-        debug_assert!(k < self.adj[u as usize].len());
-        self.edge_base[u as usize] as usize + k
-    }
-
-    /// Total number of directed edges (twice [`StripGraph::num_edges`]
-    /// minus nothing — every undirected edge appears in both adjacency
-    /// lists).
-    #[inline]
-    pub fn num_directed_edges(&self) -> usize {
-        *self.edge_base.last().expect("edge_base never empty") as usize
     }
 
     /// Resolve the transit grid pair from `from_cell` in strip `u` towards
@@ -360,7 +330,6 @@ impl StripGraph {
             + memory::vec_bytes(&self.cell_to_strip)
             + self.adj.iter().map(memory::vec_bytes).sum::<usize>()
             + memory::vec_bytes(&self.adj)
-            + memory::vec_bytes(&self.edge_base)
     }
 }
 
@@ -571,21 +540,6 @@ mod tests {
             }
             other => panic!("expected collinear, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn dense_edge_indices_are_a_bijection() {
-        let (_, g) = toy();
-        assert_eq!(g.num_directed_edges(), 2 * g.num_edges());
-        let mut seen = std::collections::HashSet::new();
-        for u in 0..g.num_vertices() as StripId {
-            for k in 0..g.edges(u).len() {
-                let eid = g.edge_index(u, k);
-                assert!(eid < g.num_directed_edges());
-                assert!(seen.insert(eid), "edge index {eid} assigned twice");
-            }
-        }
-        assert_eq!(seen.len(), g.num_directed_edges());
     }
 
     #[test]

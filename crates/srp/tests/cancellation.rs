@@ -1,20 +1,10 @@
-//! Cooperative cancellation and the frontier gather skip.
+//! Cooperative cancellation of the Phase-1 search.
 //!
-//! Two service-facing properties of the Phase-1 search:
-//!
-//! * **Cancellation is pure refusal.** A fired [`CancelToken`] makes
-//!   `plan` return `Infeasible` without committing anything — replanning
-//!   the same request after disarming must produce exactly what an
-//!   untouched planner would have produced. An armed-but-unfired token
-//!   must change nothing at all (bit-identical outcomes).
-//!
-//! * **The gather skip is invisible.** Batched frontier gathers skip
-//!   pricing edges whose target is already pending at the same f-value
-//!   with a strictly smaller pop key — those edge entries are provably
-//!   discarded unevaluated. The skip count surfaces in
-//!   [`SrpStats::frontier_skips`]; routes must not move.
-//!
-//! [`SrpStats::frontier_skips`]: carp_srp::SrpStats::frontier_skips
+//! **Cancellation is pure refusal.** A fired [`CancelToken`] makes `plan`
+//! return `Infeasible` without committing anything — replanning the same
+//! request after disarming must produce exactly what an untouched planner
+//! would have produced. An armed-but-unfired token must change nothing at
+//! all (bit-identical outcomes).
 
 use carp_srp::{SrpConfig, SrpPlanner};
 use carp_warehouse::layout::LayoutConfig;
@@ -73,48 +63,4 @@ fn unfired_token_is_bit_identical_to_no_token() {
     armed.arm_cancel(Some(token));
     let got: Vec<PlanOutcome> = requests.iter().map(|r| armed.plan(r)).collect();
     assert_eq!(expected, got, "an unfired token changed planner output");
-}
-
-#[test]
-fn frontier_skip_engages_and_routes_do_not_move() {
-    let layout = LayoutConfig::small().generate();
-    let requests = generate_requests(&layout, 200, 8.0, 7);
-
-    // Serial reference: no batching, hence no gather skip.
-    let serial = SrpConfig {
-        store_partitions: 1,
-        frontier_batch: 1,
-        engine_threads: Some(1),
-        ..SrpConfig::default()
-    };
-    let mut reference = SrpPlanner::new(layout.matrix.clone(), serial);
-    let expected: Vec<PlanOutcome> = requests.iter().map(|r| reference.plan(r)).collect();
-    assert_eq!(
-        reference.stats.frontier_skips, 0,
-        "serial search must never take the batched gather skip"
-    );
-
-    // Batched search on the same stream: the skip must actually fire (the
-    // assertion below is what keeps this test from passing vacuously) and
-    // every outcome must stay bit-identical.
-    let batched = SrpConfig {
-        store_partitions: 2,
-        frontier_batch: 64,
-        engine_threads: Some(4),
-        ..SrpConfig::default()
-    };
-    let mut srp = SrpPlanner::new(layout.matrix.clone(), batched);
-    let got: Vec<PlanOutcome> = requests.iter().map(|r| srp.plan(r)).collect();
-    assert_eq!(expected, got, "gather skip changed a committed route");
-    assert!(
-        srp.stats.frontier_skips > 0,
-        "gather skip never engaged on the dense stream (evals={})",
-        srp.stats.frontier_evals
-    );
-    assert!(
-        srp.stats.frontier_skips < srp.stats.frontier_evals,
-        "skip count implausibly large: {} skips vs {} evals",
-        srp.stats.frontier_skips,
-        srp.stats.frontier_evals
-    );
 }

@@ -11,13 +11,9 @@ use carp_warehouse::route::Route;
 use carp_warehouse::tasks::generate_requests;
 use proptest::prelude::*;
 
-fn planner(partitions: usize) -> SrpPlanner {
+fn planner() -> SrpPlanner {
     let layout = LayoutConfig::small().generate();
-    let config = SrpConfig {
-        store_partitions: partitions,
-        ..SrpConfig::default()
-    };
-    SrpPlanner::new(layout.matrix, config)
+    SrpPlanner::new(layout.matrix, SrpConfig::default())
 }
 
 /// Plan a deterministic stream, returning `(id, route)` per commit.
@@ -35,7 +31,7 @@ fn plan_stream(p: &mut SrpPlanner, n: usize, seed: u64) -> Vec<(RequestId, Route
 
 #[test]
 fn cancel_between_advances_excludes_the_route_from_later_retirement() {
-    let mut p = planner(4);
+    let mut p = planner();
     let planned = plan_stream(&mut p, 30, 9);
     assert!(planned.len() >= 25);
     let horizon = planned.iter().map(|(_, r)| r.end_time()).max().unwrap();
@@ -60,7 +56,7 @@ fn cancel_between_advances_excludes_the_route_from_later_retirement() {
 
 #[test]
 fn cancel_of_an_already_retired_route_refuses() {
-    let mut p = planner(1);
+    let mut p = planner();
     let planned = plan_stream(&mut p, 12, 5);
     let (first_id, first_route) = planned.first().cloned().expect("planned");
     // Retire it through the batch path, then cancel.
@@ -80,13 +76,13 @@ proptest! {
         n in 10usize..28,
         cut in 1u32..200,
     ) {
-        let mut batched = planner(4);
+        let mut batched = planner();
         let planned = plan_stream(&mut batched, n, seed);
         // The twin replays the identical stream (planning is deterministic,
         // so both planners hold bit-identical committed state)...
-        let mut serial = planner(1);
+        let mut serial = planner();
         let twin = plan_stream(&mut serial, n, seed);
-        prop_assert_eq!(&planned, &twin, "planning must not depend on partitions");
+        prop_assert_eq!(&planned, &twin, "planning must be deterministic");
 
         // ...then both retire everything ending before `cut`: one in a
         // single batched advance, the other route by route via cancel()

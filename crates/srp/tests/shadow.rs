@@ -15,12 +15,9 @@ use carp_warehouse::tasks::generate_requests;
 /// Drive one request stream through a shadow-store planner: every store
 /// query is differentially checked inside the store, every committed route
 /// is audited online, and the surviving set is batch-validated at the end.
-fn run_shadow_stream(layout: &Layout, n: usize, rate: f64, seed: u64, partitions: usize) {
-    let config = SrpConfig {
-        store_partitions: partitions,
-        ..SrpConfig::default()
-    };
-    let mut planner = SrpPlanner::<ShadowStore>::with_store(layout.matrix.clone(), config);
+fn run_shadow_stream(layout: &Layout, n: usize, rate: f64, seed: u64) {
+    let mut planner =
+        SrpPlanner::<ShadowStore>::with_store(layout.matrix.clone(), SrpConfig::default());
     let requests = generate_requests(layout, n, rate, seed);
     let mut auditor = IncrementalAuditor::new();
     let mut routes = Vec::new();
@@ -81,19 +78,19 @@ fn shadow_mode_validates_a_full_small_stream_without_divergence() {
 #[test]
 fn shadow_mode_validates_w1_preset_stream() {
     let layout = WarehousePreset::W1.generate();
-    run_shadow_stream(&layout, 150, 3.0, 104, 1);
+    run_shadow_stream(&layout, 150, 3.0, 104);
 }
 
 #[test]
 fn shadow_mode_validates_w2_preset_stream() {
     let layout = WarehousePreset::W2.generate();
-    run_shadow_stream(&layout, 120, 3.0, 21, 4);
+    run_shadow_stream(&layout, 120, 3.0, 21);
 }
 
 #[test]
 fn shadow_mode_validates_w3_preset_stream() {
     let layout = WarehousePreset::W3.generate();
-    run_shadow_stream(&layout, 100, 3.0, 35, 2);
+    run_shadow_stream(&layout, 100, 3.0, 35);
 }
 
 #[test]
@@ -103,11 +100,8 @@ fn shadow_mode_survives_a_cancellation_heavy_stream() {
     // the retirement path the engine refactor most needs differential
     // coverage on.
     let layout = WarehousePreset::W1.generate();
-    let config = SrpConfig {
-        store_partitions: 4,
-        ..SrpConfig::default()
-    };
-    let mut planner = SrpPlanner::<ShadowStore>::with_store(layout.matrix.clone(), config);
+    let mut planner =
+        SrpPlanner::<ShadowStore>::with_store(layout.matrix.clone(), SrpConfig::default());
     let requests = generate_requests(&layout, 150, 4.0, 77);
     let mut live: Vec<(u64, carp_warehouse::route::Route)> = Vec::new();
     let mut kept = Vec::new();

@@ -84,35 +84,19 @@ impl PlanOutcome {
     }
 }
 
-/// Operation metrics of a planner's collision backend: the sharded segment
-/// store engine (SRP) or the grid-level reservation table (the baselines).
+/// Operation metrics of a planner's collision backend: the per-strip
+/// segment-store engine (SRP) or the grid-level reservation table (the
+/// baselines).
 /// Defined here (rather than next to the engine) so the simulator can read
 /// them through the object-safe [`Planner`] interface without depending on
 /// the geometry crate's concrete engine type.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct EngineMetrics {
-    /// Batched collision-probe calls issued so far.
-    pub probe_batches: u64,
-    /// Individual collision queries across all probe batches.
+    /// Collision queries issued against the engine so far (SRP: the
+    /// pre-commit validation probes).
     pub probe_queries: u64,
-    /// Mean partition fan-out per probe batch (1.0 = fully serial).
-    pub probe_parallelism: f64,
-    /// Share of probe batches that actually ran on scoped threads (0.0 on
-    /// single-core hosts or below the fan-out threshold — the number that
-    /// tells a perf job whether sharding engaged at all).
-    pub probe_parallel_share: f64,
     /// Mean segments retired per removal batch.
     pub retire_batch_size: f64,
-    /// Batched edge-cost evaluation calls issued by the inter-strip
-    /// search's frontier batching (`eval_many`); zero for planners without
-    /// a batched search.
-    pub eval_batches: u64,
-    /// Individual edge evaluations across all evaluation batches.
-    pub eval_jobs: u64,
-    /// Share of evaluation batches that actually ran on scoped threads —
-    /// the number that tells a perf job whether search parallelism engaged
-    /// at all.
-    pub eval_parallel_share: f64,
     /// Cumulative soft-layer (beyond-window) reservation bookings. Zero for
     /// planners that pre-check every commit against the full table; positive
     /// under TWP's optimistic beyond-window commits, which book their
@@ -199,27 +183,12 @@ pub trait Planner {
         false
     }
 
-    /// Operation metrics of the planner's sharded store engine. `None` (the
+    /// Operation metrics of the planner's segment-store engine. `None` (the
     /// default) for planners without one; SRP reports the probe/retirement
     /// counters of its `carp_geometry::engine::StoreEngine`, which the
     /// simulator folds into the day report.
     fn engine_metrics(&self) -> Option<EngineMetrics> {
         None
-    }
-
-    /// Plan a whole batch `Q_t` (Definition 3 hands the planner a *set* of
-    /// pairs per timestamp). The default processes requests shortest-first
-    /// — the standard prioritization that lets short hops slip through
-    /// before long routes lock corridors — and returns outcomes in the
-    /// *input* order.
-    fn plan_batch(&mut self, requests: &[Request]) -> Vec<PlanOutcome> {
-        let mut order: Vec<usize> = (0..requests.len()).collect();
-        order.sort_by_key(|&i| (requests[i].distance_lower_bound(), requests[i].id));
-        let mut out = vec![PlanOutcome::Infeasible; requests.len()];
-        for i in order {
-            out[i] = self.plan(&requests[i]);
-        }
-        out
     }
 }
 
@@ -297,9 +266,6 @@ impl<P: Planner + ?Sized> Planner for Box<P> {
     fn engine_metrics(&self) -> Option<EngineMetrics> {
         (**self).engine_metrics()
     }
-    fn plan_batch(&mut self, requests: &[Request]) -> Vec<PlanOutcome> {
-        (**self).plan_batch(requests)
-    }
 }
 
 #[cfg(test)]
@@ -324,43 +290,6 @@ mod tests {
     fn default_advance_is_a_noop() {
         let mut d = Dummy;
         assert!(d.advance(10).is_empty());
-    }
-
-    #[test]
-    fn batch_planning_preserves_input_order() {
-        struct Echo;
-        impl Planner for Echo {
-            fn name(&self) -> &'static str {
-                "echo"
-            }
-            fn plan(&mut self, req: &Request) -> PlanOutcome {
-                PlanOutcome::Planned(Route::stationary(req.t, req.origin))
-            }
-            fn memory_bytes(&self) -> usize {
-                0
-            }
-        }
-        let reqs = vec![
-            Request::new(
-                0,
-                0,
-                Cell::new(0, 0),
-                Cell::new(9, 9),
-                crate::QueryKind::Pickup,
-            ),
-            Request::new(
-                1,
-                0,
-                Cell::new(5, 5),
-                Cell::new(5, 6),
-                crate::QueryKind::Pickup,
-            ),
-        ];
-        let outcomes = Echo.plan_batch(&reqs);
-        assert_eq!(outcomes.len(), 2);
-        // Outcome i corresponds to request i despite shortest-first order.
-        assert_eq!(outcomes[0].route().unwrap().origin(), Cell::new(0, 0));
-        assert_eq!(outcomes[1].route().unwrap().origin(), Cell::new(5, 5));
     }
 
     #[test]

