@@ -7,7 +7,7 @@
 //! precisely the bottleneck the strip-based framework removes (§I, §VII-B).
 
 use crate::cbs::ConstraintSet;
-use crate::reservation::ReservationTable;
+use crate::reservation::Occupancy;
 use carp_warehouse::matrix::WarehouseMatrix;
 use carp_warehouse::route::Route;
 use carp_warehouse::types::{Cell, Time};
@@ -102,6 +102,9 @@ impl SpaceTimeAStar {
 
     /// Plan the shortest route from `start` to `goal` departing no earlier
     /// than `depart`, avoiding `reservations` and `constraints`.
+    /// `reservations` is any [`Occupancy`] oracle — a
+    /// [`crate::ReservationTable`] for the baselines; the call is
+    /// monomorphised per oracle type.
     ///
     /// Rack cells are traversable only as the route's own endpoints: the
     /// robot may sit on / leave its `start` and may *arrive* at `goal`, but
@@ -109,10 +112,10 @@ impl SpaceTimeAStar {
     /// rack-endpoint completion described in DESIGN.md §3).
     ///
     /// Returns `None` when the expansion budget or horizon is exhausted.
-    pub fn plan(
+    pub fn plan<R: Occupancy>(
         &mut self,
         matrix: &WarehouseMatrix,
-        reservations: &ReservationTable,
+        reservations: &R,
         constraints: Option<&ConstraintSet>,
         start: Cell,
         goal: Cell,
@@ -230,6 +233,7 @@ fn reconstruct(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reservation::ReservationTable;
     use carp_warehouse::collision::first_conflict;
 
     fn open_matrix() -> WarehouseMatrix {

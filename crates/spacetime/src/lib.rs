@@ -5,6 +5,8 @@
 //! identifies as the efficiency bottleneck. This crate implements that
 //! substrate faithfully:
 //!
+//! * [`reservation::Occupancy`] — the vertex/move oracle space-time A\*
+//!   searches against;
 //! * [`reservation::ReservationTable`] — per-(cell, time) and per-(edge,
 //!   time) occupancy of committed routes, split into an exclusive hard
 //!   layer (within-window, asserted) and a multi-owner soft layer
@@ -25,4 +27,4 @@ pub mod reservation;
 
 pub use astar::{AStarConfig, AStarStats, SpaceTimeAStar};
 pub use cbs::{CbsConfig, CbsSolver};
-pub use reservation::ReservationTable;
+pub use reservation::{Occupancy, ReservationTable};

@@ -44,6 +44,19 @@ use std::collections::HashMap;
 /// Tag identifying the owner of a reservation (the request id).
 pub type Tag = u64;
 
+/// The two questions space-time A\* asks of the committed traffic. A
+/// [`ReservationTable`] answers them from its own keys; SRP's fallback
+/// answers them straight from its segment stores and crossing set.
+pub trait Occupancy {
+    /// Whether `cell` is unoccupied at time `t`.
+    fn vertex_free(&self, cell: Cell, t: Time) -> bool;
+
+    /// Whether moving `from → to` departing at `t` is free of both the
+    /// target-vertex conflict (at `t + 1`) and the swap conflict (someone
+    /// moving `to → from` at `t`). Callers only ask from a free `(from, t)`.
+    fn move_free(&self, from: Cell, to: Cell, t: Time) -> bool;
+}
+
 /// Space-time reservation table with a hard (exclusive, within-window) and
 /// a soft (multi-owner, beyond-window) layer.
 #[derive(Debug, Default, Clone)]
@@ -61,6 +74,18 @@ pub struct ReservationTable {
     /// Cumulative soft-layer bookings (see
     /// [`ReservationTable::soft_bookings`]).
     soft_bookings: u64,
+}
+
+impl Occupancy for ReservationTable {
+    #[inline]
+    fn vertex_free(&self, cell: Cell, t: Time) -> bool {
+        ReservationTable::vertex_free(self, cell, t)
+    }
+
+    #[inline]
+    fn move_free(&self, from: Cell, to: Cell, t: Time) -> bool {
+        ReservationTable::move_free(self, from, to, t)
+    }
 }
 
 impl ReservationTable {

@@ -12,8 +12,8 @@
 //! The search restrictions (no backward intra-strip moves, greedy transit
 //! pairs, one visit per strip) can rarely make a request infeasible; as the
 //! paper prescribes (§VI remarks), such requests fall back to grid-level
-//! space-time A\*, reconstructing a reservation table from the committed
-//! segments on demand.
+//! space-time A\*, which reads the committed segment stores and crossing
+//! set directly through `StoreView` — no reservation table is built.
 
 use crate::convert::{compose, decompose};
 use crate::intra::{plan_within, plan_within_cost, IntraConfig, IntraRoute};
@@ -21,7 +21,7 @@ use crate::strip_graph::{EdgeGeom, StripEdge, StripGraph, StripId, StripKind};
 use carp_geometry::engine::{ShardKey, StoreEngine};
 use carp_geometry::store::{SegmentId, SegmentStore};
 use carp_geometry::{Segment, SlopeIndexStore};
-use carp_spacetime::{AStarConfig, ReservationTable, SpaceTimeAStar};
+use carp_spacetime::{AStarConfig, Occupancy, SpaceTimeAStar};
 use carp_warehouse::matrix::WarehouseMatrix;
 use carp_warehouse::memory;
 use carp_warehouse::planner::{EngineMetrics, PlanOutcome, Planner, SpeculativePlanner};
@@ -185,15 +185,14 @@ struct Committed {
 const GOAL: StripId = StripId::MAX;
 
 /// A parent-chain entry of the cost-only inter-strip search: the hop's leg
-/// lives within strip `prev`, ends at `exit_cell`, waits there until
-/// `depart`, and (when `crossed`) steps into the keyed node at `depart+1`.
+/// lives within strip `prev`, ends at `exit_cell` and waits there until
+/// `depart`; the keyed node is entered at `depart + 1` (or, for the goal
+/// of an aisle destination, reached at `depart` without a crossing).
 #[derive(Debug, Clone, Copy)]
 struct ParentLite {
     prev: StripId,
     exit_cell: Cell,
     depart: Time,
-    #[allow(dead_code)] // kept for debugging/assertions
-    crossed: bool,
 }
 
 impl ParentLite {
@@ -201,7 +200,6 @@ impl ParentLite {
         prev: GOAL,
         exit_cell: Cell::new(0, 0),
         depart: 0,
-        crossed: false,
     };
 }
 
@@ -413,18 +411,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
     /// the competitive-ratio experiment (Theorem 1), which compares single
     /// uncommitted routes against the space-time-optimal ones.
     pub fn plan_uncommitted(&mut self, req: &Request) -> Option<Route> {
-        let mut route = self.plan_strips(req);
-        if route.is_none() && !self.cancelled() {
-            for bump in self.config.retry_bumps {
-                let mut delayed = *req;
-                delayed.t = req.t + bump;
-                route = self.plan_strips(&delayed);
-                if route.is_some() || self.cancelled() {
-                    break;
-                }
-            }
-        }
-        route
+        self.plan_strip_level(req).map(|(route, _)| route)
     }
 
     /// Commit an externally produced route into the collision state (used
@@ -544,6 +531,32 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             o,
             d,
         };
+        // Goal finality. The search ends as soon as the goal's distance can
+        // no longer change, which is usually long before the heap drains —
+        // a failed search would otherwise settle most of the graph.
+        // * Aisle destination: only settling `sd` relaxes the goal, and
+        //   `sd` settles once (the `u == sd` branch below breaks).
+        // * Rack destination: only deferred edges relax the goal, and every
+        //   such edge leaves a "feeder" — a strip holding an aisle cell next
+        //   to `d`, or the origin strip (non-origin rack strips never
+        //   settle). Once every feeder has settled and no goal edge is left
+        //   on the heap, the goal's distance is final.
+        // Either way the parent chain runs through settled strips only, so
+        // the route Phase 2 rebuilds is the one a drained search would give.
+        let mut feeders = [GOAL; 4];
+        let mut n_feeders = 0;
+        if sd_is_rack {
+            for n in self.matrix.neighbors(d) {
+                let s = self.graph.strip_of(&self.matrix, n);
+                let can_settle = s == su || self.graph.strip(s).kind == StripKind::Aisle;
+                if can_settle && !feeders[..n_feeders].contains(&s) {
+                    feeders[n_feeders] = s;
+                    n_feeders += 1;
+                }
+            }
+        }
+        let mut feeders_left = n_feeders;
+        let mut goal_edges_pending = 0usize;
         // Honour a token that fired before the search even started (the
         // periodic poll below only triggers every 64 pops, which a short
         // search never reaches).
@@ -552,7 +565,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         }
         let mut pops: u64 = 0;
         while let Some(core::cmp::Reverse((_, core::cmp::Reverse(at), u, edge_k))) = heap.pop() {
-            if u == GOAL {
+            if u == GOAL || (sd_is_rack && feeders_left == 0 && goal_edges_pending == 0) {
                 break;
             }
             // Cooperative cancellation: poll the armed token every 64 pops
@@ -574,6 +587,9 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                 else {
                     continue;
                 };
+                if v_is_goal_rack {
+                    goal_edges_pending -= 1;
+                }
                 let vi = if v_is_goal_rack {
                     goal_slot
                 } else {
@@ -591,7 +607,6 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                         prev: u,
                         exit_cell: g_u,
                         depart,
-                        crossed: true,
                     };
                     self.scratch
                         .relax(vi, arrival, if v_is_goal_rack { d } else { g_v }, parent);
@@ -616,6 +631,9 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             }
             self.scratch.settle(ui);
             self.stats.strips_settled += 1;
+            if feeders[..n_feeders].contains(&u) {
+                feeders_left -= 1;
+            }
             let gu = self.scratch.entry[ui];
 
             // Final leg when the destination strip is an aisle.
@@ -632,7 +650,6 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                                 prev: u,
                                 exit_cell: d,
                                 depart: total,
-                                crossed: false,
                             },
                         );
                         heap.push(core::cmp::Reverse((
@@ -643,7 +660,9 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                         )));
                     }
                 }
-                continue; // never expand beyond the destination strip
+                // Never expand beyond the destination strip; the goal's
+                // distance is final now.
+                break;
             }
 
             let strip_u = *self.graph.strip(u);
@@ -665,7 +684,13 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                 if self.scratch.dist(vi).is_some_and(|dv| dv <= lb) {
                     continue;
                 }
-                let key = if v_is_goal_rack { lb } else { lb + h(g_v) };
+                let key = if v_is_goal_rack {
+                    debug_assert!(feeders[..n_feeders].contains(&u), "goal edge from a feeder");
+                    goal_edges_pending += 1;
+                    lb
+                } else {
+                    lb + h(g_v)
+                };
                 heap.push(core::cmp::Reverse((
                     key,
                     core::cmp::Reverse(lb),
@@ -823,33 +848,52 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         Some(depart + 1)
     }
 
-    /// Grid-level fallback (§VI remarks): rebuild a reservation table from
-    /// the committed segments and run space-time A\*.
-    fn plan_fallback(&mut self, req: &Request) -> Option<Route> {
-        let mut rt = ReservationTable::new();
-        for (id, c) in &self.committed {
-            for &(sid, _, seg) in &c.segs {
-                let strip = self.graph.strip(sid);
-                let mut prev: Option<(Time, Cell)> = None;
-                for (t, off) in seg.occupancy() {
-                    let cell = strip.cell_at(off);
-                    rt.reserve(&Route::stationary(t, cell), *id);
-                    if let Some((pt, pc)) = prev {
-                        if pc != cell {
-                            rt.reserve(&Route::new(pt, vec![pc, cell]), *id);
-                        }
-                    }
-                    prev = Some((t, cell));
-                }
-            }
-            for &(from, to, t) in &c.crossings {
-                rt.reserve(&Route::new(t, vec![from, to]), *id);
-            }
+    /// The committed traffic as the fallback A\* sees it.
+    fn store_view(&self) -> StoreView<'_, S> {
+        StoreView {
+            matrix: &self.matrix,
+            graph: &self.graph,
+            engine: &self.engine,
+            crossings: &self.crossings,
         }
+    }
+
+    /// Grid-level fallback (§VI remarks): space-time A\* over the committed
+    /// segment stores and crossings, read in place through [`StoreView`].
+    fn plan_fallback(&mut self, req: &Request) -> Option<Route> {
         let mut astar = SpaceTimeAStar::new(self.config.fallback);
-        let r = astar.plan(&self.matrix, &rt, None, req.origin, req.destination, req.t);
+        let r = astar.plan(
+            &self.matrix,
+            &self.store_view(),
+            None,
+            req.origin,
+            req.destination,
+            req.t,
+        );
         self.stats.fallback_peak_bytes = self.stats.fallback_peak_bytes.max(astar.stats.peak_bytes);
         r
+    }
+
+    /// The strip-level part of [`Planner::plan`]: the direct search, then
+    /// the postponed departures of `SrpConfig::retry_bumps`, stopping at
+    /// the first success. A fired cancellation token skips the remaining
+    /// bumps — the request is being abandoned, not rescued. Commits
+    /// nothing and counts nothing but search work.
+    fn plan_strip_level(&mut self, req: &Request) -> Option<(Route, PlannerPath)> {
+        if let Some(route) = self.plan_strips(req) {
+            return Some((route, PlannerPath::Direct));
+        }
+        for bump in self.config.retry_bumps {
+            if self.cancelled() {
+                return None;
+            }
+            let mut delayed = *req;
+            delayed.t = req.t + bump;
+            if let Some(route) = self.plan_strips(&delayed) {
+                return Some((route, PlannerPath::Retry { bump }));
+            }
+        }
+        None
     }
 
     /// Commit a planned route: decompose it and insert its segments and
@@ -921,15 +965,60 @@ impl<S: SegmentStore + Default + Clone> SpeculativePlanner for SrpPlanner<S> {
     /// the commit. A replica synced to the same committed state produces
     /// the bit-identical route `plan` would commit.
     fn plan_candidate(&mut self, req: &Request) -> Option<Route> {
-        let mut route = self.plan_uncommitted(req);
-        if route.is_none() && self.config.use_fallback {
-            route = self.plan_fallback(req);
+        match self.plan_strip_level(req) {
+            Some((route, _)) => Some(route),
+            None if self.config.use_fallback => self.plan_fallback(req),
+            None => None,
         }
-        route
     }
 
     fn adopt(&mut self, id: RequestId, route: &Route) {
         self.commit_route(id, route);
+    }
+}
+
+/// Read-only view of the committed traffic that answers the fallback A\*'s
+/// [`Occupancy`] questions straight from the segment stores and the
+/// boundary-crossing set — the same facts a reservation table rebuilt from
+/// the committed routes would hold, without building one.
+struct StoreView<'a, S: SegmentStore> {
+    matrix: &'a WarehouseMatrix,
+    graph: &'a StripGraph,
+    engine: &'a StoreEngine<S>,
+    crossings: &'a HashSet<(Cell, Cell, Time)>,
+}
+
+impl<S: SegmentStore + Default> StoreView<'_, S> {
+    /// The strip holding `cell` and the cell's offset along it.
+    #[inline]
+    fn locate(&self, cell: Cell) -> (StripId, i32) {
+        let sid = self.graph.strip_of(self.matrix, cell);
+        (sid, self.graph.strip(sid).offset_of(cell))
+    }
+}
+
+impl<S: SegmentStore + Default> Occupancy for StoreView<'_, S> {
+    fn vertex_free(&self, cell: Cell, t: Time) -> bool {
+        let (sid, off) = self.locate(cell);
+        self.engine.shard(sid).earliest_free_point(t, t, off) == Some(t)
+    }
+
+    fn move_free(&self, from: Cell, to: Cell, t: Time) -> bool {
+        if !self.vertex_free(to, t + 1) {
+            return false;
+        }
+        let (sid, from_off) = self.locate(from);
+        let (to_sid, to_off) = self.locate(to);
+        if sid == to_sid {
+            // A same-strip swap is a crossing of opposite unit slopes. The
+            // one-step probe's endpoints are free (`(from, t)` by the
+            // caller's contract, `(to, t + 1)` just checked), so any
+            // collision it reports is the swap.
+            let step = Segment::travel(t, from_off, to_off);
+            self.engine.shard(sid).earliest_collision(&step).is_none()
+        } else {
+            !self.crossings.contains(&(to, from, t))
+        }
     }
 }
 
@@ -977,45 +1066,26 @@ impl<S: SegmentStore + Default> Planner for SrpPlanner<S> {
         // the whole.
         let inter_t = self.now();
         let sub_before = self.stats.intra_ns + self.stats.convert_ns;
-        let mut path = PlannerPath::Direct;
-        let mut strip_route = self.plan_strips(req);
-        if strip_route.is_none() && !self.cancelled() {
-            // Strip-level retries with postponed departure (see
-            // `SrpConfig::retry_bumps`). A fired cancellation token skips
-            // the remaining bumps — the request is being abandoned, not
-            // rescued.
-            for bump in self.config.retry_bumps {
-                let mut delayed = *req;
-                delayed.t = req.t + bump;
-                strip_route = self.plan_strips(&delayed);
-                if strip_route.is_some() {
-                    self.stats.retries += 1;
-                    path = PlannerPath::Retry { bump };
-                    break;
-                }
-                if self.cancelled() {
-                    break;
-                }
-            }
-        }
+        let strip_level = self.plan_strip_level(req);
         if let Some(started) = inter_t {
             let sub = (self.stats.intra_ns + self.stats.convert_ns) - sub_before;
             self.stats.inter_ns += (started.elapsed().as_nanos() as u64).saturating_sub(sub);
         }
-        let route = match strip_route {
-            Some(r) => Some(r),
+        if let Some((_, PlannerPath::Retry { .. })) = strip_level {
+            self.stats.retries += 1;
+        }
+        let planned = match strip_level {
             None if self.config.use_fallback && !self.cancelled() => {
                 let r = self.plan_fallback(req);
                 if r.is_some() {
                     self.stats.fallbacks += 1;
-                    path = PlannerPath::Fallback;
                 }
-                r
+                r.map(|route| (route, PlannerPath::Fallback))
             }
-            None => None,
+            planned => planned,
         };
-        match route {
-            Some(route) => {
+        match planned {
+            Some((route, path)) => {
                 debug_assert!(
                     route.validate(&self.matrix).is_ok(),
                     "invalid route planned"
@@ -1090,5 +1160,172 @@ impl<S: SegmentStore + Default> Planner for SrpPlanner<S> {
             + self.scratch.memory_bytes()
             + self.stats.fallback_peak_bytes
             + self.graph.memory_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use carp_spacetime::ReservationTable;
+    use carp_warehouse::layout::LayoutConfig;
+    use carp_warehouse::request::QueryKind;
+    use carp_warehouse::tasks::generate_requests;
+
+    /// Under `shadow-store` the oracle reads the slope index and the naive
+    /// store side by side, each query asserting they agree.
+    #[cfg(feature = "shadow-store")]
+    type TestStore = carp_geometry::ShadowStore;
+    #[cfg(not(feature = "shadow-store"))]
+    type TestStore = SlopeIndexStore;
+
+    /// The reservation table the fallback used to rebuild from the
+    /// committed routes on every call — the reference [`StoreView`] must
+    /// reproduce answer for answer.
+    fn rebuilt_table<S: SegmentStore + Default>(p: &SrpPlanner<S>) -> ReservationTable {
+        let mut rt = ReservationTable::new();
+        for (id, c) in &p.committed {
+            for &(sid, _, seg) in &c.segs {
+                let strip = p.graph.strip(sid);
+                let mut prev: Option<(Time, Cell)> = None;
+                for (t, off) in seg.occupancy() {
+                    let cell = strip.cell_at(off);
+                    rt.reserve(&Route::stationary(t, cell), *id);
+                    if let Some((pt, pc)) = prev {
+                        if pc != cell {
+                            rt.reserve(&Route::new(pt, vec![pc, cell]), *id);
+                        }
+                    }
+                    prev = Some((t, cell));
+                }
+            }
+            for &(from, to, t) in &c.crossings {
+                rt.reserve(&Route::new(t, vec![from, to]), *id);
+            }
+        }
+        rt
+    }
+
+    /// Check the store-backed oracle against the rebuilt table over
+    /// `[req.t, req.t + window)`: every cell's vertex answer, every move out
+    /// of a free `(cell, t)`, and the fallback A\* run on both. Returns the
+    /// number of occupied `(cell, t)` seen, so callers can tell the window
+    /// was not empty.
+    fn assert_oracles_agree<S: SegmentStore + Default>(
+        p: &SrpPlanner<S>,
+        req: &Request,
+        window: Time,
+    ) -> usize {
+        let rt = rebuilt_table(p);
+        let view = p.store_view();
+        let m = &p.matrix;
+        let mut occupied = 0;
+        for t in req.t..req.t + window {
+            for cell in m.cells() {
+                let free = rt.vertex_free(cell, t);
+                assert_eq!(view.vertex_free(cell, t), free, "vertex {cell:?} at t={t}");
+                if !free {
+                    occupied += 1;
+                    continue;
+                }
+                for n in m.neighbors(cell) {
+                    assert_eq!(
+                        view.move_free(cell, n, t),
+                        rt.move_free(cell, n, t),
+                        "move {cell:?} -> {n:?} at t={t}"
+                    );
+                }
+            }
+        }
+        let mut on_table = SpaceTimeAStar::new(p.config.fallback);
+        let mut on_stores = SpaceTimeAStar::new(p.config.fallback);
+        let a = on_table.plan(m, &rt, None, req.origin, req.destination, req.t);
+        let b = on_stores.plan(m, &view, None, req.origin, req.destination, req.t);
+        assert_eq!(a, b, "fallback routes differ for {req:?}");
+        assert_eq!(on_table.stats.expansions, on_stores.stats.expansions);
+        assert_eq!(on_table.stats.peak_bytes, on_stores.stats.peak_bytes);
+        occupied
+    }
+
+    #[test]
+    fn store_view_matches_rebuilt_reservation_table() {
+        // A head-on meeting in a one-aisle corridor: forward-only strip
+        // search cannot resolve it, so without retries it falls back.
+        let corridor = WarehouseMatrix::from_ascii(
+            "######\n\
+             ......\n\
+             ###.##",
+        );
+        let config = SrpConfig {
+            retry_bumps: [0, 0, 0],
+            ..SrpConfig::default()
+        };
+        let mut srp = SrpPlanner::<TestStore>::with_store(corridor, config.clone());
+        let east = Request::new(0, 0, Cell::new(1, 0), Cell::new(1, 5), QueryKind::Pickup);
+        let west = Request::new(1, 0, Cell::new(1, 5), Cell::new(1, 0), QueryKind::Pickup);
+        assert!(srp.plan(&east).route().is_some());
+        assert!(srp.plan_strip_level(&west).is_none(), "dead end");
+        assert!(assert_oracles_agree(&srp, &west, 200) > 0);
+        assert!(srp.plan(&west).route().is_some());
+        assert_eq!(srp.stats.fallbacks, 1);
+
+        // A congested small-warehouse stream: check the oracles in the
+        // first states where the strip level gives up — exactly the states
+        // the fallback searches.
+        let layout = LayoutConfig::small().generate();
+        let mut srp = SrpPlanner::<TestStore>::with_store(layout.matrix.clone(), config);
+        let mut checked = 0;
+        for req in &generate_requests(&layout, 150, 8.0, 11) {
+            srp.advance(req.t);
+            if checked < 2 && srp.plan_strip_level(req).is_none() {
+                assert!(assert_oracles_agree(&srp, req, 200) > 0);
+                checked += 1;
+            }
+            srp.plan(req);
+        }
+        assert_eq!(checked, 2, "the stream must reach the fallback");
+    }
+
+    /// Three bands of alternating rack and aisle columns between four
+    /// full-width aisles: 37 aisle strips, 27 rack strips.
+    fn comb_matrix() -> WarehouseMatrix {
+        let band = ".#.#.#.#.#.#.#.#.#..\n";
+        let aisle = "....................\n";
+        let text = [aisle, band, band].repeat(3).concat() + aisle;
+        WarehouseMatrix::from_ascii(text.trim_end())
+    }
+
+    /// Park a robot on each of `cells` for the first 20000 steps, then run
+    /// the direct strip search from the top aisle to `d`. Returns the
+    /// strips the (failing) search settled; a search that drains its heap
+    /// settles all 37 aisle strips.
+    fn settled_by_failing_search(cells: &[Cell], d: Cell) -> usize {
+        let mut srp = SrpPlanner::new(comb_matrix(), SrpConfig::default());
+        assert_eq!(srp.graph().num_vertices(), 64);
+        for (id, &c) in cells.iter().enumerate() {
+            srp.commit_route(100 + id as RequestId, &Route::new(0, vec![c; 20_001]));
+        }
+        let req = Request::new(0, 0, Cell::new(0, 9), d, QueryKind::Pickup);
+        let before = srp.stats.strips_settled;
+        assert!(
+            srp.plan_strips(&req).is_none(),
+            "the direct search must fail"
+        );
+        srp.stats.strips_settled - before
+    }
+
+    #[test]
+    fn failed_search_to_a_blocked_aisle_stops_at_the_destination_strip() {
+        // The destination cell is parked on: settling its strip is the end.
+        let settled = settled_by_failing_search(&[Cell::new(1, 2)], Cell::new(1, 2));
+        assert!(settled <= 8, "settled {settled} of 37 aisle strips");
+    }
+
+    #[test]
+    fn failed_search_to_a_walled_in_rack_stops_once_its_feeders_settle() {
+        // Every aisle cell next to the rack is parked on; once the three
+        // strips holding them have settled, the goal cannot be reached.
+        let parked = [Cell::new(0, 1), Cell::new(1, 0), Cell::new(1, 2)];
+        let settled = settled_by_failing_search(&parked, Cell::new(1, 1));
+        assert!(settled <= 8, "settled {settled} of 37 aisle strips");
     }
 }

@@ -3,7 +3,7 @@
 
 use carp_srp::{SrpConfig, SrpPlanner};
 use carp_warehouse::collision::validate_routes;
-use carp_warehouse::layout::LayoutConfig;
+use carp_warehouse::layout::{LayoutConfig, WarehousePreset};
 use carp_warehouse::tasks::generate_requests;
 use carp_warehouse::types::Cell;
 use carp_warehouse::{Planner, QueryKind, Request, Route, WarehouseMatrix};
@@ -190,6 +190,33 @@ fn fallback_resolves_strip_level_dead_end() {
     assert_eq!(validate_routes(&[r1, r2]), None);
     assert_eq!(srp.stats.fallbacks, 0, "retry should avoid the fallback");
     assert!(srp.stats.retries >= 1);
+}
+
+#[test]
+fn search_cut_pins_the_w2_stream_counts() {
+    // W-2 at 4× (seed 104), retiring finished routes before each plan.
+    // Before the strip search stopped at goal finality it drained its heap
+    // after every failure (and after settling an aisle destination's
+    // strip): 196788 strips settled over 243005 intra-strip calls, with the
+    // same retries, fallback and routes as pinned here.
+    const DRAINED: (usize, usize) = (196_788, 243_005);
+    let layout = WarehousePreset::W2.generate();
+    let mut srp = SrpPlanner::new(layout.matrix.clone(), SrpConfig::default());
+    let mut digest: u64 = 0;
+    for req in &generate_requests(&layout, 600, 4.0, 104) {
+        srp.advance(req.t);
+        let route = srp.plan(req).route().cloned().expect("planned");
+        for g in &route.grids {
+            digest = digest
+                .wrapping_mul(31)
+                .wrapping_add(g.row as u64 * 1000 + g.col as u64 + route.start as u64);
+        }
+    }
+    let counts = (srp.stats.strips_settled, srp.stats.intra_calls);
+    assert!(counts.0 < DRAINED.0 && counts.1 < DRAINED.1, "{counts:?}");
+    assert_eq!(counts, (183_847, 228_046));
+    assert_eq!((srp.stats.retries, srp.stats.fallbacks), (37, 1));
+    assert_eq!(digest, 14_993_411_029_761_016_964, "routes moved");
 }
 
 #[test]
