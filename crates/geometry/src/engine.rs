@@ -1,22 +1,22 @@
 //! Per-strip segment-store engine.
 //!
 //! [`StoreEngine`] owns the segment stores of the SRP planner, one per
-//! strip that currently carries traffic. Shards are allocated on first
-//! insert and dropped once their last segment leaves, so idle strips cost
-//! nothing; queries against an idle strip are answered by one shared empty
-//! store. Route retirement is batched: [`StoreEngine::remove_batch`]
-//! groups the drained retire queue into per-shard removal lists and hands
-//! each list to [`SegmentStore::remove_batch`] in one call, instead of one
-//! map lookup per segment.
+//! strip that currently carries traffic, in a dense table indexed by strip
+//! id — no hashing on the query path. Shards are allocated on first insert
+//! and dropped once their last segment leaves, so an idle strip costs one
+//! empty slot; queries against it are answered by one shared empty store.
+//! Route retirement is batched: [`StoreEngine::remove_batch`] groups the
+//! drained retire queue into per-shard removal lists and hands each list to
+//! [`SegmentStore::remove_batch`] in one call, instead of one shard lookup
+//! per segment.
 
 use crate::intersect::SegCollision;
 use crate::segment::Segment;
 use crate::store::{SegmentId, SegmentStore};
 use carp_warehouse::memory;
-use std::collections::HashMap;
 
 /// Key of one shard. This is the planner's `StripId`; the engine lives one
-/// layer below the strip graph and only needs a hashable key.
+/// layer below the strip graph and only needs a dense index.
 pub type ShardKey = u32;
 
 /// Cumulative operation counters of an engine (monotone; never reset).
@@ -44,10 +44,11 @@ impl EngineStats {
 /// The per-strip segment-store engine (see module docs).
 #[derive(Debug, Clone, Default)]
 pub struct StoreEngine<S: SegmentStore> {
-    /// Shards are boxed: most strips carry no traffic at any given moment,
-    /// and inline store shells in the map slots would dominate the
-    /// engine's memory footprint.
-    shards: HashMap<ShardKey, Box<S>>,
+    /// Shard table indexed by key, grown to the largest key inserted;
+    /// `None` for a shard with no segments. Shards are boxed: most strips
+    /// carry no traffic at any given moment, and inline store shells in
+    /// the slots would dominate the engine's memory footprint.
+    shards: Vec<Option<Box<S>>>,
     /// Shared empty store handed out for shards with no segments.
     empty: S,
     stats: EngineStats,
@@ -62,18 +63,40 @@ impl<S: SegmentStore + Default> StoreEngine<S> {
     /// Insert a segment into `key`'s shard (allocated on first use).
     /// Returns the removal handle.
     pub fn insert(&mut self, key: ShardKey, seg: Segment) -> SegmentId {
-        self.shards.entry(key).or_default().insert(seg)
+        let slot = key as usize;
+        if slot >= self.shards.len() {
+            self.shards.resize_with(slot + 1, || None);
+        }
+        self.shards[slot].get_or_insert_default().insert(seg)
+    }
+
+    /// `key`'s live shard, if any.
+    fn live_shard(&self, key: ShardKey) -> Option<&S> {
+        self.shards.get(key as usize)?.as_deref()
+    }
+
+    /// `key`'s live shard, if any, for mutation.
+    fn live_shard_mut(&mut self, key: ShardKey) -> Option<&mut S> {
+        self.shards.get_mut(key as usize)?.as_deref_mut()
+    }
+
+    /// Drop `key`'s shard once it has no segments left.
+    fn drop_if_empty(&mut self, key: ShardKey) {
+        let slot = &mut self.shards[key as usize];
+        if slot.as_ref().is_some_and(|s| s.is_empty()) {
+            *slot = None;
+        }
     }
 
     /// Remove one segment. Empty shards are dropped. Prefer
     /// [`StoreEngine::remove_batch`] for retirement.
     pub fn remove(&mut self, key: ShardKey, id: SegmentId, seg: &Segment) -> bool {
-        let Some(store) = self.shards.get_mut(&key) else {
+        let Some(store) = self.live_shard_mut(key) else {
             return false;
         };
         let removed = store.remove(id, seg);
-        if removed && store.is_empty() {
-            self.shards.remove(&key);
+        if removed {
+            self.drop_if_empty(key);
         }
         removed
     }
@@ -85,18 +108,21 @@ impl<S: SegmentStore + Default> StoreEngine<S> {
         if removals.is_empty() {
             return 0;
         }
-        let mut groups: HashMap<ShardKey, Vec<(SegmentId, Segment)>> = HashMap::new();
-        for &(key, id, seg) in removals {
-            groups.entry(key).or_default().push((id, seg));
-        }
+        // A stable sort groups the batch by shard, keeping each shard's
+        // removals in batch order.
+        let mut sorted = removals.to_vec();
+        sorted.sort_by_key(|&(key, _, _)| key);
+        let mut list: Vec<(SegmentId, Segment)> = Vec::new();
         let mut removed = 0usize;
-        for (key, list) in groups {
-            if let Some(store) = self.shards.get_mut(&key) {
-                removed += store.remove_batch(&list);
-                if store.is_empty() {
-                    self.shards.remove(&key);
-                }
-            }
+        for group in sorted.chunk_by(|a, b| a.0 == b.0) {
+            let key = group[0].0;
+            let Some(store) = self.live_shard_mut(key) else {
+                continue;
+            };
+            list.clear();
+            list.extend(group.iter().map(|&(_, id, seg)| (id, seg)));
+            removed += store.remove_batch(&list);
+            self.drop_if_empty(key);
         }
         self.stats.retire_batches += 1;
         self.stats.retired_segments += removed as u64;
@@ -106,16 +132,14 @@ impl<S: SegmentStore + Default> StoreEngine<S> {
     /// Earliest collision of one candidate segment against `key`'s shard.
     pub fn earliest_collision(&mut self, key: ShardKey, seg: &Segment) -> Option<SegCollision> {
         self.stats.probe_queries += 1;
-        self.shards
-            .get(&key)
-            .and_then(|s| s.earliest_collision(seg))
+        self.live_shard(key)?.earliest_collision(seg)
     }
 
     /// `key`'s store (the shared empty stand-in when the shard was never
     /// touched). This is how the intra-strip planner reads a store for the
     /// duration of one leg.
     pub fn shard(&self, key: ShardKey) -> &S {
-        self.shards.get(&key).map_or(&self.empty, |b| &**b)
+        self.live_shard(key).unwrap_or(&self.empty)
     }
 
     /// Number of segments in `key`'s shard.
@@ -130,22 +154,23 @@ impl<S: SegmentStore + Default> StoreEngine<S> {
 
     /// Total segments across all shards.
     pub fn total_segments(&self) -> usize {
-        self.shards.values().map(|s| s.len()).sum()
+        self.shards.iter().flatten().map(|s| s.len()).sum()
     }
 
     /// Number of live (non-empty) shards.
     pub fn active_shards(&self) -> usize {
-        self.shards.len()
+        self.shards.iter().flatten().count()
     }
 
     /// Estimated heap bytes of the engine (MC metric): shard stores plus
-    /// the shard map.
+    /// the shard table.
     pub fn memory_bytes(&self) -> usize {
         self.shards
-            .values()
+            .iter()
+            .flatten()
             .map(|s| s.memory_bytes() + core::mem::size_of::<S>())
             .sum::<usize>()
-            + memory::hashmap_bytes(&self.shards)
+            + memory::vec_bytes(&self.shards)
     }
 
     /// Cumulative operation counters.
@@ -251,7 +276,7 @@ mod tests {
         let peak = engine.memory_bytes();
         assert!(peak > empty);
         engine.remove_batch(&removals);
-        // The shard map keeps its capacity, so the floor is not exactly the
+        // The shard table keeps its slots, so the floor is not exactly the
         // empty baseline — but dropping the stores must reclaim the bulk.
         assert!(engine.memory_bytes() < peak);
     }

@@ -134,11 +134,20 @@ impl SlopeClass {
     }
 
     /// Earliest collision with segments in this class for a query of a
-    /// *different* slope: binary search by time overlap, judge one by one.
-    fn unparallel_collision(&self, seg: &Segment) -> Option<SegCollision> {
+    /// *different* slope, or `best` when none is earlier: binary search by
+    /// time overlap, judge one by one. A collision with a segment happens no
+    /// earlier than its start, so the scan stops at start times past
+    /// `best`.
+    fn unparallel_collision(
+        &self,
+        seg: &Segment,
+        mut best: Option<SegCollision>,
+    ) -> Option<SegCollision> {
         let lo = seg.t0.saturating_sub(self.max_duration);
-        let mut best: Option<SegCollision> = None;
         for (_, other) in self.by_start.range((lo, 0)..=(seg.t1, SegmentId::MAX)) {
+            if best.is_some_and(|b| other.t0 > b.time) {
+                break;
+            }
             if other.t1 < seg.t0 {
                 continue;
             }
@@ -214,7 +223,7 @@ impl SegmentStore for SlopeIndexStore {
         let mut best = self.classes[own].parallel_collision(seg);
         for (i, class) in self.classes.iter().enumerate() {
             if i != own {
-                best = SegCollision::min_opt(best, class.unparallel_collision(seg));
+                best = class.unparallel_collision(seg, best);
             }
         }
         best

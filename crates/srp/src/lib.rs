@@ -38,6 +38,7 @@
 
 pub mod convert;
 pub mod intra;
+mod lane_cursor;
 pub mod planner;
 pub mod strip_graph;
 

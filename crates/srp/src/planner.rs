@@ -17,6 +17,7 @@
 
 use crate::convert::{compose, decompose};
 use crate::intra::{plan_within, plan_within_cost, IntraConfig, IntraRoute};
+use crate::lane_cursor::{LaneCursor, LaneProbe};
 use crate::strip_graph::{EdgeGeom, StripEdge, StripGraph, StripId, StripKind};
 use carp_geometry::engine::{ShardKey, StoreEngine};
 use carp_geometry::store::{SegmentId, SegmentStore};
@@ -28,6 +29,7 @@ use carp_warehouse::planner::{EngineMetrics, PlanOutcome, Planner, SpeculativePl
 use carp_warehouse::request::{Request, RequestId};
 use carp_warehouse::route::Route;
 use carp_warehouse::types::{Cell, Time};
+use core::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::time::Instant;
 
@@ -209,7 +211,7 @@ impl ParentLite {
 /// edge entries carry the edge's adjacency index, and each `(strip, edge)`
 /// is pushed at most once per search — so the pop order is a total order
 /// over entries, independent of the heap's internal layout.
-type SearchKey = (Time, core::cmp::Reverse<Time>, StripId, u32);
+type SearchKey = (Time, Reverse<Time>, StripId, u32);
 
 /// Sentinel edge index marking a node (settle) entry.
 const NO_EDGE: u32 = u32::MAX;
@@ -265,10 +267,18 @@ struct SearchScratch {
     dist_v: Vec<Time>,
     entry: Vec<Cell>,
     parent: Vec<ParentLite>,
+    /// One cursor per lane of the strip graph. A lane's cursor is written
+    /// when its strip settles, so `settled_stamp` dates it: entries of the
+    /// lane reach the heap only after that settle.
+    cursors: Vec<LaneCursor>,
+    /// The Phase-1 heap, kept between searches for its allocation.
+    heap: BinaryHeap<Reverse<SearchKey>>,
 }
 
 impl SearchScratch {
-    fn begin(&mut self, n: usize) {
+    /// Start a search over `n` nodes and `lanes` lanes. The arrays grow on
+    /// the first search, not when the planner is built.
+    fn begin(&mut self, n: usize, lanes: usize) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
             self.settled_stamp.resize(n, 0);
@@ -276,6 +286,10 @@ impl SearchScratch {
             self.entry.resize(n, Cell::new(0, 0));
             self.parent.resize(n, ParentLite::NONE);
         }
+        if self.cursors.len() < lanes {
+            self.cursors.resize(lanes, LaneCursor::default());
+        }
+        self.heap.clear();
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             // Extremely rare wrap: hard-reset the stamps.
@@ -309,11 +323,13 @@ impl SearchScratch {
     }
 
     fn memory_bytes(&self) -> usize {
-        carp_warehouse::memory::vec_bytes(&self.stamp)
-            + carp_warehouse::memory::vec_bytes(&self.settled_stamp)
-            + carp_warehouse::memory::vec_bytes(&self.dist_v)
-            + carp_warehouse::memory::vec_bytes(&self.entry)
-            + carp_warehouse::memory::vec_bytes(&self.parent)
+        memory::vec_bytes(&self.stamp)
+            + memory::vec_bytes(&self.settled_stamp)
+            + memory::vec_bytes(&self.dist_v)
+            + memory::vec_bytes(&self.entry)
+            + memory::vec_bytes(&self.parent)
+            + memory::vec_bytes(&self.cursors)
+            + memory::raw_bytes::<Reverse<SearchKey>>(self.heap.capacity())
     }
 }
 
@@ -499,29 +515,36 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                 0
             }
         };
+        // Honour a token that fired before the search even started (the
+        // periodic poll below only triggers every 64 pops, which a short
+        // search never reaches).
+        if self.cancelled() {
+            return None;
+        }
         let n = self.graph.num_vertices();
         let goal_slot = n; // dense index of the GOAL pseudo-node
-        self.scratch.begin(n + 1);
+        self.scratch.begin(n + 1, self.graph.num_lanes());
         // Min-heap on (f, Reverse(g)): among equal f the deepest entry wins,
         // so the search dives along one optimal staircase instead of
         // flooding the whole equal-cost plateau between origin and
         // destination (consistent heuristic ⇒ optimality is unaffected).
         //
-        // Edges are evaluated LAZILY: settling a strip pushes one cheap
-        // optimistic entry per edge (`edge_k != NO_EDGE`), carrying the
-        // admissible bound `at + |gu → transit| + 1`; the expensive
-        // intra-strip + crossing evaluation runs only when that bound
-        // reaches the top of the heap. Long full-width aisles have O(W)
-        // edges, so eager evaluation would dominate the whole search.
-        let mut heap: BinaryHeap<core::cmp::Reverse<SearchKey>> = BinaryHeap::new();
+        // Edges are evaluated LAZILY: an edge enters the heap as a cheap
+        // optimistic entry (`edge_k != NO_EDGE`) carrying the admissible
+        // bound `at + |gu → transit| + 1`; the expensive intra-strip +
+        // crossing evaluation runs only when that bound reaches the top of
+        // the heap. A long full-width aisle has O(W) edges, so even pushing
+        // them all would dominate the search: its perpendicular edges into
+        // aisle strips sit on two lanes, and a settle pushes only each
+        // lane's first edge in heap order — popping a lane entry pushes the
+        // lane's next one (`lane_cursor`). The pops come out exactly as if
+        // every edge had been pushed at settle time. The remaining edges
+        // are few and pushed at settle time; those into rack strips only
+        // at a rack destination's feeders, the one place they resolve.
+        let mut heap = core::mem::take(&mut self.scratch.heap);
         self.scratch
             .relax(su as usize, start_t, o, ParentLite::NONE);
-        heap.push(core::cmp::Reverse((
-            start_t + h(o),
-            core::cmp::Reverse(start_t),
-            su,
-            NO_EDGE,
-        )));
+        heap.push(Reverse((start_t + h(o), Reverse(start_t), su, NO_EDGE)));
         let sd_is_rack = self.graph.strip(sd).kind == StripKind::Rack;
         let ctx = ResolveCtx {
             su,
@@ -557,14 +580,9 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         }
         let mut feeders_left = n_feeders;
         let mut goal_edges_pending = 0usize;
-        // Honour a token that fired before the search even started (the
-        // periodic poll below only triggers every 64 pops, which a short
-        // search never reaches).
-        if self.cancelled() {
-            return None;
-        }
         let mut pops: u64 = 0;
-        while let Some(core::cmp::Reverse((_, core::cmp::Reverse(at), u, edge_k))) = heap.pop() {
+        let mut cancelled = false;
+        while let Some(Reverse((_, Reverse(at), u, edge_k))) = heap.pop() {
             if u == GOAL || (sd_is_rack && feeders_left == 0 && goal_edges_pending == 0) {
                 break;
             }
@@ -574,7 +592,8 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             // nothing — the caller sees a plain `None`.
             pops += 1;
             if pops & 63 == 0 && self.cancelled() {
-                return None;
+                cancelled = true;
+                break;
             }
             let ui = u as usize;
 
@@ -582,6 +601,13 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                 // Deferred edge evaluation: `at` is the optimistic arrival.
                 let gu = self.scratch.entry[ui];
                 let settle_at = self.scratch.dist(ui).expect("edge source settled");
+                if let Some(lane) = self.graph.lane_of(u, edge_k) {
+                    // A lane entry hands the heap its lane's next edge,
+                    // whatever its own verdict below.
+                    let probe = self.lane_probe(u, lane, d);
+                    let cursor = self.scratch.cursors[lane as usize];
+                    self.push_lane_head(&mut heap, u, lane, cursor, &probe);
+                }
                 let Some((v, v_is_goal_rack, g_u, g_v)) =
                     resolve_edge(&self.graph, &ctx, u, edge_k as usize, gu)
                 else {
@@ -595,6 +621,8 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                 } else {
                     v as usize
                 };
+                // `settled` and `dist` only tighten, so an edge skipped here
+                // would have been skipped at any earlier time too.
                 if self.scratch.settled(vi) || self.scratch.dist(vi).is_some_and(|dv| dv <= at) {
                     continue;
                 }
@@ -616,12 +644,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                         arrival + h(g_v)
                     };
                     let node = if v_is_goal_rack { GOAL } else { v };
-                    heap.push(core::cmp::Reverse((
-                        key,
-                        core::cmp::Reverse(arrival),
-                        node,
-                        NO_EDGE,
-                    )));
+                    heap.push(Reverse((key, Reverse(arrival), node, NO_EDGE)));
                 }
                 continue;
             }
@@ -631,7 +654,8 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             }
             self.scratch.settle(ui);
             self.stats.strips_settled += 1;
-            if feeders[..n_feeders].contains(&u) {
+            let is_feeder = feeders[..n_feeders].contains(&u);
+            if is_feeder {
                 feeders_left -= 1;
             }
             let gu = self.scratch.entry[ui];
@@ -652,12 +676,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                                 depart: total,
                             },
                         );
-                        heap.push(core::cmp::Reverse((
-                            total,
-                            core::cmp::Reverse(total),
-                            GOAL,
-                            NO_EDGE,
-                        )));
+                        heap.push(Reverse((total, Reverse(total), GOAL, NO_EDGE)));
                     }
                 }
                 // Never expand beyond the destination strip; the goal's
@@ -666,8 +685,14 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             }
 
             let strip_u = *self.graph.strip(u);
-            for k in 0..self.graph.edges(u).len() {
-                let Some((v, v_is_goal_rack, g_u, g_v)) = resolve_edge(&self.graph, &ctx, u, k, gu)
+            for lane in self.graph.lanes(u) {
+                let probe = self.lane_probe(u, lane, d);
+                let cursor = LaneCursor::start(self.graph.lane_edges(lane), &probe);
+                self.push_lane_head(&mut heap, u, lane, cursor, &probe);
+            }
+            for &k in self.graph.settle_edges(u, is_feeder) {
+                let Some((v, v_is_goal_rack, g_u, g_v)) =
+                    resolve_edge(&self.graph, &ctx, u, k as usize, gu)
                 else {
                     continue;
                 };
@@ -685,19 +710,18 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                     continue;
                 }
                 let key = if v_is_goal_rack {
-                    debug_assert!(feeders[..n_feeders].contains(&u), "goal edge from a feeder");
+                    debug_assert!(is_feeder, "goal edge from a feeder");
                     goal_edges_pending += 1;
                     lb
                 } else {
                     lb + h(g_v)
                 };
-                heap.push(core::cmp::Reverse((
-                    key,
-                    core::cmp::Reverse(lb),
-                    u,
-                    k as u32,
-                )));
+                heap.push(Reverse((key, Reverse(lb), u, k)));
             }
+        }
+        self.scratch.heap = heap;
+        if cancelled {
+            return None;
         }
 
         let total = self.scratch.dist(goal_slot)?;
@@ -760,6 +784,46 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         debug_assert_eq!(route.destination(), d);
         debug_assert_eq!(route.end_time(), total);
         Some(route)
+    }
+
+    /// The key inputs of lane `lane` of the settled strip `u`.
+    fn lane_probe(&self, u: StripId, lane: u32, d: Cell) -> LaneProbe {
+        let ui = u as usize;
+        LaneProbe::new(
+            self.graph.strip(u),
+            self.graph.lane(lane),
+            self.scratch.dist_v[ui],
+            self.scratch.entry[ui],
+            d,
+            self.config.use_heuristic,
+        )
+    }
+
+    /// Advance `cursor` on lane `lane` of the settled strip `u` to the next
+    /// edge that can still relax its target, push that edge and store the
+    /// cursor. An edge whose target is settled, or already reached by its
+    /// bound, would be skipped when popped — both facts only tighten — so
+    /// it is dropped here instead, as the eager loop dropped it at settle
+    /// time.
+    fn push_lane_head(
+        &mut self,
+        heap: &mut BinaryHeap<Reverse<SearchKey>>,
+        u: StripId,
+        lane: u32,
+        mut cursor: LaneCursor,
+        probe: &LaneProbe,
+    ) {
+        debug_assert!(self.scratch.settled(u as usize), "lane of a settled strip");
+        let (graph, scratch) = (&self.graph, &self.scratch);
+        let edges = graph.edges(u);
+        let next = cursor.next(graph.lane_edges(lane), probe, |k, lb| {
+            let v = edges[k as usize].to as usize;
+            scratch.settled(v) || scratch.dist(v).is_some_and(|dv| dv <= lb)
+        });
+        self.scratch.cursors[lane as usize] = cursor;
+        if let Some((key, lb, k)) = next {
+            heap.push(Reverse((key, Reverse(lb), u, k)));
+        }
     }
 
     /// Instrumented cost-only intra-strip query (search phase).

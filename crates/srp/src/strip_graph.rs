@@ -12,6 +12,13 @@
 //! adjacent grid pair through which a route transits between two strips
 //! (§VI, Fig. 10): the unique crossing for perpendicular or collinear
 //! neighbours, and the overlap interval for side-by-side neighbours.
+//!
+//! The same edge pass sorts each strip's edges for the inter-strip search:
+//! an aisle strip's perpendicular edges into the aisle strips beside it
+//! form two **lanes** (one per side), each ordered by the transit cell's
+//! axis coordinate, so the search can walk a long aisle's edges lazily in
+//! heap order (`planner` module docs); every other edge is pushed when its
+//! strip settles, with the edges into rack strips kept apart.
 
 use carp_warehouse::matrix::WarehouseMatrix;
 use carp_warehouse::memory;
@@ -102,10 +109,20 @@ impl Strip {
     /// The coordinate along the strip's axis (col for latitudinal, row for
     /// longitudinal) of a cell.
     #[inline]
-    fn axis_coord(&self, c: Cell) -> u16 {
+    pub(crate) fn axis_coord(&self, c: Cell) -> u16 {
         match self.dir {
             StripDir::Latitudinal => c.col,
             StripDir::Longitudinal => c.row,
+        }
+    }
+
+    /// The coordinate across the strip's axis (row for latitudinal, col for
+    /// longitudinal) of a cell.
+    #[inline]
+    pub(crate) fn perp_coord(&self, c: Cell) -> u16 {
+        match self.dir {
+            StripDir::Latitudinal => c.row,
+            StripDir::Longitudinal => c.col,
         }
     }
 }
@@ -149,6 +166,45 @@ pub struct StripEdge {
     pub geom: EdgeGeom,
 }
 
+/// One edge of a lane: the axis coordinate of its transit cells and its
+/// index in the owning strip's adjacency ([`StripGraph::edges`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LaneEdge {
+    /// Axis coordinate shared by the edge's two transit cells.
+    pub(crate) x: u16,
+    /// Adjacency index of the edge.
+    pub(crate) k: u32,
+}
+
+/// A lane: the perpendicular edges from an aisle strip into the aisle
+/// strips on one side of it, sorted by strictly increasing [`LaneEdge::x`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Lane {
+    /// Perpendicular coordinate of the lane's target cells (the row beside
+    /// a latitudinal strip).
+    pub(crate) perp: u16,
+    /// The lane's edges are `lane_edges[start..end]`.
+    start: u32,
+    end: u32,
+}
+
+/// Per-strip offsets into the flat tables; strip `u`'s ranges end where
+/// strip `u + 1`'s begin (one sentinel entry closes the last strip).
+#[derive(Debug, Clone, Copy, Default)]
+struct Offsets {
+    /// First edge in `adj` (and `edge_lane`).
+    edge: u32,
+    /// First lane in `lanes`.
+    lane: u32,
+    /// First edge in `settle_edges`; the eager edges come first.
+    eager: u32,
+    /// First edge into a rack strip in `settle_edges`.
+    rack: u32,
+}
+
+/// Lane id of an edge on no lane.
+const NO_LANE: u32 = u32::MAX;
+
 /// The strip graph `S = ⟨V, E⟩` (Definition 5).
 #[derive(Debug, Clone)]
 pub struct StripGraph {
@@ -156,8 +212,20 @@ pub struct StripGraph {
     pub strips: Vec<Strip>,
     /// Dense cell → strip mapping, indexed by [`WarehouseMatrix::index_of`].
     cell_to_strip: Vec<StripId>,
-    /// Directed adjacency lists (both directions of each undirected edge).
-    adj: Vec<Vec<StripEdge>>,
+    /// Directed adjacency (both directions of each undirected edge), flat:
+    /// each strip's edges in discovery order.
+    adj: Vec<StripEdge>,
+    /// Lane of each entry of `adj`, or `NO_LANE`.
+    edge_lane: Vec<u32>,
+    /// All lanes, grouped by owning strip.
+    lanes: Vec<Lane>,
+    /// All lanes' edges, lane after lane.
+    lane_edges: Vec<LaneEdge>,
+    /// Adjacency indices of the edges on no lane: per strip, the eager
+    /// edges, then the edges into rack strips.
+    settle_edges: Vec<u32>,
+    /// `strips.len() + 1` offsets into the four tables above.
+    offsets: Vec<Offsets>,
     /// Number of undirected edges.
     num_edges: usize,
 }
@@ -225,48 +293,129 @@ impl StripGraph {
         // Phase 3 (lines 21–24): edges between strips containing adjacent
         // grids, unless both are racks. We scan cell adjacencies (O(H·W))
         // rather than the paper's O(|V|²) pair loop — same result.
-        let mut adj: Vec<Vec<StripEdge>> = vec![Vec::new(); strips.len()];
+        //
+        // Two strips that meet along a run of adjacent cell pairs (side by
+        // side) produce the same strip pair once per cell of the run; a
+        // pair whose predecessor in the run (one row up for an east step,
+        // one column left for a south step) joins the same two strips was
+        // seen there already, so only a run's first pair reaches `seen`.
+        let mut pairs: Vec<(StripId, StripId)> = Vec::new();
         let mut seen: HashSet<(StripId, StripId)> = HashSet::new();
-        let mut num_edges = 0;
-        for c in m.cells() {
-            for n in [
-                c.step(carp_warehouse::types::Dir::East, rows, cols),
-                c.step(carp_warehouse::types::Dir::South, rows, cols),
-            ]
-            .into_iter()
-            .flatten()
-            {
-                let (a, b) = (
-                    cell_to_strip[m.index_of(c) as usize],
-                    cell_to_strip[m.index_of(n) as usize],
-                );
+        let (rows, cols) = (rows as usize, cols as usize);
+        let strip_at = |i: usize| cell_to_strip[i];
+        for i in 0..rows * cols {
+            let (row, col) = (i / cols, i % cols);
+            // (neighbour index, index of this pair's predecessor in a run)
+            let east = (col + 1 < cols).then(|| (i + 1, row.checked_sub(1).map(|_| i - cols)));
+            let south = (row + 1 < rows).then(|| (i + cols, col.checked_sub(1).map(|_| i - 1)));
+            for (j, prev) in [east, south].into_iter().flatten() {
+                let (a, b) = (strip_at(i), strip_at(j));
                 if a == b {
                     continue;
+                }
+                if let Some(p) = prev {
+                    if strip_at(p) == a && strip_at(p + (j - i)) == b {
+                        continue;
+                    }
                 }
                 let key = (a.min(b), a.max(b));
                 if !seen.insert(key) {
                     continue;
                 }
-                let (sa, sb) = (strips[a as usize], strips[b as usize]);
-                if sa.kind == StripKind::Rack && sb.kind == StripKind::Rack {
+                if strips[a as usize].kind == StripKind::Rack
+                    && strips[b as usize].kind == StripKind::Rack
+                {
                     continue;
                 }
-                num_edges += 1;
-                adj[a as usize].push(StripEdge {
-                    to: b,
-                    geom: edge_geom(&sa, &sb),
-                });
-                adj[b as usize].push(StripEdge {
-                    to: a,
-                    geom: edge_geom(&sb, &sa),
-                });
+                pairs.push((a, b));
             }
         }
+        let num_edges = pairs.len();
+
+        // Lay the adjacency out flat, both directions of each pair in
+        // discovery order (a counting sort by owner), then split each
+        // strip's edges into its lanes, its eager edges and its edges into
+        // rack strips.
+        let mut offsets = vec![Offsets::default(); strips.len() + 1];
+        for &(a, b) in &pairs {
+            offsets[a as usize + 1].edge += 1;
+            offsets[b as usize + 1].edge += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i].edge += offsets[i - 1].edge;
+        }
+        let mut fill: Vec<u32> = offsets.iter().map(|o| o.edge).collect();
+        let unfilled = StripEdge {
+            to: StripId::MAX,
+            geom: EdgeGeom::Lateral { lo: 0, hi: 0 },
+        };
+        let mut adj = vec![unfilled; 2 * num_edges];
+        for (a, b) in pairs {
+            let (sa, sb) = (&strips[a as usize], &strips[b as usize]);
+            for (from, to, geom) in [(a, b, edge_geom(sa, sb)), (b, a, edge_geom(sb, sa))] {
+                adj[fill[from as usize] as usize] = StripEdge { to, geom };
+                fill[from as usize] += 1;
+            }
+        }
+
+        let mut edge_lane = vec![NO_LANE; adj.len()];
+        let mut lanes: Vec<Lane> = Vec::new();
+        let mut lane_edges: Vec<LaneEdge> = Vec::new();
+        let mut settle_edges: Vec<u32> = Vec::new();
+        let mut rack: Vec<u32> = Vec::new();
+        let mut sides: [(u16, Vec<LaneEdge>); 2] = Default::default();
+        for (u, su) in strips.iter().enumerate() {
+            let first = offsets[u].edge as usize;
+            let edges = &adj[first..offsets[u + 1].edge as usize];
+            offsets[u].lane = lanes.len() as u32;
+            offsets[u].eager = settle_edges.len() as u32;
+            for (k, e) in edges.iter().enumerate() {
+                if strips[e.to as usize].kind == StripKind::Rack {
+                    rack.push(k as u32);
+                } else if let Some((side, perp, x)) = lane_slot(su, e) {
+                    sides[side].0 = perp;
+                    sides[side].1.push(LaneEdge { x, k: k as u32 });
+                } else {
+                    settle_edges.push(k as u32);
+                }
+            }
+            offsets[u].rack = settle_edges.len() as u32;
+            settle_edges.append(&mut rack);
+            for (perp, side) in &mut sides {
+                if side.is_empty() {
+                    continue;
+                }
+                side.sort_unstable_by_key(|e| e.x);
+                assert!(
+                    side.windows(2).all(|w| w[0].x < w[1].x),
+                    "two lane edges share a transit cell"
+                );
+                let id = lanes.len() as u32;
+                for e in side.iter() {
+                    edge_lane[first + e.k as usize] = id;
+                }
+                lanes.push(Lane {
+                    perp: *perp,
+                    start: lane_edges.len() as u32,
+                    end: (lane_edges.len() + side.len()) as u32,
+                });
+                lane_edges.append(side);
+            }
+        }
+        let last = offsets.len() - 1;
+        offsets[last].lane = lanes.len() as u32;
+        offsets[last].eager = settle_edges.len() as u32;
+        offsets[last].rack = settle_edges.len() as u32;
 
         StripGraph {
             strips,
             cell_to_strip,
             adj,
+            edge_lane,
+            lanes,
+            lane_edges,
+            settle_edges,
+            offsets,
             num_edges,
         }
     }
@@ -286,7 +435,54 @@ impl StripGraph {
     /// Directed adjacency of a strip.
     #[inline]
     pub fn edges(&self, id: StripId) -> &[StripEdge] {
-        &self.adj[id as usize]
+        let u = id as usize;
+        &self.adj[self.offsets[u].edge as usize..self.offsets[u + 1].edge as usize]
+    }
+
+    /// Ids of the lanes of a strip (none, one or two).
+    #[inline]
+    pub(crate) fn lanes(&self, id: StripId) -> core::ops::Range<u32> {
+        let u = id as usize;
+        self.offsets[u].lane..self.offsets[u + 1].lane
+    }
+
+    /// Total number of lanes; lane ids are `0..num_lanes()`.
+    pub(crate) fn num_lanes(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// The lane with the given id.
+    #[inline]
+    pub(crate) fn lane(&self, lane: u32) -> &Lane {
+        &self.lanes[lane as usize]
+    }
+
+    /// The edges of a lane, by strictly increasing axis coordinate.
+    #[inline]
+    pub(crate) fn lane_edges(&self, lane: u32) -> &[LaneEdge] {
+        let l = self.lanes[lane as usize];
+        &self.lane_edges[l.start as usize..l.end as usize]
+    }
+
+    /// The lane holding edge `k` of strip `id`, if any.
+    #[inline]
+    pub(crate) fn lane_of(&self, id: StripId, k: u32) -> Option<u32> {
+        let lane = self.edge_lane[self.offsets[id as usize].edge as usize + k as usize];
+        (lane != NO_LANE).then_some(lane)
+    }
+
+    /// Adjacency indices of a strip's edges on no lane: the eager ones
+    /// (lateral, collinear and end-on edges, and every edge of a rack
+    /// strip), followed by the edges into rack strips when `with_rack`.
+    #[inline]
+    pub(crate) fn settle_edges(&self, id: StripId, with_rack: bool) -> &[u32] {
+        let u = id as usize;
+        let end = if with_rack {
+            self.offsets[u + 1].eager
+        } else {
+            self.offsets[u].rack
+        };
+        &self.settle_edges[self.offsets[u].eager as usize..end as usize]
     }
 
     /// Number of strips (Table II "Strip-based #vertices").
@@ -324,12 +520,34 @@ impl StripGraph {
         }
     }
 
-    /// Estimated heap bytes of the graph (MC metric).
+    /// Estimated heap bytes of the graph (MC metric), lane tables included.
     pub fn memory_bytes(&self) -> usize {
         memory::vec_bytes(&self.strips)
             + memory::vec_bytes(&self.cell_to_strip)
-            + self.adj.iter().map(memory::vec_bytes).sum::<usize>()
             + memory::vec_bytes(&self.adj)
+            + memory::vec_bytes(&self.edge_lane)
+            + memory::vec_bytes(&self.lanes)
+            + memory::vec_bytes(&self.lane_edges)
+            + memory::vec_bytes(&self.settle_edges)
+            + memory::vec_bytes(&self.offsets)
+    }
+}
+
+/// Where `e` sits among the lanes of `u`: `(side, perp, x)` for a
+/// perpendicular edge from an aisle strip into the aisle strip beside
+/// transit cell `x`, `None` for every other edge.
+fn lane_slot(u: &Strip, e: &StripEdge) -> Option<(usize, u16, u16)> {
+    let EdgeGeom::Perpendicular { u_cell, v_cell } = e.geom else {
+        return None;
+    };
+    let (x, perp) = (u.axis_coord(u_cell), u.perp_coord(v_cell));
+    if u.kind != StripKind::Aisle || u.axis_coord(v_cell) != x {
+        return None;
+    }
+    match i32::from(perp) - i32::from(u.perp_coord(u_cell)) {
+        -1 => Some((0, perp, x)),
+        1 => Some((1, perp, x)),
+        _ => None,
     }
 }
 
@@ -449,10 +667,10 @@ mod tests {
     #[test]
     fn rack_rack_edges_are_excluded() {
         let (_, g) = toy();
-        for (id, edges) in g.adj.iter().enumerate() {
-            for e in edges {
-                let both_rack = g.strip(id as StripId).kind == StripKind::Rack
-                    && g.strip(e.to).kind == StripKind::Rack;
+        for id in 0..g.num_vertices() as StripId {
+            for e in g.edges(id) {
+                let both_rack =
+                    g.strip(id).kind == StripKind::Rack && g.strip(e.to).kind == StripKind::Rack;
                 assert!(!both_rack, "rack–rack edge {id} → {}", e.to);
             }
         }

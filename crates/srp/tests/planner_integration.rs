@@ -220,6 +220,40 @@ fn search_cut_pins_the_w2_stream_counts() {
 }
 
 #[test]
+fn dijkstra_pins_the_small_stream_counts() {
+    // The plain-Dijkstra search (no heuristic) walks lanes through their
+    // left and right walks only. Small layout at 4× (seed 2), retiring
+    // finished routes before each plan; one request stays unplanned.
+    let layout = LayoutConfig::small().generate();
+    let config = SrpConfig {
+        use_heuristic: false,
+        ..SrpConfig::default()
+    };
+    let mut srp = SrpPlanner::new(layout.matrix.clone(), config);
+    let mut digest: u64 = 0;
+    let mut unplanned = 0;
+    for req in &generate_requests(&layout, 600, 4.0, 2) {
+        srp.advance(req.t);
+        let Some(route) = srp.plan(req).route().cloned() else {
+            unplanned += 1;
+            continue;
+        };
+        for g in &route.grids {
+            digest = digest
+                .wrapping_mul(31)
+                .wrapping_add(g.row as u64 * 1000 + g.col as u64 + route.start as u64);
+        }
+    }
+    let counts = (srp.stats.strips_settled, srp.stats.intra_calls);
+    assert_eq!(counts, (47_927, 71_608));
+    assert_eq!(
+        (srp.stats.retries, srp.stats.fallbacks, unplanned),
+        (251, 7, 1)
+    );
+    assert_eq!(digest, 5_824_274_689_000_189_070, "routes moved");
+}
+
+#[test]
 fn advance_retires_finished_routes_and_frees_memory() {
     let layout = LayoutConfig::small().generate();
     let mut srp = SrpPlanner::new(layout.matrix.clone(), SrpConfig::default());
