@@ -6,12 +6,21 @@
 //! *parallel* segments can only collide when they share a key (they lie on
 //! the same space-time line) and their time spans overlap.
 //!
+//! Each class keeps Algorithm 3's two structures as sorted flat arrays
+//! rather than a tree and a hash map: `S_k` is a `Vec` in `(t0, id)` order
+//! and `M_k` is a `Vec` of `(key, t0, t1)` triples in that order. A query
+//! binary-searches and then walks contiguous memory, with the same order
+//! and therefore the same answers as the ordered-set formulation. An
+//! insert or remove is a binary search plus an `O(n)` memmove, with `n` a
+//! few hundred per class on the presets (DESIGN.md §3).
+//!
 //! A collision query for a segment of slope `k` therefore:
 //!
-//! 1. looks up only its own key bucket within class `k` (the `M_k.get(s\[0\])`
-//!    of Algorithm 3) — `O(log m + m)` with `m` the bucket size, which the
-//!    rotation keeps tiny because the projected time component makes keys
-//!    almost unique (§V-D remarks);
+//! 1. scans only its own key's equal range within class `k` (the
+//!    `M_k.get(s\[0\])` of Algorithm 3) — `O(log m + r)` with `r` the number
+//!    of segments on the same line, which the rotation keeps tiny because
+//!    the projected time component makes keys almost unique (§V-D
+//!    remarks);
 //! 2. binary searches the two *unparallel* classes by time overlap and
 //!    judges the survivors one by one — the `S_1^*, S_2^*` step.
 //!
@@ -24,22 +33,19 @@ use crate::segment::Segment;
 use crate::store::{SegmentId, SegmentStore};
 use carp_warehouse::memory;
 use carp_warehouse::types::Time;
-use std::collections::{BTreeMap, HashMap};
 
-/// One slope class: the global time-ordered set (for unparallel queries)
-/// plus the key → bucket map (for parallel queries).
+/// One slope class: the time-ordered array (for unparallel queries) plus
+/// the key-ordered array (for parallel queries).
 ///
-/// Buckets hold only `(t0, t1)` spans: two segments with the same key lie
+/// `by_key` holds only `(key, t0, t1)`: two segments with the same key lie
 /// on the same space-time line, so they collide **iff** their time spans
 /// overlap, with the vertex conflict starting at the first shared instant.
-/// The rotation keeps buckets tiny (§V-D remarks), so a flat vector beats
-/// any tree.
 #[derive(Debug, Default, Clone)]
 struct SlopeClass {
-    /// Ordered set over start time — the `S_k` of Algorithm 3.
-    by_start: BTreeMap<(Time, SegmentId), Segment>,
-    /// Rotated-coordinate map — the `M_k` of Algorithm 3.
-    by_key: HashMap<i64, Vec<(Time, Time)>>,
+    /// Segments in `(t0, id)` order — the `S_k` of Algorithm 3.
+    by_start: Vec<(SegmentId, Segment)>,
+    /// Spans in `(key, t0, t1)` order — the `M_k` of Algorithm 3.
+    by_key: Vec<(i64, Time, Time)>,
     /// High-water mark of segment durations, bounding the overlap window.
     max_duration: Time,
 }
@@ -47,90 +53,75 @@ struct SlopeClass {
 impl SlopeClass {
     fn insert(&mut self, id: SegmentId, seg: Segment) {
         self.max_duration = self.max_duration.max(seg.duration());
-        self.by_start.insert((seg.t0, id), seg);
-        self.by_key
-            .entry(seg.index_key())
-            .or_default()
-            .push((seg.t0, seg.t1));
+        let at = self
+            .by_start
+            .partition_point(|&(i, s)| (s.t0, i) < (seg.t0, id));
+        self.by_start.insert(at, (id, seg));
+        let entry = (seg.index_key(), seg.t0, seg.t1);
+        let at = self.by_key.partition_point(|&e| e < entry);
+        self.by_key.insert(at, entry);
     }
 
-    fn remove(&mut self, id: SegmentId, seg: &Segment) -> bool {
-        let removed = self.by_start.remove(&(seg.t0, id)).is_some();
-        if removed {
-            if let Some(bucket) = self.by_key.get_mut(&seg.index_key()) {
-                if let Some(pos) = bucket.iter().position(|&s| s == (seg.t0, seg.t1)) {
-                    bucket.swap_remove(pos);
-                }
-                if bucket.is_empty() {
-                    self.by_key.remove(&seg.index_key());
-                }
-            }
-        }
-        removed
+    /// Remove the segment stored under `(t0, id)`. Its `by_key` entry is
+    /// taken from the stored segment, so the two arrays stay in step.
+    fn remove(&mut self, id: SegmentId, t0: Time) -> bool {
+        let Ok(at) = self
+            .by_start
+            .binary_search_by(|&(i, s)| (s.t0, i).cmp(&(t0, id)))
+        else {
+            return false;
+        };
+        let (_, seg) = self.by_start.remove(at);
+        let entry = (seg.index_key(), seg.t0, seg.t1);
+        let at = self
+            .by_key
+            .binary_search(&entry)
+            .expect("every stored segment has its key entry");
+        self.by_key.remove(at);
+        true
     }
 
-    /// Remove a batch within this class. Bucket edits are grouped by key
-    /// (one map lookup per distinct key instead of one per segment) and the
-    /// duration high-water mark is re-tightened once at the end — the batch
-    /// bookkeeping single `remove` cannot afford.
-    fn remove_batch(&mut self, removals: &[(SegmentId, Segment)]) -> usize {
-        let mut removed: Vec<Segment> = Vec::with_capacity(removals.len());
-        for (id, seg) in removals {
-            if self.by_start.remove(&(seg.t0, *id)).is_some() {
-                removed.push(*seg);
-            }
-        }
-        // Group bucket removals by rotated key.
-        removed.sort_unstable_by_key(|s| s.index_key());
-        let mut i = 0;
-        while i < removed.len() {
-            let key = removed[i].index_key();
-            let mut j = i;
-            if let Some(bucket) = self.by_key.get_mut(&key) {
-                while j < removed.len() && removed[j].index_key() == key {
-                    let span = (removed[j].t0, removed[j].t1);
-                    if let Some(pos) = bucket.iter().position(|&s| s == span) {
-                        bucket.swap_remove(pos);
-                    }
-                    j += 1;
-                }
-                if bucket.is_empty() {
-                    self.by_key.remove(&key);
-                }
-            } else {
-                while j < removed.len() && removed[j].index_key() == key {
-                    j += 1;
-                }
-            }
-            i = j;
-        }
-        if !removed.is_empty() {
-            self.max_duration = self
-                .by_start
-                .values()
-                .map(|s| s.duration())
-                .max()
-                .unwrap_or(0);
-        }
-        removed.len()
+    /// Re-tighten the duration high-water mark to the stored maximum.
+    fn retighten(&mut self) {
+        self.max_duration = self
+            .by_start
+            .iter()
+            .map(|(_, s)| s.duration())
+            .max()
+            .unwrap_or(0);
+    }
+
+    /// The `by_key` entries of the line with rotated coordinate `key`, in
+    /// `(t0, t1)` order.
+    fn line(&self, key: i64) -> &[(i64, Time, Time)] {
+        let from = self.by_key.partition_point(|&(k, _, _)| k < key);
+        let len = self.by_key[from..].partition_point(|&(k, _, _)| k == key);
+        &self.by_key[from..from + len]
+    }
+
+    /// The stored segments whose start time lies in `[lo, hi]`, in
+    /// `(t0, id)` order.
+    fn starting_in(&self, lo: Time, hi: Time) -> impl Iterator<Item = &Segment> {
+        let from = self.by_start.partition_point(|(_, s)| s.t0 < lo);
+        self.by_start[from..]
+            .iter()
+            .map(|(_, s)| s)
+            .take_while(move |s| s.t0 <= hi)
     }
 
     /// Earliest collision with segments *parallel* to `seg` (same class):
-    /// only the same-key bucket can collide; any time overlap there is a
-    /// vertex conflict starting at the first shared instant.
+    /// only the same-key line can collide; any time overlap there is a
+    /// vertex conflict starting at the first shared instant. The line is
+    /// in start-time order, so the first overlapping span is the earliest.
     fn parallel_collision(&self, seg: &Segment) -> Option<SegCollision> {
-        let bucket = self.by_key.get(&seg.index_key())?;
-        let mut best: Option<SegCollision> = None;
-        for &(t0, t1) in bucket {
-            if t0 <= seg.t1 && t1 >= seg.t0 {
-                let hit = SegCollision {
-                    time: seg.t0.max(t0),
-                    kind: CollisionKind::Vertex,
-                };
-                best = SegCollision::min_opt(best, Some(hit));
-            }
-        }
-        best
+        self.line(seg.index_key())
+            .iter()
+            .take_while(|&&(_, t0, _)| t0 <= seg.t1)
+            .find(|&&(_, _, t1)| t1 >= seg.t0)
+            .map(|&(_, t0, _)| SegCollision {
+                time: seg.t0.max(t0),
+                kind: CollisionKind::Vertex,
+            })
     }
 
     /// Earliest collision with segments in this class for a query of a
@@ -144,7 +135,7 @@ impl SlopeClass {
         mut best: Option<SegCollision>,
     ) -> Option<SegCollision> {
         let lo = seg.t0.saturating_sub(self.max_duration);
-        for (_, other) in self.by_start.range((lo, 0)..=(seg.t1, SegmentId::MAX)) {
+        for other in self.starting_in(lo, seg.t1) {
             if best.is_some_and(|b| other.t0 > b.time) {
                 break;
             }
@@ -157,8 +148,48 @@ impl SlopeClass {
     }
 
     fn memory_bytes(&self) -> usize {
-        let buckets: usize = self.by_key.values().map(memory::vec_bytes).sum();
-        memory::btreemap_bytes(&self.by_start) + memory::hashmap_bytes(&self.by_key) + buckets
+        memory::vec_bytes(&self.by_start) + memory::vec_bytes(&self.by_key)
+    }
+}
+
+/// Blocked spans gathered by one free-point query: an inline buffer that
+/// spills to the heap only when a query meets more than [`Spans::INLINE`]
+/// spans, so the common query allocates nothing.
+struct Spans {
+    inline: [(Time, Time); Spans::INLINE],
+    len: usize,
+    spill: Vec<(Time, Time)>,
+}
+
+impl Spans {
+    const INLINE: usize = 32;
+
+    fn new() -> Self {
+        Spans {
+            inline: [(0, 0); Spans::INLINE],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, span: (Time, Time)) {
+        if self.len < Spans::INLINE {
+            self.inline[self.len] = span;
+            self.len += 1;
+        } else {
+            if self.spill.is_empty() {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push(span);
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(Time, Time)] {
+        if self.spill.is_empty() {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.spill
+        }
     }
 }
 
@@ -194,24 +225,29 @@ impl SegmentStore for SlopeIndexStore {
     }
 
     fn remove(&mut self, id: SegmentId, seg: &Segment) -> bool {
-        let removed = self.classes[Self::class_of(seg.slope())].remove(id, seg);
+        let removed = self.classes[Self::class_of(seg.slope())].remove(id, seg.t0);
         if removed {
             self.len -= 1;
         }
         removed
     }
 
+    /// Removes one by one, then re-tightens the duration high-water mark
+    /// of every class that lost a segment — the batch bookkeeping single
+    /// `remove` cannot afford.
     fn remove_batch(&mut self, removals: &[(SegmentId, Segment)]) -> usize {
-        // Partition the batch by slope class, then let each class apply its
-        // list with grouped bucket edits and one high-water re-tighten.
-        let mut by_class: [Vec<(SegmentId, Segment)>; 3] = Default::default();
-        for &(id, seg) in removals {
-            by_class[Self::class_of(seg.slope())].push((id, seg));
-        }
+        let mut touched = [false; 3];
         let mut removed = 0usize;
-        for (class, list) in self.classes.iter_mut().zip(by_class) {
-            if !list.is_empty() {
-                removed += class.remove_batch(&list);
+        for (id, seg) in removals {
+            let c = Self::class_of(seg.slope());
+            if self.classes[c].remove(*id, seg.t0) {
+                touched[c] = true;
+                removed += 1;
+            }
+        }
+        for (class, touched) in self.classes.iter_mut().zip(touched) {
+            if touched {
+                class.retighten();
             }
         }
         self.len -= removed;
@@ -230,25 +266,26 @@ impl SegmentStore for SlopeIndexStore {
     }
 
     /// Single-pass override exploiting the slope partition: the waiters
-    /// that can block `(·, s)` all live in the slope-0 bucket keyed by `s`
+    /// that can block `(·, s)` all lie on the slope-0 line keyed by `s`
     /// itself (their [`Segment::index_key`] is the spatial coordinate), so
-    /// that class needs one bucket lookup instead of a window scan. The two
-    /// moving classes are window-scanned for their single-instant
+    /// that class needs one equal-range scan instead of a window scan. The
+    /// two moving classes are window-scanned for their single-instant
     /// crossings of coordinate `s`, then one sweep finds the first
     /// uncovered instant.
     fn earliest_free_point(&self, t0: Time, t1: Time, s: i32) -> Option<Time> {
-        let mut blocked: Vec<(Time, Time)> = Vec::new();
-        if let Some(bucket) = self.classes[Self::class_of(0)].by_key.get(&(s as i64)) {
-            for &(b0, b1) in bucket {
-                if b1 >= t0 && b0 <= t1 {
-                    blocked.push((b0.max(t0), b1.min(t1)));
-                }
+        let mut blocked = Spans::new();
+        for &(_, b0, b1) in self.classes[Self::class_of(0)].line(s as i64) {
+            if b0 > t1 {
+                break;
+            }
+            if b1 >= t0 {
+                blocked.push((b0.max(t0), b1.min(t1)));
             }
         }
         for slope in [-1i8, 1] {
             let class = &self.classes[Self::class_of(slope)];
             let lo = t0.saturating_sub(class.max_duration);
-            for (_, other) in class.by_start.range((lo, 0)..=(t1, SegmentId::MAX)) {
+            for other in class.starting_in(lo, t1) {
                 if other.t1 < t0 {
                     continue;
                 }
@@ -259,7 +296,7 @@ impl SegmentStore for SlopeIndexStore {
                 }
             }
         }
-        crate::store::earliest_uncovered(&mut blocked, t0, t1)
+        crate::store::earliest_uncovered(blocked.as_mut_slice(), t0, t1)
     }
 
     fn len(&self) -> usize {
@@ -274,7 +311,7 @@ impl SegmentStore for SlopeIndexStore {
         let mut out: Vec<Segment> = self
             .classes
             .iter()
-            .flat_map(|c| c.by_start.values().copied())
+            .flat_map(|c| c.by_start.iter().map(|&(_, s)| s))
             .collect();
         out.sort();
         out
@@ -339,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_clears_buckets() {
+    fn remove_clears_both_arrays() {
         let mut idx = SlopeIndexStore::new();
         let seg = Segment::travel(3, 1, 6);
         let id = idx.insert(seg);
@@ -347,7 +384,8 @@ mod tests {
         assert!(idx.remove(id, &seg));
         assert_eq!(idx.len(), 0);
         assert_eq!(idx.earliest_collision(&Segment::travel(3, 6, 1)), None);
-        // Internal bucket map must not leak empty buckets.
+        // Neither array keeps an entry for the removed segment.
+        assert!(idx.classes[2].by_start.is_empty());
         assert!(idx.classes[2].by_key.is_empty());
     }
 
@@ -383,6 +421,26 @@ mod tests {
         let mut a = naive.snapshot();
         a.sort();
         assert_eq!(a, idx.snapshot());
+    }
+
+    #[test]
+    fn free_point_spills_past_the_inline_buffer() {
+        // More blocked spans than the inline buffer holds, from waiters and
+        // from movers of both slopes; the only free instant is t = 50.
+        let mut idx = SlopeIndexStore::new();
+        let mut naive = NaiveStore::new();
+        for t in (0..60u32).filter(|&t| t != 50) {
+            let seg = match t % 3 {
+                0 => Segment::wait(t, t, 7),
+                1 => Segment::travel(t - 1, 6, 8),
+                _ => Segment::travel(t - 2, 9, 5),
+            };
+            idx.insert(seg);
+            naive.insert(seg);
+        }
+        assert_eq!(idx.earliest_free_point(0, 70, 7), Some(50));
+        assert_eq!(naive.earliest_free_point(0, 70, 7), Some(50));
+        assert_eq!(idx.earliest_free_point(0, 49, 7), None);
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //! `k_φ − k_ψ ∈ {−2..2}`. A **vertex conflict** is an integer root of
 //! `d(t) = 0` in `[lo, hi]`; a **swap conflict** requires opposite unit
 //! slopes and an integer `t ∈ [lo, hi−1]` with `d(t) = k_ψ` (the robots
-//! cross between `t` and `t+1`). Both reduce to exact integer divisions.
+//! cross between `t` and `t+1`). Both reduce to exact integer divisions,
+//! and both are skipped when the linear function has the same strict sign
+//! at both ends of its interval — then it has no real root there, let
+//! alone an integer one.
 
 use crate::segment::Segment;
 use carp_warehouse::types::Time;
@@ -70,21 +73,36 @@ pub fn earliest_collision(phi: &Segment, psi: &Segment) -> Option<SegCollision> 
     }
     let kp = phi.slope() as i64;
     let kq = psi.slope() as i64;
-    // d(t) = phi(t) - psi(t); evaluate at lo.
+    // d(t) = phi(t) - psi(t); evaluate at lo, which lies in both spans.
     let d_lo =
-        phi.pos_at(lo).expect("lo in range") as i64 - psi.pos_at(lo).expect("lo in range") as i64;
+        (phi.s0 as i64 + kp * (lo - phi.t0) as i64) - (psi.s0 as i64 + kq * (lo - psi.t0) as i64);
     let dd = kp - kq;
+    let span = (hi - lo) as i64;
 
-    let vertex = linear_root(d_lo, dd, 0, (hi - lo) as i64).map(|off| SegCollision {
-        time: lo + off as Time,
-        kind: CollisionKind::Vertex,
-    });
-
-    let swap = if kp == -kq && kp != 0 && hi > lo {
-        linear_root(d_lo, dd, kq, (hi - lo - 1) as i64).map(|off| SegCollision {
+    // d is linear on the overlap, so a root needs a sign change (or a zero)
+    // between the interval's ends. Rejecting on the endpoint signs is exact
+    // and spares the far-apart majority the division of `linear_root`.
+    let d_hi = d_lo + dd * span;
+    let vertex = if d_lo.signum() * d_hi.signum() > 0 {
+        None
+    } else {
+        linear_root(d_lo, dd, 0, span).map(|off| SegCollision {
             time: lo + off as Time,
-            kind: CollisionKind::Swap,
+            kind: CollisionKind::Vertex,
         })
+    };
+
+    // A swap is a root of d − k_ψ on [lo, hi − 1]; same reject.
+    let swap = if kp == -kq && kp != 0 && hi > lo {
+        let (e_lo, e_end) = (d_lo - kq, d_hi - dd - kq);
+        if e_lo.signum() * e_end.signum() > 0 {
+            None
+        } else {
+            linear_root(d_lo, dd, kq, span - 1).map(|off| SegCollision {
+                time: lo + off as Time,
+                kind: CollisionKind::Swap,
+            })
+        }
     } else {
         None
     };
@@ -330,6 +348,30 @@ mod tests {
             (Segment::point(2, 2), Segment::point(2, 2)),
             (Segment::point(2, 2), Segment::point(3, 2)),
             (Segment::travel(0, 0, 6), Segment::travel(1, 0, 6)),
+            // Touching endpoints: d = 0 at the start, at the end, or both.
+            (Segment::travel(0, 2, 6), Segment::wait(0, 9, 2)),
+            (Segment::travel(0, 0, 4), Segment::wait(0, 4, 4)),
+            (Segment::travel(0, 0, 3), Segment::travel(3, 3, 0)),
+            (Segment::travel(0, 0, 3), Segment::wait(3, 5, 3)),
+            // A swap on the last step of the overlap (d − k_ψ = 0 at hi − 1).
+            (Segment::travel(0, 0, 4), Segment::travel(1, 6, 3)),
+            (Segment::travel(1, 6, 3), Segment::travel(0, 0, 4)),
+            // A swap on the first step (d − k_ψ = 0 at lo).
+            (Segment::travel(0, 0, 5), Segment::travel(2, 3, 0)),
+            // Collinear overlap (dd = 0): same line, and one cell apart.
+            (Segment::travel(0, 0, 6), Segment::travel(2, 2, 8)),
+            (Segment::travel(0, 6, 0), Segment::travel(3, 3, 0)),
+            (Segment::travel(0, 0, 6), Segment::travel(0, 1, 7)),
+            (Segment::wait(0, 5, 2), Segment::wait(5, 9, 2)),
+            // Point against point, and point against a waiter.
+            (Segment::point(4, 1), Segment::point(4, 2)),
+            (Segment::point(4, 1), Segment::wait(0, 4, 1)),
+            (Segment::point(4, 1), Segment::travel(0, 5, 1)),
+            // Opposite slopes that would meet between integer times just
+            // past the overlap, or just before it.
+            (Segment::travel(0, 0, 2), Segment::travel(1, 4, 1)),
+            (Segment::travel(0, 0, 2), Segment::travel(1, 3, 0)),
+            (Segment::travel(2, 0, 3), Segment::travel(0, 4, 0)),
         ];
         for (a, b) in cases {
             assert_eq!(

@@ -3,7 +3,7 @@
 
 use carp_geometry::{
     collide_paper, earliest_collision, earliest_collision_reference, CollisionKind, NaiveStore,
-    SegCollision, Segment, SegmentStore, SlopeIndexStore,
+    SegCollision, Segment, SegmentId, SegmentStore, SlopeIndexStore,
 };
 use proptest::prelude::*;
 
@@ -118,7 +118,7 @@ proptest! {
     /// the first instant of the window at which a point probe reports no
     /// collision — for the trait default (exercised through a store-trait
     /// object... here simply via repeated point probes), the NaiveStore
-    /// single-pass override and the SlopeIndexStore bucket override.
+    /// single-pass override and the SlopeIndexStore equal-range override.
     #[test]
     fn earliest_free_point_matches_point_probes(
         segs in prop::collection::vec(arb_segment(), 0..60),
@@ -175,4 +175,131 @@ proptest! {
         b.sort();
         prop_assert_eq!(a, b);
     }
+
+    /// Random interleavings of every store operation leave the slope index
+    /// and the naive store in agreement after each step: equal query
+    /// answers, `len` and snapshot. Removals include handles already
+    /// removed, ids never issued, repeats within one batch, and one copy of
+    /// a segment inserted twice.
+    #[test]
+    fn slope_index_matches_naive_store_under_interleavings(
+        ops in prop::collection::vec(arb_op(), 1..120),
+    ) {
+        let mut naive = NaiveStore::new();
+        let mut index = SlopeIndexStore::new();
+        // (naive id, index id, segment) of live and of removed segments.
+        let mut live: Vec<(SegmentId, SegmentId, Segment)> = Vec::new();
+        let mut dead: Vec<(SegmentId, SegmentId, Segment)> = Vec::new();
+        for op in ops {
+            match op {
+                Op::Insert(seg) => live.push((naive.insert(seg), index.insert(seg), seg)),
+                Op::InsertCopy(k) => {
+                    if let Some(&(_, _, seg)) = pick(&live, k) {
+                        live.push((naive.insert(seg), index.insert(seg), seg));
+                    }
+                }
+                Op::Remove(k) => {
+                    if !live.is_empty() {
+                        let h = live.swap_remove(k % live.len());
+                        prop_assert!(naive.remove(h.0, &h.2));
+                        prop_assert!(index.remove(h.1, &h.2));
+                        dead.push(h);
+                    }
+                }
+                Op::RemoveUnknown(k, seg) => {
+                    let (nid, iid, seg) = match pick(&dead, k) {
+                        Some(&h) => h,
+                        None => (UNISSUED + k as SegmentId, UNISSUED + k as SegmentId, seg),
+                    };
+                    prop_assert!(!naive.remove(nid, &seg));
+                    prop_assert!(!index.remove(iid, &seg));
+                }
+                Op::RemoveBatch(picks) => {
+                    let (mut nb, mut ib) = (Vec::new(), Vec::new());
+                    let mut gone = Vec::new();
+                    for k in picks {
+                        // Every fifth pick names a removed handle; the rest
+                        // name live ones, possibly the same one twice.
+                        let h = if k % 5 == 0 { pick(&dead, k) } else { pick(&live, k) };
+                        if let Some(&(nid, iid, seg)) = h {
+                            nb.push((nid, seg));
+                            ib.push((iid, seg));
+                            if !gone.contains(&(nid, iid, seg)) && live.contains(&(nid, iid, seg)) {
+                                gone.push((nid, iid, seg));
+                            }
+                        }
+                    }
+                    prop_assert_eq!(naive.remove_batch(&nb), gone.len());
+                    prop_assert_eq!(index.remove_batch(&ib), gone.len());
+                    live.retain(|h| !gone.contains(h));
+                    dead.extend(gone);
+                }
+                Op::Collide(q) => {
+                    prop_assert_eq!(index.earliest_collision(&q), naive.earliest_collision(&q), "query {}", q);
+                }
+                Op::FreePoint(t0, span, s) => {
+                    prop_assert_eq!(
+                        index.earliest_free_point(t0, t0 + span, s),
+                        naive.earliest_free_point(t0, t0 + span, s)
+                    );
+                }
+            }
+            prop_assert_eq!(index.len(), live.len());
+            prop_assert_eq!(naive.len(), live.len());
+            let mut a = naive.snapshot();
+            a.sort();
+            prop_assert_eq!(a, index.snapshot());
+        }
+    }
+}
+
+/// First id the interleaving test treats as never issued.
+const UNISSUED: SegmentId = 1 << 40;
+
+/// One step of the interleaving test; `usize` fields pick a handle modulo
+/// the list they index.
+#[derive(Debug, Clone)]
+enum Op {
+    Insert(Segment),
+    InsertCopy(usize),
+    Remove(usize),
+    RemoveUnknown(usize, Segment),
+    RemoveBatch(Vec<usize>),
+    Collide(Segment),
+    FreePoint(u32, u32, i32),
+}
+
+/// Segments on a small space-time patch, so that collisions, shared lines
+/// and identical spans are common.
+fn arb_dense_segment() -> impl Strategy<Value = Segment> {
+    (0u32..40, 0i32..12, 0usize..3, 0u32..8).prop_map(|(t0, s0, kind, span)| match kind {
+        0 => Segment::wait(t0, t0 + span, s0),
+        1 => Segment::travel(t0, s0, s0 + span as i32),
+        _ => Segment::travel(t0, s0, s0 - span as i32),
+    })
+}
+
+/// One operation, weighted: inserts 4, copies 1, removals 2, unknown
+/// removals 1, batches 1, collision queries 3, free-point queries 2.
+fn arb_op() -> impl Strategy<Value = Op> {
+    (
+        0u32..14,
+        arb_dense_segment(),
+        0usize..1 << 16,
+        prop::collection::vec(0usize..1 << 16, 0..6),
+        (0u32..48, 0u32..12, -1i32..13),
+    )
+        .prop_map(|(kind, seg, k, picks, (t, n, s))| match kind {
+            0..=3 => Op::Insert(seg),
+            4 => Op::InsertCopy(k),
+            5..=6 => Op::Remove(k),
+            7 => Op::RemoveUnknown(k, seg),
+            8 => Op::RemoveBatch(picks),
+            9..=11 => Op::Collide(seg),
+            _ => Op::FreePoint(t, n, s),
+        })
+}
+
+fn pick<T>(list: &[T], k: usize) -> Option<&T> {
+    (!list.is_empty()).then(|| &list[k % list.len()])
 }
