@@ -28,28 +28,47 @@ fn random_segment(rng: &mut StdRng, t_span: u32, s_span: i32) -> Segment {
     }
 }
 
+/// Draws one segment of a store population or query set.
+type SegmentGen = fn(&mut StdRng, u32, i32) -> Segment;
+
+/// A segment that moves 9 times in 10, the traffic of a busy aisle.
+fn mover_heavy_segment(rng: &mut StdRng, t_span: u32, s_span: i32) -> Segment {
+    let wait_ok = rng.gen_range(0..10) == 0;
+    loop {
+        let seg = random_segment(rng, t_span, s_span);
+        if wait_ok || seg.slope() != 0 {
+            return seg;
+        }
+    }
+}
+
 fn bench_collision_stores(c: &mut Criterion) {
     let mut group = c.benchmark_group("collision_query");
-    for &n in &[100usize, 1000, 5000] {
+    let populations: [(&str, usize, SegmentGen); 4] = [
+        ("100", 100, random_segment),
+        ("1000", 1000, random_segment),
+        ("5000", 5000, random_segment),
+        // Mostly movers: the slope index answers these by key range.
+        ("movers_1000", 1000, mover_heavy_segment),
+    ];
+    for (label, n, gen) in populations {
         let mut rng = StdRng::seed_from_u64(42);
         let mut naive = NaiveStore::new();
         let mut index = SlopeIndexStore::new();
         for _ in 0..n {
-            let s = random_segment(&mut rng, 2000, 60);
+            let s = gen(&mut rng, 2000, 60);
             naive.insert(s);
             index.insert(s);
         }
-        let queries: Vec<Segment> = (0..256)
-            .map(|_| random_segment(&mut rng, 2000, 60))
-            .collect();
-        group.bench_function(format!("naive/{n}"), |b| {
+        let queries: Vec<Segment> = (0..256).map(|_| gen(&mut rng, 2000, 60)).collect();
+        group.bench_function(format!("naive/{label}"), |b| {
             let mut i = 0;
             b.iter(|| {
                 i = (i + 1) % queries.len();
                 black_box(naive.earliest_collision(&queries[i]))
             })
         });
-        group.bench_function(format!("slope_index/{n}"), |b| {
+        group.bench_function(format!("slope_index/{label}"), |b| {
             let mut i = 0;
             b.iter(|| {
                 i = (i + 1) % queries.len();

@@ -2,31 +2,47 @@
 //!
 //! Segments are partitioned by slope into three classes. Within a class,
 //! segments are grouped by the rotated coordinate of Eq. (4) — implemented
-//! as the exact integer line intercept, see [`Segment::index_key`] — so two
-//! *parallel* segments can only collide when they share a key (they lie on
-//! the same space-time line) and their time spans overlap.
+//! as the exact integer line intercept, see [`Segment::index_key`] — so a
+//! key pins one space-time line: slope `+1` gives `s = t + b` with key
+//! `b = s0 − t0`, slope `−1` gives `s = c − t` with key `c = s0 + t0`, and
+//! slope `0` keys a waiter by its cell.
 //!
-//! Each class keeps Algorithm 3's two structures as sorted flat arrays
-//! rather than a tree and a hash map: `S_k` is a `Vec` in `(t0, id)` order
-//! and `M_k` is a `Vec` of `(key, t0, t1)` triples in that order. A query
-//! binary-searches and then walks contiguous memory, with the same order
-//! and therefore the same answers as the ordered-set formulation. An
-//! insert or remove is a binary search plus an `O(n)` memmove, with `n` a
-//! few hundred per class on the presets (DESIGN.md §3).
+//! Every class keeps Algorithm 3's `M_k` as a sorted flat array of
+//! `(key, t0, t1, id)` entries. The waiting class also keeps `S_k`, its
+//! segments in `(t0, id)` order, for the one query that needs a time
+//! window: a mover asking about waiters. A query binary-searches and then
+//! walks contiguous memory; an insert or remove is a binary search plus an
+//! `O(n)` memmove, with `n` a few hundred per class on the presets
+//! (DESIGN.md §3).
 //!
-//! A collision query for a segment of slope `k` therefore:
+//! A collision query for a segment `q` of slope `k` over `[t0, t1]`:
 //!
-//! 1. scans only its own key's equal range within class `k` (the
-//!    `M_k.get(s\[0\])` of Algorithm 3) — `O(log m + r)` with `r` the number
-//!    of segments on the same line, which the rotation keeps tiny because
-//!    the projected time component makes keys almost unique (§V-D
-//!    remarks);
-//! 2. binary searches the two *unparallel* classes by time overlap and
-//!    judges the survivors one by one — the `S_1^*, S_2^*` step.
+//! 1. scans its own key's equal range within class `k` (the
+//!    `M_k.get(s\[0\])` of Algorithm 3): parallel segments collide only on
+//!    a shared line, where any time overlap is a vertex conflict;
+//! 2. reads the *unparallel moving* classes by one contiguous key range
+//!    each ([`key_range`]), because a mover that `q` can meet during its
+//!    span lies on a line that crosses `q` in that span:
+//!    * slope-0 `q` at `s`: keys `[s − t1, s − t0]` in class `+1` and
+//!      `[s + t0, s + t1]` in class `−1`; a mover crosses `s` once, at
+//!      `s − b` or `c − s`, so each candidate is judged in closed form;
+//!    * slope `+1` `q` with key `b`, against class `−1`: keys
+//!      `[b + 2·t0, b + 2·t1]` — a vertex meeting at `t` has `c = b + 2t`,
+//!      a swap between `t` and `t + 1` has `c = b + 2t + 1`;
+//!    * slope `−1` `q` with key `c`, against class `+1`:
+//!      `[c − 2·t1, c − 2·t0]`;
+//!
+//!    every candidate overlapping `q` in time then goes through the exact
+//!    pairwise test;
+//! 3. for a moving `q`, window-scans the waiters by start time: `q` passes
+//!    cell `x` once, at `t0 + |x − s0|`, and a waiter at `x` collides
+//!    exactly when it covers that instant.
 //!
 //! Compared to [`NaiveStore`](crate::store::NaiveStore)'s `O(2 log n + n)`,
-//! this reduces the same-slope work from linear to near-constant; Fig. 22(b)
-//! measures the effect end-to-end.
+//! steps 1–2 cost `O(log m + r)` with `r` the entries in the key range,
+//! which the rotation keeps small because the projected time component
+//! makes keys almost unique (§V-D remarks); Fig. 22(b) measures the effect
+//! end-to-end.
 
 use crate::intersect::{earliest_collision, CollisionKind, SegCollision};
 use crate::segment::Segment;
@@ -34,50 +50,132 @@ use crate::store::{SegmentId, SegmentStore};
 use carp_warehouse::memory;
 use carp_warehouse::types::Time;
 
-/// One slope class: the time-ordered array (for unparallel queries) plus
-/// the key-ordered array (for parallel queries).
+/// The `M_k` key range of slope class `class` that holds every stored
+/// segment the query `q` can meet during its span, or `None` for a moving
+/// query against the waiting class, which is window-scanned instead (see
+/// the module docs for the derivation).
 ///
-/// `by_key` holds only `(key, t0, t1)`: two segments with the same key lie
-/// on the same space-time line, so they collide **iff** their time spans
-/// overlap, with the vertex conflict starting at the first shared instant.
+/// This is a superset: every collision of `q` with a segment of `class`
+/// involves a segment whose [`Segment::index_key`] lies in the range,
+/// but not every segment in the range collides.
+pub fn key_range(q: &Segment, class: i8) -> Option<(i64, i64)> {
+    let (t0, t1) = (i64::from(q.t0), i64::from(q.t1));
+    let k = q.index_key();
+    match (q.slope(), class) {
+        (own, class) if own == class => Some((k, k)),
+        (0, 1) => Some((k - t1, k - t0)),
+        (0, -1) => Some((k + t0, k + t1)),
+        (1, -1) => Some((k + 2 * t0, k + 2 * t1)),
+        (-1, 1) => Some((k - 2 * t1, k - 2 * t0)),
+        _ => None,
+    }
+}
+
+/// One `M_k` entry: `(key, t0, t1, id)`. Two segments with the same key
+/// lie on the same space-time line, so they collide **iff** their time
+/// spans overlap, with the vertex conflict starting at the first shared
+/// instant.
+type LineEntry = (i64, Time, Time, SegmentId);
+
+/// The `M_k` entry of segment `seg` stored under `id`.
+fn line_entry(id: SegmentId, seg: &Segment) -> LineEntry {
+    (seg.index_key(), seg.t0, seg.t1, id)
+}
+
+/// The rotated-coordinate array `M_k` of one slope class, in
+/// `(key, t0, t1, id)` order.
 #[derive(Debug, Default, Clone)]
-struct SlopeClass {
-    /// Segments in `(t0, id)` order — the `S_k` of Algorithm 3.
+struct Lines(Vec<LineEntry>);
+
+impl Lines {
+    fn insert(&mut self, entry: LineEntry) {
+        let at = self.0.partition_point(|e| *e < entry);
+        self.0.insert(at, entry);
+    }
+
+    fn remove(&mut self, entry: LineEntry) -> bool {
+        let Ok(at) = self.0.binary_search(&entry) else {
+            return false;
+        };
+        self.0.remove(at);
+        true
+    }
+
+    /// The entries with keys in `[lo, hi]`, in `(key, t0, t1, id)` order.
+    /// A range holds few entries, so its end is found by walking, not by
+    /// a second binary search.
+    fn range(&self, lo: i64, hi: i64) -> impl Iterator<Item = &LineEntry> {
+        let from = self.0.partition_point(|e| e.0 < lo);
+        self.0[from..].iter().take_while(move |e| e.0 <= hi)
+    }
+
+    /// Earliest collision with segments *parallel* to `seg` (this class):
+    /// only the same-key line can collide; any time overlap there is a
+    /// vertex conflict starting at the first shared instant. The line is
+    /// in start-time order, so the first overlapping span is the earliest.
+    fn parallel_collision(&self, seg: &Segment) -> Option<SegCollision> {
+        let key = seg.index_key();
+        self.range(key, key)
+            .take_while(|e| e.1 <= seg.t1)
+            .find(|e| e.2 >= seg.t0)
+            .map(|e| vertex(seg.t0.max(e.1)))
+    }
+
+    /// The instants in `[t0, t1]` at which the movers of this class, of
+    /// slope `slope`, occupy cell `s`: a mover crosses `s` once, at
+    /// `s − b` (slope `+1`) or `c − s` (slope `−1`), and only if that
+    /// instant lies in its span. The key range puts the instant in
+    /// `[t0, t1]`.
+    fn crossings_at(
+        &self,
+        slope: i8,
+        t0: Time,
+        t1: Time,
+        s: i32,
+    ) -> impl Iterator<Item = Time> + '_ {
+        let (lo, hi) = key_range(&Segment::wait(t0, t1, s), slope).expect("a moving class");
+        let s = i64::from(s);
+        self.range(lo, hi).filter_map(move |&(key, m0, m1, _)| {
+            let t = (if slope == 1 { s - key } else { key - s }) as Time;
+            (m0 <= t && t <= m1).then_some(t)
+        })
+    }
+
+    fn memory_bytes(&self) -> usize {
+        memory::vec_bytes(&self.0)
+    }
+}
+
+/// The waiting class: `M_0` plus `S_0`, the segments in `(t0, id)` order
+/// that a moving query window-scans.
+#[derive(Debug, Default, Clone)]
+struct WaitClass {
+    lines: Lines,
+    /// Segments in `(t0, id)` order — the `S_0` of Algorithm 3.
     by_start: Vec<(SegmentId, Segment)>,
-    /// Spans in `(key, t0, t1)` order — the `M_k` of Algorithm 3.
-    by_key: Vec<(i64, Time, Time)>,
-    /// High-water mark of segment durations, bounding the overlap window.
+    /// High-water mark of waiter durations, bounding the overlap window.
     max_duration: Time,
 }
 
-impl SlopeClass {
+impl WaitClass {
     fn insert(&mut self, id: SegmentId, seg: Segment) {
         self.max_duration = self.max_duration.max(seg.duration());
         let at = self
             .by_start
             .partition_point(|&(i, s)| (s.t0, i) < (seg.t0, id));
         self.by_start.insert(at, (id, seg));
-        let entry = (seg.index_key(), seg.t0, seg.t1);
-        let at = self.by_key.partition_point(|&e| e < entry);
-        self.by_key.insert(at, entry);
+        self.lines.insert(line_entry(id, &seg));
     }
 
-    /// Remove the segment stored under `(t0, id)`. Its `by_key` entry is
-    /// taken from the stored segment, so the two arrays stay in step.
-    fn remove(&mut self, id: SegmentId, t0: Time) -> bool {
-        let Ok(at) = self
-            .by_start
-            .binary_search_by(|&(i, s)| (s.t0, i).cmp(&(t0, id)))
-        else {
+    fn remove(&mut self, id: SegmentId, seg: &Segment) -> bool {
+        if !self.lines.remove(line_entry(id, seg)) {
             return false;
-        };
-        let (_, seg) = self.by_start.remove(at);
-        let entry = (seg.index_key(), seg.t0, seg.t1);
+        }
         let at = self
-            .by_key
-            .binary_search(&entry)
-            .expect("every stored segment has its key entry");
-        self.by_key.remove(at);
+            .by_start
+            .binary_search_by(|&(i, s)| (s.t0, i).cmp(&(seg.t0, id)))
+            .expect("every key entry has its start entry");
+        self.by_start.remove(at);
         true
     }
 
@@ -91,64 +189,45 @@ impl SlopeClass {
             .unwrap_or(0);
     }
 
-    /// The `by_key` entries of the line with rotated coordinate `key`, in
-    /// `(t0, t1)` order.
-    fn line(&self, key: i64) -> &[(i64, Time, Time)] {
-        let from = self.by_key.partition_point(|&(k, _, _)| k < key);
-        let len = self.by_key[from..].partition_point(|&(k, _, _)| k == key);
-        &self.by_key[from..from + len]
-    }
-
-    /// The stored segments whose start time lies in `[lo, hi]`, in
-    /// `(t0, id)` order.
-    fn starting_in(&self, lo: Time, hi: Time) -> impl Iterator<Item = &Segment> {
-        let from = self.by_start.partition_point(|(_, s)| s.t0 < lo);
-        self.by_start[from..]
-            .iter()
-            .map(|(_, s)| s)
-            .take_while(move |s| s.t0 <= hi)
-    }
-
-    /// Earliest collision with segments *parallel* to `seg` (same class):
-    /// only the same-key line can collide; any time overlap there is a
-    /// vertex conflict starting at the first shared instant. The line is
-    /// in start-time order, so the first overlapping span is the earliest.
-    fn parallel_collision(&self, seg: &Segment) -> Option<SegCollision> {
-        self.line(seg.index_key())
-            .iter()
-            .take_while(|&&(_, t0, _)| t0 <= seg.t1)
-            .find(|&&(_, _, t1)| t1 >= seg.t0)
-            .map(|&(_, t0, _)| SegCollision {
-                time: seg.t0.max(t0),
-                kind: CollisionKind::Vertex,
-            })
-    }
-
-    /// Earliest collision with segments in this class for a query of a
-    /// *different* slope, or `best` when none is earlier: binary search by
-    /// time overlap, judge one by one. A collision with a segment happens no
-    /// earlier than its start, so the scan stops at start times past
-    /// `best`.
-    fn unparallel_collision(
+    /// Earliest collision of the *moving* `seg` with a waiter, or `best`
+    /// when none is earlier. `seg` passes cell `x` once, at
+    /// `t0 + |x − s0|`, and a waiter at `x` collides exactly when it covers
+    /// that instant. A collision happens no earlier than the waiter's
+    /// start, so the start-time scan stops past `best`.
+    fn mover_collision(
         &self,
         seg: &Segment,
         mut best: Option<SegCollision>,
     ) -> Option<SegCollision> {
-        let lo = seg.t0.saturating_sub(self.max_duration);
-        for other in self.starting_in(lo, seg.t1) {
-            if best.is_some_and(|b| other.t0 > b.time) {
+        let (lo_s, hi_s) = (seg.s_min(), seg.s_max());
+        let from = self
+            .by_start
+            .partition_point(|(_, s)| s.t0 < seg.t0.saturating_sub(self.max_duration));
+        for (_, w) in &self.by_start[from..] {
+            if w.t0 > seg.t1 || best.is_some_and(|b| w.t0 > b.time) {
                 break;
             }
-            if other.t1 < seg.t0 {
+            if w.s0 < lo_s || w.s0 > hi_s {
                 continue;
             }
-            best = SegCollision::min_opt(best, earliest_collision(seg, other));
+            let t = seg.t0 + w.s0.abs_diff(seg.s0);
+            if w.t0 <= t && t <= w.t1 {
+                best = SegCollision::min_opt(best, Some(vertex(t)));
+            }
         }
         best
     }
 
     fn memory_bytes(&self) -> usize {
-        memory::vec_bytes(&self.by_start) + memory::vec_bytes(&self.by_key)
+        self.lines.memory_bytes() + memory::vec_bytes(&self.by_start)
+    }
+}
+
+/// A vertex collision at `time`.
+fn vertex(time: Time) -> SegCollision {
+    SegCollision {
+        time,
+        kind: CollisionKind::Vertex,
     }
 }
 
@@ -196,8 +275,12 @@ impl Spans {
 /// Slope-indexed segment store (Algorithm 3).
 #[derive(Debug, Default, Clone)]
 pub struct SlopeIndexStore {
-    /// Classes for slopes −1, 0, 1 at indices 0, 1, 2.
-    classes: [SlopeClass; 3],
+    /// Slope 0.
+    waiters: WaitClass,
+    /// Slope +1, keyed by `b = s0 − t0`.
+    rising: Lines,
+    /// Slope −1, keyed by `c = s0 + t0`.
+    falling: Lines,
     next_id: SegmentId,
     len: usize,
 }
@@ -208,9 +291,14 @@ impl SlopeIndexStore {
         Self::default()
     }
 
+    /// The `M_k` of moving class `slope` (±1).
     #[inline]
-    fn class_of(slope: i8) -> usize {
-        (slope + 1) as usize
+    fn movers(&self, slope: i8) -> &Lines {
+        if slope > 0 {
+            &self.rising
+        } else {
+            &self.falling
+        }
     }
 }
 
@@ -219,62 +307,84 @@ impl SegmentStore for SlopeIndexStore {
         debug_assert!(seg.validate(), "invalid segment {seg}");
         let id = self.next_id;
         self.next_id += 1;
-        self.classes[Self::class_of(seg.slope())].insert(id, seg);
+        match seg.slope() {
+            0 => self.waiters.insert(id, seg),
+            1 => self.rising.insert(line_entry(id, &seg)),
+            _ => self.falling.insert(line_entry(id, &seg)),
+        }
         self.len += 1;
         id
     }
 
+    /// Removes the `(id, segment)` pair; the entry is found by its key, so
+    /// a segment that differs from the stored one is unknown.
     fn remove(&mut self, id: SegmentId, seg: &Segment) -> bool {
-        let removed = self.classes[Self::class_of(seg.slope())].remove(id, seg.t0);
+        let removed = match seg.slope() {
+            0 => self.waiters.remove(id, seg),
+            1 => self.rising.remove(line_entry(id, seg)),
+            _ => self.falling.remove(line_entry(id, seg)),
+        };
         if removed {
             self.len -= 1;
         }
         removed
     }
 
-    /// Removes one by one, then re-tightens the duration high-water mark
-    /// of every class that lost a segment — the batch bookkeeping single
-    /// `remove` cannot afford.
+    /// Removes one by one, then re-tightens the waiters' duration
+    /// high-water mark when the batch removed a waiter — the batch
+    /// bookkeeping single `remove` cannot afford.
     fn remove_batch(&mut self, removals: &[(SegmentId, Segment)]) -> usize {
-        let mut touched = [false; 3];
         let mut removed = 0usize;
+        let mut waiter_gone = false;
         for (id, seg) in removals {
-            let c = Self::class_of(seg.slope());
-            if self.classes[c].remove(*id, seg.t0) {
-                touched[c] = true;
+            if self.remove(*id, seg) {
                 removed += 1;
+                waiter_gone |= seg.slope() == 0;
             }
         }
-        for (class, touched) in self.classes.iter_mut().zip(touched) {
-            if touched {
-                class.retighten();
-            }
+        if waiter_gone {
+            self.waiters.retighten();
         }
-        self.len -= removed;
         removed
     }
 
     fn earliest_collision(&self, seg: &Segment) -> Option<SegCollision> {
-        let own = Self::class_of(seg.slope());
-        let mut best = self.classes[own].parallel_collision(seg);
-        for (i, class) in self.classes.iter().enumerate() {
-            if i != own {
-                best = class.unparallel_collision(seg, best);
+        match seg.slope() {
+            0 => {
+                let best = self.waiters.lines.parallel_collision(seg);
+                let crossing = [1, -1]
+                    .into_iter()
+                    .flat_map(|k| self.movers(k).crossings_at(k, seg.t0, seg.t1, seg.s0))
+                    .min();
+                SegCollision::min_opt(best, crossing.map(vertex))
+            }
+            k => {
+                let mut best = self.movers(k).parallel_collision(seg);
+                let (lo, hi) = key_range(seg, -k).expect("opposite moving class");
+                for &(key, t0, t1, _) in self.movers(-k).range(lo, hi) {
+                    if t1 < seg.t0 || t0 > seg.t1 || best.is_some_and(|b| t0 > b.time) {
+                        continue;
+                    }
+                    let other = mover(-k, key, t0, t1);
+                    best = SegCollision::min_opt(best, earliest_collision(seg, &other));
+                }
+                self.waiters.mover_collision(seg, best)
             }
         }
-        best
     }
 
     /// Single-pass override exploiting the slope partition: the waiters
     /// that can block `(·, s)` all lie on the slope-0 line keyed by `s`
-    /// itself (their [`Segment::index_key`] is the spatial coordinate), so
-    /// that class needs one equal-range scan instead of a window scan. The
-    /// two moving classes are window-scanned for their single-instant
-    /// crossings of coordinate `s`, then one sweep finds the first
-    /// uncovered instant.
+    /// itself, and the movers that cross `s` inside the window lie in one
+    /// key range per moving class ([`key_range`] of the window as a wait
+    /// at `s`). Then one sweep finds the first uncovered instant.
     fn earliest_free_point(&self, t0: Time, t1: Time, s: i32) -> Option<Time> {
+        if t0 > t1 {
+            return None;
+        }
         let mut blocked = Spans::new();
-        for &(_, b0, b1) in self.classes[Self::class_of(0)].line(s as i64) {
+        let key = i64::from(s);
+        for &(_, b0, b1, _) in self.waiters.lines.range(key, key) {
             if b0 > t1 {
                 break;
             }
@@ -282,18 +392,9 @@ impl SegmentStore for SlopeIndexStore {
                 blocked.push((b0.max(t0), b1.min(t1)));
             }
         }
-        for slope in [-1i8, 1] {
-            let class = &self.classes[Self::class_of(slope)];
-            let lo = t0.saturating_sub(class.max_duration);
-            for other in class.starting_in(lo, t1) {
-                if other.t1 < t0 {
-                    continue;
-                }
-                if let Some((b0, b1)) = other.occupancy_span_at(s) {
-                    if b1 >= t0 && b0 <= t1 {
-                        blocked.push((b0.max(t0), b1.min(t1)));
-                    }
-                }
+        for k in [-1i8, 1] {
+            for t in self.movers(k).crossings_at(k, t0, t1, s) {
+                blocked.push((t, t));
             }
         }
         crate::store::earliest_uncovered(blocked.as_mut_slice(), t0, t1)
@@ -304,20 +405,41 @@ impl SegmentStore for SlopeIndexStore {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.classes.iter().map(|c| c.memory_bytes()).sum::<usize>() + core::mem::size_of::<Self>()
+        self.waiters.memory_bytes()
+            + self.rising.memory_bytes()
+            + self.falling.memory_bytes()
+            + core::mem::size_of::<Self>()
     }
 
     fn snapshot(&self) -> Vec<Segment> {
+        let movers = [1i8, -1].into_iter().flat_map(|k| {
+            self.movers(k)
+                .0
+                .iter()
+                .map(move |&(key, t0, t1, _)| mover(k, key, t0, t1))
+        });
         let mut out: Vec<Segment> = self
-            .classes
+            .waiters
+            .by_start
             .iter()
-            .flat_map(|c| c.by_start.iter().map(|&(_, s)| s))
+            .map(|&(_, s)| s)
+            .chain(movers)
             .collect();
         out.sort();
         out
     }
 }
 
+/// The slope-`k` (±1) segment on line `key` over `[t0, t1]`.
+fn mover(k: i8, key: i64, t0: Time, t1: Time) -> Segment {
+    let at = |t: Time| (key + i64::from(k) * i64::from(t)) as i32;
+    Segment {
+        t0,
+        t1,
+        s0: at(t0),
+        s1: at(t1),
+    }
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,7 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_clears_both_arrays() {
+    fn remove_clears_every_array() {
         let mut idx = SlopeIndexStore::new();
         let seg = Segment::travel(3, 1, 6);
         let id = idx.insert(seg);
@@ -384,9 +506,17 @@ mod tests {
         assert!(idx.remove(id, &seg));
         assert_eq!(idx.len(), 0);
         assert_eq!(idx.earliest_collision(&Segment::travel(3, 6, 1)), None);
-        // Neither array keeps an entry for the removed segment.
-        assert!(idx.classes[2].by_start.is_empty());
-        assert!(idx.classes[2].by_key.is_empty());
+        // No class keeps an entry for the removed segment.
+        assert!(idx.rising.0.is_empty());
+        let wait = Segment::wait(2, 4, 5);
+        let id = idx.insert(wait);
+        assert!(
+            !idx.remove(id, &Segment::wait(2, 5, 5)),
+            "a different span is unknown"
+        );
+        assert!(idx.remove(id, &wait));
+        assert!(idx.waiters.by_start.is_empty());
+        assert!(idx.waiters.lines.0.is_empty());
     }
 
     #[test]
@@ -441,6 +571,63 @@ mod tests {
         assert_eq!(idx.earliest_free_point(0, 70, 7), Some(50));
         assert_eq!(naive.earliest_free_point(0, 70, 7), Some(50));
         assert_eq!(idx.earliest_free_point(0, 49, 7), None);
+    }
+
+    /// Crafted mover cases at the edges of the key ranges — points,
+    /// negative keys, swaps on the first and on the last half-step of the
+    /// overlap, spans that only touch — answered as the naive store
+    /// answers them.
+    #[test]
+    fn key_range_edges_match_naive_store() {
+        let stored = [
+            Segment::travel(10, 0, 6), // rising, key −10, span [10, 16]
+            Segment::travel(28, 0, 4), // rising, key −28
+            Segment::travel(0, 9, 5),  // falling, key 9, span [0, 4]
+            Segment::point(13, 11),
+            Segment::wait(20, 24, 2),
+        ];
+        let mut idx = SlopeIndexStore::new();
+        let mut naive = NaiveStore::new();
+        for seg in stored {
+            idx.insert(seg);
+            naive.insert(seg);
+        }
+        let swap = |time| {
+            Some(SegCollision {
+                time,
+                kind: CollisionKind::Swap,
+            })
+        };
+        let cases = [
+            // Swap on the first half-step of the overlap [10, 11].
+            (Segment::travel(10, 1, 0), swap(10)),
+            // Swap on the last half-step of the overlap [12, 16].
+            (Segment::travel(12, 9, 5), swap(15)),
+            // Touching the rising mover's last instant, then just after.
+            (Segment::wait(16, 20, 6), Some(vertex(16))),
+            (Segment::wait(17, 19, 6), None),
+            // Points on and next to a mover and on a point waiter.
+            (Segment::point(13, 3), Some(vertex(13))),
+            (Segment::point(13, 4), None),
+            (Segment::point(13, 11), Some(vertex(13))),
+            // A falling query whose key range ends at the stored key −28.
+            (Segment::travel(30, 2, 0), Some(vertex(30))),
+            // A rising query meeting the falling mover at its first instant.
+            (Segment::travel(0, 9, 12), Some(vertex(0))),
+            // A rising query touching a waiter's last instant.
+            (Segment::travel(20, -2, 2), Some(vertex(24))),
+        ];
+        for (q, expected) in cases {
+            assert_eq!(idx.earliest_collision(&q), expected, "query {q}");
+            assert_eq!(naive.earliest_collision(&q), expected, "query {q}");
+        }
+        for (t0, t1, s) in [(13, 13, 3), (12, 16, 3), (0, 4, 9), (4, 8, 5), (30, 31, 2)] {
+            assert_eq!(
+                idx.earliest_free_point(t0, t1, s),
+                naive.earliest_free_point(t0, t1, s),
+                "window [{t0}, {t1}] at {s}"
+            );
+        }
     }
 
     #[test]

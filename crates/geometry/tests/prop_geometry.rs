@@ -1,6 +1,7 @@
 //! Property-based tests pinning the segment geometry to the discrete
 //! ground truth of Definition 3.
 
+use carp_geometry::index::key_range;
 use carp_geometry::{
     collide_paper, earliest_collision, earliest_collision_reference, CollisionKind, NaiveStore,
     SegCollision, Segment, SegmentId, SegmentStore, SlopeIndexStore,
@@ -251,6 +252,89 @@ proptest! {
             prop_assert_eq!(a, index.snapshot());
         }
     }
+}
+
+proptest! {
+    /// The key ranges the slope index reads are supersets: whenever a
+    /// query collides with a stored segment, the stored segment's key lies
+    /// in the range [`key_range`] computes for the query against its class
+    /// (or the class is the waiters, window-scanned for a moving query);
+    /// and every mover that occupies cell `x` inside a free-point window
+    /// lies in the window's range. Pairs cover every slope pairing,
+    /// points, negative keys and touching spans, plus crafted swaps on
+    /// the first and on the last half-step of the overlap.
+    #[test]
+    fn key_ranges_cover_every_collision(
+        q in arb_dense_segment(),
+        other in arb_dense_segment(),
+        swap in arb_swap_pair(),
+        at in (0u32..48, 0u32..12, -1i32..13),
+    ) {
+        let ((a, b), (w0, span, x)) = (swap, at);
+        prop_assert_eq!(
+            earliest_collision(&a, &b).map(|c| c.kind),
+            Some(CollisionKind::Swap),
+            "crafted pair {} / {}", a, b
+        );
+        for (q, s) in [(q, other), (other, q), (a, b), (b, a)] {
+            if earliest_collision(&q, &s).is_some() {
+                match key_range(&q, s.slope()) {
+                    Some((lo, hi)) => prop_assert!(
+                        (lo..=hi).contains(&s.index_key()),
+                        "{} collides with {} outside [{}, {}]", q, s, lo, hi
+                    ),
+                    None => prop_assert!(q.slope() != 0 && s.slope() == 0),
+                }
+            }
+        }
+        let window = Segment::wait(w0, w0 + span, x);
+        for s in [q, other, a, b] {
+            let Some((t, _)) = s.occupancy_span_at(x) else { continue };
+            if s.slope() != 0 && window.time_overlaps(t, t) {
+                let (lo, hi) = key_range(&window, s.slope()).expect("moving class");
+                prop_assert!((lo..=hi).contains(&s.index_key()), "{} at {} in {}", s, x, window);
+            }
+        }
+        // Store level: the same segments answer as the naive store does.
+        let mut naive = NaiveStore::new();
+        let mut index = SlopeIndexStore::new();
+        for s in [other, a, b] {
+            naive.insert(s);
+            index.insert(s);
+        }
+        for q in [q, a, b, window] {
+            prop_assert_eq!(index.earliest_collision(&q), naive.earliest_collision(&q), "query {}", q);
+        }
+        prop_assert_eq!(
+            index.earliest_free_point(w0, w0 + span, x),
+            naive.earliest_free_point(w0, w0 + span, x)
+        );
+    }
+}
+
+/// A rising and a falling segment that swap between `t + j` and
+/// `t + j + 1`, with `j` the first or the last half-step of the rising
+/// segment (or one in between), and the falling segment reaching up to
+/// two steps past either end of the swap.
+fn arb_swap_pair() -> impl Strategy<Value = (Segment, Segment)> {
+    (
+        (0u32..40, -4i32..12, 1u32..8),
+        (0usize..3, 0u32..8),
+        (0u32..3, 0u32..3),
+    )
+        .prop_map(|((t, s, len), (at, mid), (before, after))| {
+            let j = match at {
+                0 => 0,
+                1 => len - 1,
+                _ => mid % len,
+            };
+            let rising = Segment::travel(t, s, s + len as i32);
+            // The falling segment is at s + j + 1 at t + j, at s + j at t + j + 1.
+            let start = (t + j).saturating_sub(before);
+            let pos = s + j as i32 + 1 + (t + j - start) as i32;
+            let falling = Segment::travel(start, pos, pos - (t + j - start + 1 + after) as i32);
+            (rising, falling)
+        })
 }
 
 /// First id the interleaving test treats as never issued.

@@ -1,58 +1,25 @@
 //! Fixed-bucket latency histogram.
 //!
 //! The service records every planning latency into a histogram with a
-//! fixed 1–2–5 bucket ladder (microseconds, spanning 1 µs to 60 s), so
-//! percentile queries cost one pass over ~35 counters, recording is one
-//! branchless-ish binary search + increment, and the memory footprint is
-//! constant no matter how many requests flow through. Percentiles are
-//! reported as the upper bound of the bucket where the cumulative count
-//! crosses the rank, clamped to the largest recorded sample — a
-//! deterministic, slightly pessimistic estimate whose error is bounded by
-//! the bucket ratio (≤ 2.5×), plenty for p50/p95/p99 trend tracking across
-//! runs, and never outside the recorded `[min, max]`.
+//! fixed 1–2–5 bucket ladder (microseconds, spanning 1 µs to 50 s, plus
+//! an overflow bucket above 50 s), so percentile queries cost one pass over
+//! 25 counters, recording is one branchless-ish binary search + increment,
+//! and the memory footprint is constant no matter how many requests flow
+//! through. Percentiles are reported as the upper bound of the bucket where
+//! the cumulative count crosses the rank, clamped to the largest recorded
+//! sample — a deterministic, slightly pessimistic estimate whose error is
+//! bounded by the bucket ratio (≤ 2.5×), plenty for p50/p95/p99 trend
+//! tracking across runs, and never outside the recorded `[min, max]`.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Upper bounds of the fixed buckets, in microseconds: a 1–2–5 ladder from
-/// 1 µs to 60 s. Latencies above the last bound land in an overflow bucket
-/// reported as `u64::MAX`'s bound — i.e. the 60 s cap.
-const BOUNDS_US: [u64; 35] = [
-    1,
-    2,
-    5,
-    10,
-    20,
-    50,
-    100,
-    200,
-    500,
-    1_000,
-    2_000,
-    5_000,
-    10_000,
-    20_000,
-    50_000,
-    100_000,
-    200_000,
-    500_000,
-    1_000_000,
-    2_000_000,
-    5_000_000,
-    10_000_000,
-    20_000_000,
-    50_000_000,
-    60_000_000,
-    100_000_000,
-    200_000_000,
-    500_000_000,
-    1_000_000_000,
-    2_000_000_000,
-    5_000_000_000,
-    10_000_000_000,
-    20_000_000_000,
-    50_000_000_000,
-    60_000_000_000,
+/// 1 µs to 50 s. Latencies above the last bound land in an overflow bucket,
+/// whose percentile is reported as the largest recorded sample.
+const BOUNDS_US: [u64; 24] = [
+    1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000,
+    200_000, 500_000, 1_000_000, 2_000_000, 5_000_000, 10_000_000, 20_000_000, 50_000_000,
 ];
 
 /// Fixed-bucket histogram of latencies in microseconds.
@@ -306,8 +273,16 @@ mod tests {
 
     #[test]
     fn bucket_bounds_are_sorted_and_unique() {
+        assert_eq!(BOUNDS_US[0], 1);
         for w in BOUNDS_US.windows(2) {
             assert!(w[0] < w[1]);
+            // A 1–2–5 ladder: every step is ×2 (1→2, 5→10) or ×2.5 (2→5).
+            assert!(
+                w[1] == 2 * w[0] || 2 * w[1] == 5 * w[0],
+                "{} → {} is not a 1–2–5 step",
+                w[0],
+                w[1]
+            );
         }
     }
 

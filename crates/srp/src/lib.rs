@@ -39,6 +39,7 @@
 pub mod convert;
 pub mod intra;
 mod lane_cursor;
+mod mul_hash;
 pub mod planner;
 pub mod strip_graph;
 

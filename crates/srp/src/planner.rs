@@ -18,6 +18,7 @@
 use crate::convert::{compose, decompose};
 use crate::intra::{plan_within, plan_within_cost, IntraConfig, IntraRoute};
 use crate::lane_cursor::{LaneCursor, LaneProbe};
+use crate::mul_hash::MulHasher;
 use crate::strip_graph::{EdgeGeom, StripEdge, StripGraph, StripId, StripKind};
 use carp_geometry::engine::{ShardKey, StoreEngine};
 use carp_geometry::store::{SegmentId, SegmentStore};
@@ -31,6 +32,7 @@ use carp_warehouse::route::Route;
 use carp_warehouse::types::{Cell, Time};
 use core::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 use std::time::Instant;
 
 /// Configuration of the SRP planner.
@@ -105,7 +107,8 @@ pub struct SrpStats {
     pub intra_calls: usize,
     /// Nanoseconds in inter-strip search bookkeeping (when instrumented).
     pub inter_ns: u64,
-    /// Nanoseconds in intra-strip planning + collision queries.
+    /// Nanoseconds in intra-strip planning + collision queries, including
+    /// the boundary-crossing scan that prices each strip edge's departure.
     pub intra_ns: u64,
     /// Nanoseconds converting between strip and grid representations.
     pub convert_ns: u64,
@@ -211,7 +214,36 @@ impl ParentLite {
 /// edge entries carry the edge's adjacency index, and each `(strip, edge)`
 /// is pushed at most once per search — so the pop order is a total order
 /// over entries, independent of the heap's internal layout.
-type SearchKey = (Time, Reverse<Time>, StripId, u32);
+///
+/// The four 32-bit fields are packed into one `u128`, most significant
+/// first, with `g` stored as `!g`: comparing the integers compares the
+/// tuples lexicographically, as one integer comparison instead of four
+/// field comparisons.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct SearchKey(u128);
+
+impl SearchKey {
+    #[inline]
+    fn new(f: Time, g: Time, strip: StripId, edge: u32) -> Self {
+        SearchKey(
+            u128::from(f) << 96 | u128::from(!g) << 64 | u128::from(strip) << 32 | u128::from(edge),
+        )
+    }
+
+    /// `(g, strip, edge)`.
+    #[inline]
+    fn entry(self) -> (Time, StripId, u32) {
+        (
+            !(self.0 >> 64) as Time,
+            (self.0 >> 32) as StripId,
+            self.0 as u32,
+        )
+    }
+}
+
+/// The boundary-crossing set, hashed with [`MulHasher`]: it is asked on
+/// every priced edge and never iterated, so no hash order reaches a route.
+type CrossingSet = HashSet<(Cell, Cell, Time), BuildHasherDefault<MulHasher>>;
 
 /// Sentinel edge index marking a node (settle) entry.
 const NO_EDGE: u32 = u32::MAX;
@@ -342,7 +374,7 @@ pub struct SrpPlanner<S: SegmentStore = SlopeIndexStore> {
     /// The engine owning all per-strip segment stores.
     engine: StoreEngine<S>,
     /// Directed boundary motions of active routes.
-    crossings: HashSet<(Cell, Cell, Time)>,
+    crossings: CrossingSet,
     committed: HashMap<RequestId, Committed>,
     retire_queue: BTreeSet<(Time, RequestId)>,
     scratch: SearchScratch,
@@ -368,7 +400,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             matrix,
             graph,
             engine: StoreEngine::new(),
-            crossings: HashSet::new(),
+            crossings: CrossingSet::default(),
             committed: HashMap::new(),
             retire_queue: BTreeSet::new(),
             scratch: SearchScratch::default(),
@@ -544,7 +576,12 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         let mut heap = core::mem::take(&mut self.scratch.heap);
         self.scratch
             .relax(su as usize, start_t, o, ParentLite::NONE);
-        heap.push(Reverse((start_t + h(o), Reverse(start_t), su, NO_EDGE)));
+        heap.push(Reverse(SearchKey::new(
+            start_t + h(o),
+            start_t,
+            su,
+            NO_EDGE,
+        )));
         let sd_is_rack = self.graph.strip(sd).kind == StripKind::Rack;
         let ctx = ResolveCtx {
             su,
@@ -582,7 +619,8 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         let mut goal_edges_pending = 0usize;
         let mut pops: u64 = 0;
         let mut cancelled = false;
-        while let Some(Reverse((_, Reverse(at), u, edge_k))) = heap.pop() {
+        while let Some(Reverse(popped)) = heap.pop() {
+            let (at, u, edge_k) = popped.entry();
             if u == GOAL || (sd_is_rack && feeders_left == 0 && goal_edges_pending == 0) {
                 break;
             }
@@ -644,7 +682,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                         arrival + h(g_v)
                     };
                     let node = if v_is_goal_rack { GOAL } else { v };
-                    heap.push(Reverse((key, Reverse(arrival), node, NO_EDGE)));
+                    heap.push(Reverse(SearchKey::new(key, arrival, node, NO_EDGE)));
                 }
                 continue;
             }
@@ -676,7 +714,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                                 depart: total,
                             },
                         );
-                        heap.push(Reverse((total, Reverse(total), GOAL, NO_EDGE)));
+                        heap.push(Reverse(SearchKey::new(total, total, GOAL, NO_EDGE)));
                     }
                 }
                 // Never expand beyond the destination strip; the goal's
@@ -716,7 +754,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                 } else {
                     lb + h(g_v)
                 };
-                heap.push(Reverse((key, Reverse(lb), u, k)));
+                heap.push(Reverse(SearchKey::new(key, lb, u, k)));
             }
         }
         self.scratch.heap = heap;
@@ -822,7 +860,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         });
         self.scratch.cursors[lane as usize] = cursor;
         if let Some((key, lb, k)) = next {
-            heap.push(Reverse((key, Reverse(lb), u, k)));
+            heap.push(Reverse(SearchKey::new(key, lb, u, k)));
         }
     }
 
@@ -847,8 +885,16 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
 
     /// Find the earliest boundary departure `>= arrive` for the motion
     /// `g_u -> g_v` (cost phase: no leg materialization). A departure is
-    /// valid when nobody crosses the other way at that instant and the
-    /// entry point `(depart + 1, v_off)` of the next strip is free.
+    /// valid when nobody crosses the other way at that instant, the entry
+    /// point `(depart + 1, v_off)` of the next strip is free, and the robot
+    /// can wait at the transit cell until then.
+    ///
+    /// The wait check is lazy: the first departure passing the other two
+    /// tests over the full `max_entry_delay` window is the answer exactly
+    /// when waiting at `exit_off` over `[arrive, depart]` is collision-free,
+    /// so the transit cell is probed only when the departure waits, and
+    /// only over that span. Debug builds recompute the eager answer, which
+    /// first bounds the window by the transit cell's first collision.
     fn cross_cost(
         &mut self,
         u: StripId,
@@ -858,39 +904,53 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         g_v: Cell,
     ) -> Option<Time> {
         let started = self.now();
-        // Longest wait permissible at the transit cell.
-        let max_entry_delay = self.config.max_entry_delay;
-        let probe = Segment::wait(arrive, arrive + max_entry_delay, exit_off);
-        let wait_limit = match self.engine.shard(u).earliest_collision(&probe) {
-            Some(c) => {
-                debug_assert!(c.time > arrive, "transit cell reached collision-free");
-                (c.time - 1 - arrive).min(max_entry_delay)
-            }
-            None => max_entry_delay,
-        };
-        let v = self.graph.strip_of(&self.matrix, g_v);
-        let v_off = self.graph.strip(v).offset_of(g_v);
-        let store_v = self.engine.shard(v);
-        let deadline = arrive + wait_limit;
-        let mut depart = arrive;
-        let mut found = None;
-        while depart <= deadline {
-            // Earliest free entry instant in the next strip ≥ depart + 1; the
-            // single-pass store override replaces one point probe per delta.
-            let Some(entry) = store_v.earliest_free_point(depart + 1, deadline + 1, v_off) else {
-                break;
+        let found = self
+            .first_departure(arrive, arrive + self.config.max_entry_delay, g_u, g_v)
+            .filter(|&depart| {
+                depart == arrive
+                    || self
+                        .engine
+                        .shard(u)
+                        .earliest_collision(&Segment::wait(arrive, depart, exit_off))
+                        .is_none()
+            });
+        #[cfg(debug_assertions)]
+        {
+            let max_entry_delay = self.config.max_entry_delay;
+            let probe = Segment::wait(arrive, arrive + max_entry_delay, exit_off);
+            let wait_limit = match self.engine.shard(u).earliest_collision(&probe) {
+                Some(c) => {
+                    debug_assert!(c.time > arrive, "transit cell reached collision-free");
+                    (c.time - 1 - arrive).min(max_entry_delay)
+                }
+                None => max_entry_delay,
             };
-            let candidate = entry - 1;
-            // Cross-strip swap: someone crossing the other way at `candidate`.
-            if self.crossings.contains(&(g_v, g_u, candidate)) {
-                depart = candidate + 1;
-                continue;
-            }
-            found = Some(candidate);
-            break;
+            let eager = self.first_departure(arrive, arrive + wait_limit, g_u, g_v);
+            debug_assert_eq!(found, eager, "lazy and eager transit waits disagree");
         }
         self.lap(started, |s| &mut s.intra_ns);
         found
+    }
+
+    /// The earliest departure in `[arrive, deadline]` whose entry point in
+    /// `g_v`'s strip is free and that no one crosses the other way.
+    fn first_departure(&self, arrive: Time, deadline: Time, g_u: Cell, g_v: Cell) -> Option<Time> {
+        let v = self.graph.strip_of(&self.matrix, g_v);
+        let v_off = self.graph.strip(v).offset_of(g_v);
+        let store_v = self.engine.shard(v);
+        let mut depart = arrive;
+        while depart <= deadline {
+            // Earliest free entry instant in the next strip ≥ depart + 1; the
+            // single-pass store override replaces one point probe per delta.
+            let entry = store_v.earliest_free_point(depart + 1, deadline + 1, v_off)?;
+            let candidate = entry - 1;
+            // Cross-strip swap: someone crossing the other way at `candidate`.
+            if !self.crossings.contains(&(g_v, g_u, candidate)) {
+                return Some(candidate);
+            }
+            depart = candidate + 1;
+        }
+        None
     }
 
     /// Price one edge: intra-strip leg to the transit cell, then the
@@ -1049,7 +1109,7 @@ struct StoreView<'a, S: SegmentStore> {
     matrix: &'a WarehouseMatrix,
     graph: &'a StripGraph,
     engine: &'a StoreEngine<S>,
-    crossings: &'a HashSet<(Cell, Cell, Time)>,
+    crossings: &'a CrossingSet,
 }
 
 impl<S: SegmentStore + Default> StoreView<'_, S> {
@@ -1234,6 +1294,39 @@ mod tests {
     use carp_warehouse::layout::LayoutConfig;
     use carp_warehouse::request::QueryKind;
     use carp_warehouse::tasks::generate_requests;
+
+    /// The packed heap key orders exactly as the tuple
+    /// `(f, Reverse(g), strip, edge)` it replaces, field extremes included,
+    /// and hands back the fields it packed.
+    #[test]
+    fn search_key_packs_in_tuple_order() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let field = |rng: &mut StdRng| match rng.gen_range(0..4) {
+            0 => 0,
+            1 => u32::MAX,
+            _ => rng.gen_range(0..6u32),
+        };
+        let keys: Vec<(Time, Time, StripId, u32)> = (0..400)
+            .map(|_| {
+                (
+                    field(&mut rng),
+                    field(&mut rng),
+                    field(&mut rng),
+                    field(&mut rng),
+                )
+            })
+            .collect();
+        for a in &keys {
+            let packed = SearchKey::new(a.0, a.1, a.2, a.3);
+            assert_eq!(packed.entry(), (a.1, a.2, a.3));
+            for b in &keys {
+                let tuple = (a.0, Reverse(a.1), a.2, a.3).cmp(&(b.0, Reverse(b.1), b.2, b.3));
+                assert_eq!(packed.cmp(&SearchKey::new(b.0, b.1, b.2, b.3)), tuple);
+            }
+        }
+    }
 
     /// Under `shadow-store` the oracle reads the slope index and the naive
     /// store side by side, each query asserting they agree.
