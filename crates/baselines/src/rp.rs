@@ -65,7 +65,7 @@ pub struct RpPlanner {
     commitments: Commitments,
     config: RpConfig,
     /// Route revisions produced by joint replanning, delivered on the next
-    /// [`Planner::advance`] call.
+    /// [`Planner::advance`] call: at most one per id, the latest.
     pending_revisions: Vec<(RequestId, Route)>,
     /// Provenance of each active route: which code path committed it, and
     /// for CBS replans the full group of jointly replanned request ids.
@@ -208,7 +208,12 @@ impl RpPlanner {
             };
             self.commitments.commit(id, full.clone());
             self.provenance.insert(id, format!("{label} (revised)"));
-            self.pending_revisions.push((id, full));
+            // A batch carries one route per id: a later replan of the same
+            // robot before the next `advance` supersedes the queued one.
+            match self.pending_revisions.iter_mut().find(|(p, _)| *p == id) {
+                Some(queued) => queued.1 = full,
+                None => self.pending_revisions.push((id, full)),
+            }
         }
         Some(new_route)
     }
@@ -402,6 +407,47 @@ mod tests {
             );
         }
         assert_eq!(validate_routes(&[r0_final, r1]), None);
+    }
+
+    #[test]
+    fn same_time_replans_of_one_route_deliver_one_revision() {
+        // Robot 0 sweeps row 8 from t=0. At t=2 one request crosses its path
+        // and another comes head-on along the row: each joint replan revises
+        // robot 0's route, and the batch `advance` delivers must hold only
+        // the second revision, which is the route now committed.
+        let m = WarehouseMatrix::empty(16, 16);
+        let mut rp = RpPlanner::new(m, RpConfig::default());
+        let r0 = rp.plan(&Request::new(
+            0,
+            0,
+            Cell::new(8, 0),
+            Cell::new(8, 15),
+            QueryKind::Pickup,
+        ));
+        assert!(r0.route().is_some());
+        assert!(rp.advance(0).is_empty());
+        let reqs = [
+            Request::new(1, 2, Cell::new(4, 6), Cell::new(12, 6), QueryKind::Pickup),
+            Request::new(2, 2, Cell::new(8, 15), Cell::new(8, 2), QueryKind::Pickup),
+        ];
+        let mut routes: Vec<Route> = Vec::new();
+        for (req, group) in reqs.iter().zip(["[0,1]", "[0,2]"]) {
+            routes.push(rp.plan(req).route().cloned().expect("planned"));
+            let label = format!("cbs group {group} (revised)");
+            assert_eq!(
+                rp.provenance(0),
+                Some(label),
+                "request {} revises 0",
+                req.id
+            );
+        }
+        assert_eq!(rp.stats.replans, 2);
+        let revisions = rp.advance(2);
+        let ids: Vec<RequestId> = revisions.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [0], "one revision per id");
+        assert_eq!(Some(&revisions[0].1), rp.commitments.route(0));
+        routes.push(revisions[0].1.clone());
+        assert_eq!(validate_routes(&routes), None);
     }
 
     #[test]

@@ -248,6 +248,11 @@ type CrossingSet = HashSet<(Cell, Cell, Time), BuildHasherDefault<MulHasher>>;
 /// Sentinel edge index marking a node (settle) entry.
 const NO_EDGE: u32 = u32::MAX;
 
+/// Settles of one search before its first dead-region check; later checks
+/// come after twice as many settles as the one before. The cut is exact, so
+/// this only trades the cost of a check against the settles it saves.
+const CUT_FIRST_CHECK: usize = 256;
+
 /// Request-fixed context for resolving strip edges during one search.
 #[derive(Clone, Copy)]
 struct ResolveCtx {
@@ -305,21 +310,34 @@ struct SearchScratch {
     cursors: Vec<LaneCursor>,
     /// The Phase-1 heap, kept between searches for its allocation.
     heap: BinaryHeap<Reverse<SearchKey>>,
+    /// Per flat edge slot: stamped when the edge is consumed — popped from
+    /// the heap, or refused by `resolve_edge` when its strip settles.
+    consumed: Vec<u32>,
+    /// Per strip: stamped with `walk_gen` when a dead-region walk adds it.
+    region: Vec<u32>,
+    walk_gen: u32,
+    /// The dead-region walk's stack, kept for its allocation.
+    walk: Vec<StripId>,
 }
 
 impl SearchScratch {
-    /// Start a search over `n` nodes and `lanes` lanes. The arrays grow on
-    /// the first search, not when the planner is built.
-    fn begin(&mut self, n: usize, lanes: usize) {
+    /// Start a search over `n` nodes, `lanes` lanes and `slots` directed
+    /// edges. The arrays grow on the first search, not when the planner is
+    /// built.
+    fn begin(&mut self, n: usize, lanes: usize, slots: usize) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
             self.settled_stamp.resize(n, 0);
             self.dist_v.resize(n, 0);
             self.entry.resize(n, Cell::new(0, 0));
             self.parent.resize(n, ParentLite::NONE);
+            self.region.resize(n, 0);
         }
         if self.cursors.len() < lanes {
             self.cursors.resize(lanes, LaneCursor::default());
+        }
+        if self.consumed.len() < slots {
+            self.consumed.resize(slots, 0);
         }
         self.heap.clear();
         self.gen = self.gen.wrapping_add(1);
@@ -327,6 +345,7 @@ impl SearchScratch {
             // Extremely rare wrap: hard-reset the stamps.
             self.stamp.fill(0);
             self.settled_stamp.fill(0);
+            self.consumed.fill(0);
             self.gen = 1;
         }
     }
@@ -354,6 +373,63 @@ impl SearchScratch {
         self.settled_stamp[i] = self.gen;
     }
 
+    #[inline]
+    fn consume(&mut self, slot: usize) {
+        self.consumed[slot] = self.gen;
+    }
+
+    /// Whether no pop of this search can label any unsettled strip of
+    /// `targets`, which are not rack strips. None of them may have a label.
+    /// Then walk backwards from them over in-edges `u → y`, adding each
+    /// unsettled, unlabeled aisle strip `u` to the region, and give up at
+    /// the first *live* in-edge: from a settled strip that has not consumed
+    /// it, or from a labeled strip that has yet to settle. In-edges from
+    /// rack strips are skipped: only the origin's rack strip is ever
+    /// labeled, and it is labeled from the start. With no live in-edge, no
+    /// strip of the region can be labeled first, so none ever is.
+    fn region_is_dead(&mut self, graph: &StripGraph, targets: &[StripId]) -> bool {
+        self.walk_gen = self.walk_gen.wrapping_add(1);
+        if self.walk_gen == 0 {
+            self.region.fill(0);
+            self.walk_gen = 1;
+        }
+        self.walk.clear();
+        for &y in targets {
+            if self.settled(y as usize) {
+                continue;
+            }
+            if self.dist(y as usize).is_some() {
+                return false;
+            }
+            self.region[y as usize] = self.walk_gen;
+            self.walk.push(y);
+        }
+        while let Some(y) = self.walk.pop() {
+            for e in graph.edges(y) {
+                let ui = e.to as usize;
+                if self.settled(ui) {
+                    if self.consumed[graph.in_edge_slot(y, e)] != self.gen {
+                        return false;
+                    }
+                } else if self.dist(ui).is_some() {
+                    return false;
+                } else if graph.strip(e.to).kind == StripKind::Aisle
+                    && self.region[ui] != self.walk_gen
+                {
+                    self.region[ui] = self.walk_gen;
+                    self.walk.push(e.to);
+                }
+            }
+        }
+        true
+    }
+
+    /// Whether strip `i` is in the region of the last dead-region walk.
+    #[inline]
+    fn in_region(&self, i: usize) -> bool {
+        self.region[i] == self.walk_gen
+    }
+
     fn memory_bytes(&self) -> usize {
         memory::vec_bytes(&self.stamp)
             + memory::vec_bytes(&self.settled_stamp)
@@ -362,6 +438,9 @@ impl SearchScratch {
             + memory::vec_bytes(&self.parent)
             + memory::vec_bytes(&self.cursors)
             + memory::raw_bytes::<Reverse<SearchKey>>(self.heap.capacity())
+            + memory::vec_bytes(&self.consumed)
+            + memory::vec_bytes(&self.region)
+            + memory::vec_bytes(&self.walk)
     }
 }
 
@@ -378,6 +457,9 @@ pub struct SrpPlanner<S: SegmentStore = SlopeIndexStore> {
     committed: HashMap<RequestId, Committed>,
     retire_queue: BTreeSet<(Time, RequestId)>,
     scratch: SearchScratch,
+    /// Settles of one search before its first dead-region check
+    /// (`CUT_FIRST_CHECK`; unit tests lower it to reach small graphs).
+    cut_first_check: usize,
     /// Configuration.
     pub config: SrpConfig,
     /// Counters and TC breakdown.
@@ -404,6 +486,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             committed: HashMap::new(),
             retire_queue: BTreeSet::new(),
             scratch: SearchScratch::default(),
+            cut_first_check: CUT_FIRST_CHECK,
             config,
             stats: SrpStats::default(),
         }
@@ -555,7 +638,8 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         }
         let n = self.graph.num_vertices();
         let goal_slot = n; // dense index of the GOAL pseudo-node
-        self.scratch.begin(n + 1, self.graph.num_lanes());
+        self.scratch
+            .begin(n + 1, self.graph.num_lanes(), self.graph.num_slots());
         // Min-heap on (f, Reverse(g)): among equal f the deepest entry wins,
         // so the search dives along one optimal staircase instead of
         // flooding the whole equal-cost plateau between origin and
@@ -603,6 +687,15 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         //   on the heap, the goal's distance is final.
         // Either way the parent chain runs through settled strips only, so
         // the route Phase 2 rebuilds is the one a drained search would give.
+        //
+        // Dead-region cut. A search whose destination side cannot be
+        // entered ends once no pop can give the goal a distance: after
+        // `CUT_FIRST_CHECK`, then twice as many, … settles, the open targets
+        // (`sd`, or a rack destination's unsettled feeders once no goal edge
+        // is pending) are checked by `SearchScratch::region_is_dead`. The
+        // cut is exact: it only ends searches that would fail anyway. Debug
+        // builds drain such a search to its natural end, assert that the
+        // goal stays unreached, and restore the counters of the cut.
         let mut feeders = [GOAL; 4];
         let mut n_feeders = 0;
         if sd_is_rack {
@@ -617,6 +710,8 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         }
         let mut feeders_left = n_feeders;
         let mut goal_edges_pending = 0usize;
+        let (mut settled_here, mut next_check) = (0usize, self.cut_first_check);
+        let mut drain_from: Option<SrpStats> = None;
         let mut pops: u64 = 0;
         let mut cancelled = false;
         while let Some(Reverse(popped)) = heap.pop() {
@@ -637,6 +732,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
 
             if edge_k != NO_EDGE {
                 // Deferred edge evaluation: `at` is the optimistic arrival.
+                self.scratch.consume(self.graph.slot(u, edge_k));
                 let gu = self.scratch.entry[ui];
                 let settle_at = self.scratch.dist(ui).expect("edge source settled");
                 if let Some(lane) = self.graph.lane_of(u, edge_k) {
@@ -669,6 +765,10 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                 };
                 let depart = arrival - 1;
                 if self.scratch.dist(vi).is_none_or(|dv| arrival < dv) {
+                    debug_assert!(
+                        drain_from.is_none() || !self.scratch.in_region(vi),
+                        "dead-region cut: strip {vi} of the region got a label"
+                    );
                     let parent = ParentLite {
                         prev: u,
                         exit_cell: g_u,
@@ -692,6 +792,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             }
             self.scratch.settle(ui);
             self.stats.strips_settled += 1;
+            settled_here += 1;
             let is_feeder = feeders[..n_feeders].contains(&u);
             if is_feeder {
                 feeders_left -= 1;
@@ -732,6 +833,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                 let Some((v, v_is_goal_rack, g_u, g_v)) =
                     resolve_edge(&self.graph, &ctx, u, k as usize, gu)
                 else {
+                    self.scratch.consume(self.graph.slot(u, k));
                     continue;
                 };
                 let vi = if v_is_goal_rack {
@@ -756,8 +858,34 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                 };
                 heap.push(Reverse(SearchKey::new(key, lb, u, k)));
             }
+            if settled_here == next_check && drain_from.is_none() {
+                next_check *= 2;
+                // Settled targets are skipped: a feeder that settled has
+                // handed its goal edges to the heap, which holds none now.
+                let targets = if sd_is_rack {
+                    &feeders[..n_feeders]
+                } else {
+                    core::slice::from_ref(&sd)
+                };
+                let dead = self.scratch.dist(goal_slot).is_none()
+                    && goal_edges_pending == 0
+                    && self.scratch.region_is_dead(&self.graph, targets);
+                if dead {
+                    if !cfg!(debug_assertions) {
+                        break;
+                    }
+                    drain_from = Some(self.stats);
+                }
+            }
         }
         self.scratch.heap = heap;
+        if let Some(stats) = drain_from {
+            debug_assert!(
+                self.scratch.dist(goal_slot).is_none(),
+                "dead-region cut ended a search that reaches its goal"
+            );
+            self.stats = stats;
+        }
         if cancelled {
             return None;
         }
@@ -1451,23 +1579,46 @@ mod tests {
         WarehouseMatrix::from_ascii(text.trim_end())
     }
 
-    /// Park a robot on each of `cells` for the first 20000 steps, then run
-    /// the direct strip search from the top aisle to `d`. Returns the
-    /// strips the (failing) search settled; a search that drains its heap
-    /// settles all 37 aisle strips.
-    fn settled_by_failing_search(cells: &[Cell], d: Cell) -> usize {
-        let mut srp = SrpPlanner::new(comb_matrix(), SrpConfig::default());
+    /// A planner on `comb_matrix()` with a robot parked on each of `cells`
+    /// for the first 20000 steps.
+    fn comb_with_parked(cells: &[Cell], config: SrpConfig) -> SrpPlanner {
+        let mut srp = SrpPlanner::new(comb_matrix(), config);
         assert_eq!(srp.graph().num_vertices(), 64);
         for (id, &c) in cells.iter().enumerate() {
             srp.commit_route(100 + id as RequestId, &Route::new(0, vec![c; 20_001]));
         }
-        let req = Request::new(0, 0, Cell::new(0, 9), d, QueryKind::Pickup);
+        srp
+    }
+
+    /// Park a robot on each of `cells`, then run the direct strip search
+    /// from `o` to `d`, with the first dead-region check after
+    /// `first_check` settles. Returns the strips the (failing) search
+    /// settled; a search that drains its heap settles every aisle strip it
+    /// can reach, at most 37.
+    fn settled_by_failing_search_from(
+        cells: &[Cell],
+        o: Cell,
+        d: Cell,
+        first_check: usize,
+    ) -> usize {
+        let mut srp = comb_with_parked(cells, SrpConfig::default());
+        srp.cut_first_check = first_check;
+        let req = Request::new(0, 0, o, d, QueryKind::Pickup);
         let before = srp.stats.strips_settled;
         assert!(
             srp.plan_strips(&req).is_none(),
             "the direct search must fail"
         );
         srp.stats.strips_settled - before
+    }
+
+    /// [`settled_by_failing_search_from`] the top aisle.
+    fn settled_by_failing_search_with(cells: &[Cell], d: Cell, first_check: usize) -> usize {
+        settled_by_failing_search_from(cells, Cell::new(0, 9), d, first_check)
+    }
+
+    fn settled_by_failing_search(cells: &[Cell], d: Cell) -> usize {
+        settled_by_failing_search_with(cells, d, CUT_FIRST_CHECK)
     }
 
     #[test]
@@ -1484,5 +1635,84 @@ mod tests {
         let parked = [Cell::new(0, 1), Cell::new(1, 0), Cell::new(1, 2)];
         let settled = settled_by_failing_search(&parked, Cell::new(1, 1));
         assert!(settled <= 8, "settled {settled} of 37 aisle strips");
+    }
+
+    #[test]
+    fn dead_region_cut_stops_a_search_to_an_aisle_that_cannot_be_entered() {
+        // Both cells of the destination's two-cell strip are parked on, so
+        // every entry fails, however long the robot waits: `sd` is never
+        // labeled. Without the cut the search settles every other aisle
+        // strip; with a check after 1, 2, 4, … settles it ends once the
+        // strip's entries from the two full-width aisles are consumed.
+        let parked = [Cell::new(1, 4), Cell::new(2, 4)];
+        let drained = settled_by_failing_search_with(&parked, Cell::new(1, 4), usize::MAX);
+        assert_eq!(drained, 36);
+        let settled = settled_by_failing_search_with(&parked, Cell::new(1, 4), 1);
+        assert!(settled <= 8, "settled {settled} of {drained}");
+    }
+
+    #[test]
+    fn dead_region_cut_stops_a_search_to_a_rack_whose_feeders_cannot_be_entered() {
+        // The rack cell (1, 17) has three feeders: the top aisle (the
+        // origin's strip; its goal edge fails on the parked (0, 17)) and the
+        // two-cell strips beside it, whose cells are all parked on. Those
+        // two are never labeled, so the goal-finality cut, which waits for
+        // every feeder to settle, never fires.
+        let parked = [
+            Cell::new(0, 17),
+            Cell::new(1, 16),
+            Cell::new(2, 16),
+            Cell::new(1, 18),
+            Cell::new(2, 18),
+        ];
+        let d = Cell::new(1, 17);
+        let drained = settled_by_failing_search_with(&parked, d, usize::MAX);
+        assert!(drained >= 30, "drained {drained}");
+        let settled = settled_by_failing_search_with(&parked, d, 1);
+        assert!(settled * 2 <= drained, "settled {settled} of {drained}");
+    }
+
+    #[test]
+    fn dead_region_bookkeeping_consumes_edges_refused_at_the_origin() {
+        // From the rack cell (2, 5) a robot can only leave downwards or
+        // sideways: the origin strip's edge into the top aisle leaves from
+        // (1, 5), so `resolve_edge` refuses it when the origin settles, and
+        // the refusal consumes it: it can never label the top aisle.
+        let mut srp = comb_with_parked(&[], SrpConfig::default());
+        let (o, d) = (Cell::new(2, 5), Cell::new(5, 4));
+        assert!(srp
+            .plan_strips(&Request::new(0, 0, o, d, QueryKind::Pickup))
+            .is_some());
+        let (m, g) = (&srp.matrix, &srp.graph);
+        let su = g.strip_of(m, o);
+        let top = g.strip_of(m, Cell::new(0, 5));
+        let k = g.edges(su).iter().position(|e| e.to == top).expect("edge");
+        let slot = g.slot(su, k as u32);
+        assert_eq!(srp.scratch.consumed[slot], srp.scratch.gen);
+    }
+
+    #[test]
+    fn dead_region_check_keeps_edges_waiting_in_a_lane_cursor_live() {
+        // Plain Dijkstra from the east end of the top aisle to the west
+        // end of the first band: when the first check runs, right after the
+        // origin strip settles, the top aisle's edge into the destination
+        // strip still waits in its lane cursor — the lane's head is the edge
+        // at the origin's own column. That pending edge is the first
+        // in-edge the walk meets, and it keeps the search alive.
+        let config = SrpConfig {
+            use_heuristic: false,
+            ..SrpConfig::default()
+        };
+        let req = Request::new(0, 0, Cell::new(0, 19), Cell::new(2, 0), QueryKind::Pickup);
+        let mut uncut = comb_with_parked(&[], config.clone());
+        uncut.cut_first_check = usize::MAX;
+        let want = uncut.plan_strips(&req).expect("route");
+        for first_check in [1, 2, 3] {
+            let mut srp = comb_with_parked(&[], config.clone());
+            srp.cut_first_check = first_check;
+            assert_eq!(srp.plan_strips(&req).as_ref(), Some(&want));
+            assert_eq!(srp.stats.strips_settled, uncut.stats.strips_settled);
+            assert_eq!(srp.stats.intra_calls, uncut.stats.intra_calls);
+        }
     }
 }

@@ -485,6 +485,62 @@ impl StripGraph {
         &self.settle_edges[self.offsets[u].eager as usize..end as usize]
     }
 
+    /// Flat slot of edge `k` of strip `id`: its index among all directed
+    /// edges, `0..num_slots()`.
+    #[inline]
+    pub(crate) fn slot(&self, id: StripId, k: u32) -> usize {
+        self.offsets[id as usize].edge as usize + k as usize
+    }
+
+    /// Number of directed edges (flat slots).
+    pub(crate) fn num_slots(&self) -> usize {
+        self.adj.len()
+    }
+
+    /// Flat slot of the in-edge `e.to → y`, where `e` is an edge of `y`.
+    /// The adjacency is symmetric, so the reverse edge exists. It is found
+    /// by a binary search on its lane, or else among `e.to`'s edges on no
+    /// lane, whose few eager edges come before those into rack strips: for
+    /// an aisle `y`, a long aisle's hundreds of lane and rack edges are
+    /// never scanned.
+    pub(crate) fn in_edge_slot(&self, y: StripId, e: &StripEdge) -> usize {
+        let u = e.to;
+        // A reverse edge swaps the transit pair; a lateral overlap is the
+        // same from both sides.
+        let geom = match e.geom {
+            EdgeGeom::Perpendicular { u_cell, v_cell } => EdgeGeom::Perpendicular {
+                u_cell: v_cell,
+                v_cell: u_cell,
+            },
+            EdgeGeom::Collinear { u_cell, v_cell } => EdgeGeom::Collinear {
+                u_cell: v_cell,
+                v_cell: u_cell,
+            },
+            lateral => lateral,
+        };
+        let back = StripEdge { to: y, geom };
+        let lane_hit = (self.strip(y).kind == StripKind::Aisle)
+            .then(|| lane_slot(self.strip(u), &back))
+            .flatten()
+            .and_then(|(_, perp, x)| {
+                let lane = self
+                    .lanes(u)
+                    .find(|&l| self.lanes[l as usize].perp == perp)?;
+                let edges = self.lane_edges(lane);
+                let i = edges.binary_search_by_key(&x, |le| le.x).ok()?;
+                Some(edges[i].k)
+            });
+        let k = lane_hit.unwrap_or_else(|| {
+            *self
+                .settle_edges(u, true)
+                .iter()
+                .find(|&&k| self.edges(u)[k as usize].to == y)
+                .expect("symmetric adjacency")
+        });
+        debug_assert_eq!(self.edges(u)[k as usize], back, "reverse edge of {y} → {u}");
+        self.slot(u, k)
+    }
+
     /// Number of strips (Table II "Strip-based #vertices").
     pub fn num_vertices(&self) -> usize {
         self.strips.len()
@@ -781,6 +837,27 @@ mod tests {
                 "{}: edge ratio {e_ratio:.3}",
                 preset.name()
             );
+        }
+    }
+
+    #[test]
+    fn in_edge_slots_point_back_at_every_edge() {
+        use carp_warehouse::layout::{LayoutConfig, WarehousePreset};
+        let mut matrices = vec![toy().0, LayoutConfig::small().generate().matrix];
+        matrices.extend(WarehousePreset::ALL.iter().map(|p| p.generate().matrix));
+        for m in &matrices {
+            let g = StripGraph::build(m);
+            let mut hit = vec![0u32; g.num_slots()];
+            for y in 0..g.num_vertices() as StripId {
+                for e in g.edges(y) {
+                    let s = g.in_edge_slot(y, e);
+                    let k = s - g.slot(e.to, 0);
+                    assert!(k < g.edges(e.to).len(), "slot {s} outside {}", e.to);
+                    assert_eq!(g.edges(e.to)[k].to, y);
+                    hit[s] += 1;
+                }
+            }
+            assert!(hit.iter().all(|&h| h == 1), "every slot is one in-edge");
         }
     }
 

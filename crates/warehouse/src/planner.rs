@@ -125,7 +125,10 @@ pub trait Planner {
     /// Planners use this to retire finished routes (bounding memory) and —
     /// for windowed planners such as TWP — to extend/replan committed
     /// routes. Returns route *revisions*: `(request id, new full route)`
-    /// pairs the simulator must adopt. The default does nothing.
+    /// pairs the simulator must adopt. A batch holds at most one route per
+    /// id — the latest revision made since the previous call — so a caller
+    /// can apply it as one cancel and one recommit per id. The default does
+    /// nothing.
     fn advance(&mut self, now: Time) -> Vec<(RequestId, Route)> {
         let _ = now;
         Vec::new()
