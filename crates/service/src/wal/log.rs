@@ -8,10 +8,35 @@
 //! call its typed helpers at the single validate-and-commit point.
 //!
 //! Durability discipline: every append is written straight to the file
-//! (no userspace buffering), so a *process* crash loses nothing; `fsync`
-//! runs every [`WalConfig::fsync_every`] appends and at
-//! [`WalJournal::seal`], bounding what an *OS* crash can lose. A torn
-//! final record — the crash-mid-append case — is repaired on
+//! (no userspace buffering) before it returns, so a *process* crash loses
+//! nothing. What an *OS* crash can lose is bounded by the **durable
+//! watermark** ([`WalStats::durable_seq`]): the highest sequence number a
+//! successful `fdatasync` covers. The commit path does not run that
+//! `fdatasync` itself. A background syncer thread owned by the journal
+//! does, in group-commit fashion:
+//!
+//! * **Trigger.** An append that leaves at least half of
+//!   [`WalConfig::fsync_every`] records unsynced wakes the syncer, unless
+//!   a sync is already running. The syncer captures the last written
+//!   record and syncs without holding the append lock; on success the
+//!   watermark moves to the captured record, and the syncer goes again at
+//!   once if half a cadence is unsynced by then.
+//! * **Bound.** An append that would return with `fsync_every` or more
+//!   unsynced records waits for the watermark instead. So, as with an
+//!   inline `fsync` every `fsync_every` appends, at most `fsync_every − 1`
+//!   written records are ever exposed to an OS crash when an append
+//!   returns ([`WalStats::max_unsynced`] records the worst seen).
+//! * **Synchronous paths.** [`WalJournal::sync`], [`WalJournal::seal`],
+//!   [`WalJournal::bump_epoch`] (fencing must be durable) and compaction
+//!   sync inline and advance the watermark themselves.
+//! * **Failures.** A failed `fdatasync` is counted in
+//!   [`WalStats::append_errors`] and leaves the watermark where it was;
+//!   the next trigger retries. An append waiting on the bound is released
+//!   by the failure rather than hanging the pipeline, so a failing disk
+//!   shows up as `max_unsynced ≥ fsync_every`, never as a silently reset
+//!   counter.
+//!
+//! A torn final record — the crash-mid-append case — is repaired on
 //! [`WalJournal::open_append`] by truncating to the last intact record.
 
 use super::record::{decode_records, encode_record, ChangeOp, ChangeRecord, LogTail};
@@ -25,7 +50,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 /// Durability invariant: a log file's *existence* is only durable once its
 /// parent directory has been fsynced. `sync_all` on the file descriptor
@@ -46,7 +72,10 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
 /// Journal tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct WalConfig {
-    /// Call `fsync` every this many appends (and always on `seal`).
+    /// The durability bound: no append returns with this many or more
+    /// written-but-unsynced records. The background syncer starts at
+    /// half of it; `seal`, `sync`, `bump_epoch` and compaction always
+    /// sync. `0` behaves as `1`.
     pub fsync_every: u64,
     /// Rewrite the log as one snapshot record every this many appends;
     /// `None` (the default) compacts only on explicit
@@ -70,7 +99,7 @@ pub struct WalStats {
     pub appends: u64,
     /// Payload + header bytes written by appends.
     pub bytes: u64,
-    /// `fsync` calls issued.
+    /// Successful `fsync` calls, background and synchronous together.
     pub fsyncs: u64,
     /// Compaction rewrites performed.
     pub compactions: u64,
@@ -80,13 +109,141 @@ pub struct WalStats {
     /// Appends refused because they were stamped with a stale leadership
     /// epoch — a fenced-off ex-primary tried to write.
     pub fenced_appends: u64,
+    /// The durable watermark: the highest sequence number covered by a
+    /// successful `fsync` (0 = none yet).
+    pub durable_seq: u64,
+    /// The most written-but-unsynced records any append returned with.
+    /// Below [`WalConfig::fsync_every`] unless a sync failed.
+    pub max_unsynced: u64,
 }
 
 struct Inner {
-    file: File,
+    /// Shared with the syncer, which only ever calls `sync_data` on it.
+    file: Arc<File>,
     next_seq: u64,
-    since_fsync: u64,
     state: ReplayState,
+}
+
+/// What the append path and the syncer share. Lock order: the journal's
+/// `inner` before `state`, always; the syncer never takes `inner`, so an
+/// appender may wait on `synced` while holding it.
+struct Durability {
+    state: Mutex<SyncState>,
+    /// Wakes the syncer.
+    wake: Condvar,
+    /// Signalled whenever a sync ends, successful or not.
+    synced: Condvar,
+    fsyncs: AtomicU64,
+    append_errors: AtomicU64,
+}
+
+struct SyncState {
+    /// The live log file, swapped by compaction.
+    file: Arc<File>,
+    /// Records written so far, and the sequence number of the last one.
+    written: u64,
+    written_seq: u64,
+    /// Records, and the sequence number, covered by a successful sync.
+    durable: u64,
+    durable_seq: u64,
+    max_unsynced: u64,
+    /// A sync has been asked for and the syncer has not picked it up yet.
+    requested: bool,
+    /// The syncer is inside `sync_data`.
+    running: bool,
+    /// Failed syncs so far; a waiting appender gives up when it moves.
+    failures: u64,
+    shutdown: bool,
+}
+
+impl SyncState {
+    fn unsynced(&self) -> u64 {
+        self.written - self.durable
+    }
+}
+
+impl Durability {
+    fn new(file: Arc<File>, durable_seq: u64) -> Self {
+        Durability {
+            state: Mutex::new(SyncState {
+                file,
+                written: 0,
+                written_seq: durable_seq,
+                durable: 0,
+                durable_seq,
+                max_unsynced: 0,
+                requested: false,
+                running: false,
+                failures: 0,
+                shutdown: false,
+            }),
+            wake: Condvar::new(),
+            synced: Condvar::new(),
+            fsyncs: AtomicU64::new(0),
+            append_errors: AtomicU64::new(0),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, SyncState> {
+        self.state.lock().expect("wal sync lock poisoned")
+    }
+
+    /// Ask the syncer for a sync unless one is already asked for or
+    /// running.
+    fn request(&self, st: &mut SyncState) {
+        if !st.requested && !st.running {
+            st.requested = true;
+            self.wake.notify_one();
+        }
+    }
+
+    /// Fold the outcome of a sync that covered `(written, written_seq)`
+    /// into the watermark. Both fields only ever grow: a sync of the
+    /// pre-compaction file may finish after compaction already moved
+    /// them further.
+    fn settle(&self, st: &mut SyncState, covered: (u64, u64), res: std::io::Result<()>) {
+        match res {
+            Ok(()) => {
+                self.fsyncs.fetch_add(1, Ordering::Relaxed);
+                st.durable = st.durable.max(covered.0);
+                st.durable_seq = st.durable_seq.max(covered.1);
+            }
+            Err(e) => {
+                self.append_errors.fetch_add(1, Ordering::Relaxed);
+                st.failures += 1;
+                eprintln!("carp-service: wal fsync failed: {e}");
+            }
+        }
+        self.synced.notify_all();
+    }
+
+    /// The syncer thread: sleep until asked, sync the file as it stands
+    /// without any journal lock, advance the watermark, and go again at
+    /// once while half a cadence is unsynced.
+    fn run(&self, trigger: u64) {
+        let mut st = self.lock();
+        loop {
+            while !st.requested && !st.shutdown {
+                st = self.wake.wait(st).expect("wal sync lock poisoned");
+            }
+            if st.shutdown {
+                return;
+            }
+            st.requested = false;
+            st.running = true;
+            let file = Arc::clone(&st.file);
+            let covered = (st.written, st.written_seq);
+            drop(st);
+            let res = file.sync_data();
+            st = self.lock();
+            st.running = false;
+            let ok = res.is_ok();
+            self.settle(&mut st, covered, res);
+            if ok && st.unsynced() >= trigger {
+                st.requested = true;
+            }
+        }
+    }
 }
 
 /// Records queued for one live tail subscriber, shared between the
@@ -134,12 +291,34 @@ pub struct WalJournal {
     inner: Mutex<Inner>,
     /// Live tail subscribers. Lock order: `inner` before `subs`, always.
     subs: Mutex<Vec<TailEntry>>,
+    durability: Arc<Durability>,
+    syncer: Option<JoinHandle<()>>,
     appends: AtomicU64,
     bytes: AtomicU64,
-    fsyncs: AtomicU64,
     compactions: AtomicU64,
-    append_errors: AtomicU64,
     fenced_appends: AtomicU64,
+}
+
+impl Drop for WalJournal {
+    /// Stop and join the syncer. No final sync: that is [`WalJournal::seal`]'s
+    /// job, and a dropped journal promises no more than its watermark.
+    fn drop(&mut self) {
+        // Setting the flag is valid whatever state a panicking holder
+        // left behind, and `Drop` must not panic itself.
+        let mut st = self
+            .durability
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        st.shutdown = true;
+        drop(st);
+        self.durability.wake.notify_one();
+        if let Some(syncer) = self.syncer.take() {
+            if syncer.join().is_err() {
+                eprintln!("carp-service: wal syncer panicked");
+            }
+        }
+    }
 }
 
 impl std::fmt::Debug for WalJournal {
@@ -172,23 +351,55 @@ impl WalJournal {
         // directory entry (or the truncation of a prior incarnation) must
         // survive a crash before any append is trusted to.
         sync_parent_dir(&path)?;
+        Self::start(path, config, file, 1, ReplayState::default())
+    }
+
+    /// Wrap an open log file whose records up to `next_seq − 1` are
+    /// already durable, and start its syncer.
+    fn start(
+        path: PathBuf,
+        config: WalConfig,
+        file: File,
+        next_seq: u64,
+        state: ReplayState,
+    ) -> std::io::Result<Arc<WalJournal>> {
+        let file = Arc::new(file);
+        let durability = Arc::new(Durability::new(Arc::clone(&file), next_seq - 1));
+        let syncer = {
+            let durability = Arc::clone(&durability);
+            let trigger = Self::trigger(&config);
+            std::thread::Builder::new()
+                .name("wal-syncer".into())
+                .spawn(move || durability.run(trigger))?
+        };
         Ok(Arc::new(WalJournal {
             path,
             config,
             inner: Mutex::new(Inner {
                 file,
-                next_seq: 1,
-                since_fsync: 0,
-                state: ReplayState::default(),
+                next_seq,
+                state,
             }),
             subs: Mutex::new(Vec::new()),
+            durability,
+            syncer: Some(syncer),
             appends: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
-            append_errors: AtomicU64::new(0),
             fenced_appends: AtomicU64::new(0),
         }))
+    }
+
+    /// The durability bound: appends never return with this many
+    /// unsynced records.
+    fn bound(config: &WalConfig) -> u64 {
+        config.fsync_every.max(1)
+    }
+
+    /// Unsynced records at which an append wakes the syncer: half the
+    /// bound, so a sync usually lands before any append has to wait.
+    fn trigger(config: &WalConfig) -> u64 {
+        (Self::bound(config) / 2).max(1)
     }
 
     /// Open an existing journal for appending: decode its intact prefix,
@@ -217,27 +428,15 @@ impl WalJournal {
             // See sync_parent_dir: the repair shrank the file; make the
             // repaired length durable before resuming appends over it.
             sync_parent_dir(&path)?;
+        } else {
+            // The watermark starts at the last intact record: a crashed
+            // writer's records may still sit in the page cache.
+            file.sync_data()?;
         }
         file.seek(SeekFrom::End(0))?;
         let state = ReplayState::from_records(&records);
         let next_seq = records.last().map_or(1, |r| r.seq + 1);
-        let journal = Arc::new(WalJournal {
-            path,
-            config,
-            inner: Mutex::new(Inner {
-                file,
-                next_seq,
-                since_fsync: 0,
-                state,
-            }),
-            subs: Mutex::new(Vec::new()),
-            appends: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            append_errors: AtomicU64::new(0),
-            fenced_appends: AtomicU64::new(0),
-        });
+        let journal = Self::start(path, config, file, next_seq, state)?;
         Ok((journal, records, tail))
     }
 
@@ -285,7 +484,7 @@ impl WalJournal {
         let mut inner = self.inner.lock().expect("wal lock poisoned");
         let next = inner.state.epoch + 1;
         self.append_locked(&mut inner, "", ChangeOp::Epoch(next));
-        self.fsync_locked(&mut inner);
+        self.sync_locked(&inner);
         next
     }
 
@@ -301,7 +500,7 @@ impl WalJournal {
         }
         inner.next_seq = rec.seq + 1;
         inner.state.apply(rec);
-        self.write_locked(&mut inner, rec);
+        self.write_locked(&inner, rec);
         self.ship_to_subs(rec);
         true
     }
@@ -324,7 +523,9 @@ impl WalJournal {
         if let Some(every) = self.config.snapshot_every {
             if seq.is_multiple_of(every) {
                 if let Err(e) = self.compact_locked(inner) {
-                    self.append_errors.fetch_add(1, Ordering::Relaxed);
+                    self.durability
+                        .append_errors
+                        .fetch_add(1, Ordering::Relaxed);
                     eprintln!("carp-service: wal auto-compaction failed: {e}");
                 }
             }
@@ -332,19 +533,40 @@ impl WalJournal {
         seq
     }
 
-    fn write_locked(&self, inner: &mut Inner, rec: &ChangeRecord) {
+    /// Write `rec` through to the file, then hold the durability bound:
+    /// wake the syncer at half a cadence unsynced, and wait for the
+    /// watermark at a full one. Called with `inner` held, which is what
+    /// keeps `written` in file order.
+    fn write_locked(&self, inner: &Inner, rec: &ChangeRecord) {
         let bytes = encode_record(rec);
-        if let Err(e) = inner.file.write_all(&bytes) {
-            self.append_errors.fetch_add(1, Ordering::Relaxed);
+        if let Err(e) = (&*inner.file).write_all(&bytes) {
+            self.durability
+                .append_errors
+                .fetch_add(1, Ordering::Relaxed);
             eprintln!("carp-service: wal append failed: {e}");
             return;
         }
         self.appends.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        inner.since_fsync += 1;
-        if inner.since_fsync >= self.config.fsync_every {
-            self.fsync_locked(inner);
+        let d = &*self.durability;
+        let bound = Self::bound(&self.config);
+        let mut st = d.lock();
+        st.written += 1;
+        st.written_seq = rec.seq;
+        if st.unsynced() >= Self::trigger(&self.config) {
+            d.request(&mut st);
         }
+        let failures = st.failures;
+        while st.unsynced() >= bound && st.failures == failures {
+            d.request(&mut st);
+            st = d.synced.wait(st).expect("wal sync lock poisoned");
+        }
+        debug_assert!(
+            st.unsynced() < bound || st.failures != failures,
+            "append returned with {} unsynced records (bound {bound})",
+            st.unsynced()
+        );
+        st.max_unsynced = st.max_unsynced.max(st.unsynced());
     }
 
     /// Push `rec` to every live subscriber and wake it; entries whose
@@ -397,20 +619,22 @@ impl WalJournal {
         Ok((catch_up, LogSubscription { shared }))
     }
 
-    fn fsync_locked(&self, inner: &mut Inner) {
-        if let Err(e) = inner.file.sync_data() {
-            self.append_errors.fetch_add(1, Ordering::Relaxed);
-            eprintln!("carp-service: wal fsync failed: {e}");
-        } else {
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-        }
-        inner.since_fsync = 0;
+    /// Sync inline: with `inner` held nothing new is written meanwhile,
+    /// so on success the watermark reaches the last written record.
+    fn sync_locked(&self, inner: &Inner) {
+        let d = &*self.durability;
+        let covered = {
+            let st = d.lock();
+            (st.written, st.written_seq)
+        };
+        let res = inner.file.sync_data();
+        d.settle(&mut d.lock(), covered, res);
     }
 
     /// Force everything written so far to stable storage.
     pub fn sync(&self) {
-        let mut inner = self.inner.lock().expect("wal lock poisoned");
-        self.fsync_locked(&mut inner);
+        let inner = self.inner.lock().expect("wal lock poisoned");
+        self.sync_locked(&inner);
     }
 
     /// Seal the journal: final fsync of the file *and* its directory
@@ -420,7 +644,9 @@ impl WalJournal {
     pub fn seal(&self) {
         self.sync();
         if let Err(e) = sync_parent_dir(&self.path) {
-            self.append_errors.fetch_add(1, Ordering::Relaxed);
+            self.durability
+                .append_errors
+                .fetch_add(1, Ordering::Relaxed);
             eprintln!("carp-service: wal directory fsync failed: {e}");
         }
     }
@@ -459,12 +685,21 @@ impl WalJournal {
         // pre-compaction file under the live name.
         sync_parent_dir(&self.path)?;
         // The handle followed the inode through the rename: it now *is*
-        // the live log file, positioned at its end.
-        inner.file = file;
-        inner.since_fsync = 0;
+        // the live log file, positioned at its end. The syncer gets it
+        // too, and the watermark jumps to the snapshot, which is durable
+        // and covers everything before it.
+        inner.file = Arc::new(file);
+        {
+            let d = &*self.durability;
+            let mut st = d.lock();
+            st.file = Arc::clone(&inner.file);
+            st.written += 1;
+            st.written_seq = seq;
+            let covered = (st.written, seq);
+            d.settle(&mut st, covered, Ok(()));
+        }
         self.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         self.compactions.fetch_add(1, Ordering::Relaxed);
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
         // Tail subscribers get the snapshot record too: their replayed
         // state jumps to the compaction point exactly like a late reader
         // of the file would.
@@ -474,13 +709,20 @@ impl WalJournal {
 
     /// Snapshot of the journal's counters.
     pub fn stats(&self) -> WalStats {
+        let d = &*self.durability;
+        let (durable_seq, max_unsynced) = {
+            let st = d.lock();
+            (st.durable_seq, st.max_unsynced)
+        };
         WalStats {
             appends: self.appends.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
+            fsyncs: d.fsyncs.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
-            append_errors: self.append_errors.load(Ordering::Relaxed),
+            append_errors: d.append_errors.load(Ordering::Relaxed),
             fenced_appends: self.fenced_appends.load(Ordering::Relaxed),
+            durable_seq,
+            max_unsynced,
         }
     }
 

@@ -8,12 +8,24 @@
 //! a standby process does exactly that and finishes the day bit-identical
 //! to an uninterrupted run.
 //!
+//! Durability discipline: an append writes its record through to the
+//! file before it returns, so a process crash loses nothing. `fdatasync`
+//! runs on a syncer thread the journal owns, off the commit path. The
+//! journal's *durable watermark* is the highest sequence number a
+//! successful sync covers. An append wakes the syncer at half of
+//! [`log::WalConfig::fsync_every`] unsynced records and waits for the
+//! watermark only at a full one, so an append still never returns with
+//! `fsync_every` or more unsynced records. `sync`, `seal`, `bump_epoch`
+//! and compaction sync inline. A failed sync is counted and leaves the
+//! watermark where it was; the next trigger retries.
+//!
 //! Layer map:
 //!
 //! * [`record`] — record framing (`u32 len · u32 crc · payload`), the
 //!   [`record::ChangeOp`] vocabulary, and the torn-tail-tolerant decoder.
-//! * [`log`] — the file-backed [`log::WalJournal`] (append, fsync
-//!   discipline, torn-tail repair on open, snapshot compaction) and the
+//! * [`log`] — the file-backed [`log::WalJournal`] (append, the
+//!   background syncer and its durable watermark, torn-tail repair on
+//!   open, snapshot compaction) and the
 //!   per-tenant [`log::TenantJournal`] handle the pipelines hold.
 //! * [`replay`] — pure state folding ([`replay::ReplayState`]), standby
 //!   planner recovery ([`replay::recover_planners`]), the log-level

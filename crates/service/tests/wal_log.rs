@@ -14,6 +14,12 @@
 //!
 //! * **Append-after-recovery** — a journal reopened over a torn file
 //!   resumes the sequence without gaps or reuse.
+//!
+//! * **Durability bound** — the background syncer's watermark is
+//!   monotone, never passes the last record, and no append returns with
+//!   `fsync_every` or more unsynced records; the synchronous paths and
+//!   compaction leave it at the last record; dropping a journal joins its
+//!   syncer.
 
 use carp_service::wal::record::{decode_records, encode_record};
 use carp_service::wal::{
@@ -455,4 +461,122 @@ fn append_record_dedups_reconnect_overlap() {
     let (records, tail) = read_log(&scratch.0).expect("reread");
     assert_eq!(tail, LogTail::Clean);
     assert_eq!(records, vec![rec(1), rec(2), rec(3)]);
+}
+
+/// The group-commit bound at small cadences, where the syncer and the
+/// appender race hardest: over 2000 appends the watermark only grows,
+/// never passes the last record, and every append returns with fewer
+/// than `fsync_every` records unsynced.
+#[test]
+fn appends_never_return_past_the_durability_bound() {
+    for fsync_every in [2, 4] {
+        let scratch = ScratchLog::new();
+        let config = WalConfig {
+            fsync_every,
+            snapshot_every: None,
+        };
+        let journal = WalJournal::create_with(&scratch.0, config).expect("create");
+        let mut watermark = 0;
+        for now in 0..2000 {
+            let seq = journal.append("wh-0", ChangeOp::Advance { now });
+            let stats = journal.stats();
+            assert!(stats.durable_seq >= watermark, "watermark went back");
+            assert!(stats.durable_seq <= seq, "watermark passed the log");
+            assert!(
+                seq - stats.durable_seq < fsync_every,
+                "append {seq} returned with watermark {} (fsync_every {fsync_every})",
+                stats.durable_seq
+            );
+            watermark = stats.durable_seq;
+        }
+        let stats = journal.stats();
+        assert!(stats.max_unsynced < fsync_every, "{stats:?}");
+        assert!(stats.fsyncs > 0);
+        assert_eq!(stats.append_errors, 0);
+    }
+}
+
+/// `sync` and `seal` stay synchronous: each leaves the watermark at the
+/// last record, however far below the cadence the log is.
+#[test]
+fn sync_and_seal_leave_the_watermark_at_the_last_record() {
+    let scratch = ScratchLog::new();
+    let journal = WalJournal::create(&scratch.0).expect("create");
+    assert_eq!(journal.stats().durable_seq, 0);
+    for now in 0..3 {
+        journal.append("wh-0", ChangeOp::Advance { now });
+    }
+    journal.sync();
+    assert_eq!(journal.stats().durable_seq, journal.last_seq());
+    for now in 3..8 {
+        journal.append("wh-0", ChangeOp::Advance { now });
+    }
+    journal.seal();
+    assert_eq!(journal.stats().durable_seq, journal.last_seq());
+    assert_eq!(journal.bump_epoch(), 2);
+    assert_eq!(journal.stats().durable_seq, journal.last_seq());
+}
+
+/// Compaction swaps the live file under the syncer: appends interleaved
+/// with auto-compaction keep the bound, every compaction moves the
+/// watermark to its snapshot, and after `sync` a reopened journal decodes
+/// every record and starts its own watermark at the last one.
+#[test]
+fn the_watermark_follows_compaction_into_the_new_file() {
+    let scratch = ScratchLog::new();
+    let config = WalConfig {
+        fsync_every: 4,
+        snapshot_every: Some(3),
+    };
+    let journal = WalJournal::create_with(&scratch.0, config).expect("create");
+    let handle = TenantJournal::new(Arc::clone(&journal), "wh-0");
+    handle.open();
+    let mut watermark = 0;
+    for now in 0..200 {
+        handle.advance(now, &[]);
+        let stats = journal.stats();
+        let last = journal.last_seq();
+        assert!(stats.durable_seq >= watermark && stats.durable_seq <= last);
+        assert!(last - stats.durable_seq < config.fsync_every);
+        watermark = stats.durable_seq;
+    }
+    let stats = journal.stats();
+    assert!(stats.compactions > 0);
+    assert!(stats.max_unsynced < config.fsync_every);
+    journal.sync();
+    assert_eq!(journal.stats().durable_seq, journal.last_seq());
+    let live = journal.state();
+    let last = journal.last_seq();
+    drop(handle);
+    drop(journal);
+
+    let (reopened, records, tail) =
+        WalJournal::open_append_with(&scratch.0, config).expect("reopen");
+    assert_eq!(tail, LogTail::Clean);
+    assert!(matches!(records[0].op, ChangeOp::Snapshot(_)));
+    assert_eq!(records.last().map(|r| r.seq), Some(last));
+    assert!(records.windows(2).all(|w| w[1].seq == w[0].seq + 1));
+    assert_eq!(ReplayState::from_records(&records), live);
+    assert_eq!(reopened.stats().durable_seq, last);
+    let seq = reopened.append("wh-0", ChangeOp::Advance { now: 200 });
+    assert_eq!(seq, last + 1);
+}
+
+/// Dropping a journal stops and joins its syncer: create → append → drop
+/// cycles without `seal`, each with a sync in flight or just asked for,
+/// all return.
+#[test]
+fn dropping_a_journal_joins_its_syncer() {
+    let scratch = ScratchLog::new();
+    for cycle in 0..64u32 {
+        let config = WalConfig {
+            fsync_every: u64::from(1 + cycle % 4),
+            snapshot_every: None,
+        };
+        let journal = WalJournal::create_with(&scratch.0, config).expect("create");
+        for now in 0..(cycle % 5) {
+            journal.append("wh-0", ChangeOp::Advance { now });
+        }
+        drop(journal);
+    }
 }
