@@ -9,7 +9,7 @@
 use crate::common::Commitments;
 use carp_spacetime::{AStarConfig, SpaceTimeAStar};
 use carp_warehouse::matrix::WarehouseMatrix;
-use carp_warehouse::planner::{PlanOutcome, Planner, SpeculativePlanner};
+use carp_warehouse::planner::{PlanOutcome, Planner, ReplayPlanner};
 use carp_warehouse::request::{Request, RequestId};
 use carp_warehouse::route::Route;
 use carp_warehouse::types::Time;
@@ -41,24 +41,7 @@ impl SapPlanner {
     }
 }
 
-impl SpeculativePlanner for SapPlanner {
-    fn fork(&self) -> Self {
-        self.clone()
-    }
-
-    fn plan_candidate(&mut self, req: &Request) -> Option<Route> {
-        let route = self.astar.plan(
-            &self.matrix,
-            &self.commitments.reservations,
-            None,
-            req.origin,
-            req.destination,
-            req.t,
-        );
-        self.search_peak_bytes = self.search_peak_bytes.max(self.astar.stats.peak_bytes);
-        route
-    }
-
+impl ReplayPlanner for SapPlanner {
     fn adopt(&mut self, id: RequestId, route: &Route) {
         self.commitments.commit(id, route.clone());
     }

@@ -14,7 +14,7 @@
 
 use carp_warehouse::matrix::WarehouseMatrix;
 use carp_warehouse::memory;
-use carp_warehouse::planner::{PlanOutcome, Planner, SpeculativePlanner};
+use carp_warehouse::planner::{PlanOutcome, Planner, ReplayPlanner};
 use carp_warehouse::request::{Request, RequestId};
 use carp_warehouse::route::Route;
 use carp_warehouse::types::{Cell, Time, INFINITY_TIME};
@@ -366,15 +366,7 @@ impl SippPlanner {
     }
 }
 
-impl SpeculativePlanner for SippPlanner {
-    fn fork(&self) -> Self {
-        self.clone()
-    }
-
-    fn plan_candidate(&mut self, req: &Request) -> Option<Route> {
-        self.search(req.origin, req.destination, req.t)
-    }
-
+impl ReplayPlanner for SippPlanner {
     fn adopt(&mut self, id: RequestId, route: &Route) {
         self.commit(id, route);
     }

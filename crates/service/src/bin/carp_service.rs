@@ -15,7 +15,7 @@
 //!   warehouses from one daemon concurrently, each tenant driving its own
 //!   day over its own connection; the report carries one per-tenant run.
 //!   `--conformance` additionally replays every tenant's day single-tenant
-//!   on a serial worker and fails unless each tenant's route digest is
+//!   and fails unless each tenant's route digest is
 //!   bit-identical to its isolated run — the multi-tenant determinism gate.
 //!
 //! * **Daemon** (`--listen ADDR`): bind a TCP listener and serve the
@@ -24,12 +24,13 @@
 //! The process exits non-zero if any run reports an audited collision or a
 //! conformance digest diverges, which is the CI perf job's gate.
 
-use carp_service::ingest::{serve_tcp_graceful, RateLimit};
+#[cfg(not(unix))]
+use carp_service::ingest::serve_tcp_graceful;
+use carp_service::ingest::RateLimit;
 #[cfg(unix)]
 use carp_service::loadgen::{run_connection_ladder, run_load_replication};
 use carp_service::loadgen::{
-    run_load, run_load_journaled, run_load_multi, run_load_recovery, run_load_speculative,
-    LoadScenario, TenantLoad,
+    run_load, run_load_journaled, run_load_multi, run_load_recovery, LoadScenario, TenantLoad,
 };
 #[cfg(unix)]
 use carp_service::mux::{serve_tcp_mux, MuxConfig, MuxMetrics};
@@ -85,16 +86,12 @@ const USAGE: &str = "usage: carp-service [options]
   --queue-capacity N  ingest queue bound (default 256)
   --deadline-ms MS    per-request planning deadline; 0 disables it and makes
                       the committed route set bit-deterministic (default 0)
-  --workers N         planner worker threads per tenant; > 1 runs the
-                      speculative plan/validate/commit pipeline (default 1)
-  --expect-speculation fail unless speculative wins are recorded (used by
-                      the CI smoke to prove the pipeline actually engaged)
   --tenants A,B,...   serve several warehouse presets as tenants of one
                       daemon, one concurrent day each (rate = first --rates
                       entry); tenant day-profiles in --sim-config `tenants`
                       override this list
   --conformance       with --tenants: also replay each tenant single-tenant
-                      on a serial worker and require bit-identical digests
+                      and require bit-identical digests
   --listen ADDR       daemon mode: serve the configured tenants over TCP on
                       ADDR (e.g. 127.0.0.1:7300) until SIGTERM/SIGINT, then
                       drain every tenant, seal the changeset log, and exit 0;
@@ -102,8 +99,6 @@ const USAGE: &str = "usage: carp-service [options]
                       printed on stderr as `listening on ...`)
   --mux-threads N     reactor threads for the event-loop front-end serving
                       --listen and --connections (default 2)
-  --legacy-threads    with --listen: serve each connection on its own thread
-                      (the pre-reactor path) instead of the event loop
   --connections N,... open-socket ladder over the event-loop front-end: one
                       rung per N, holding N connections open (1 driving the
                       measured day, N-1 churning a second tenant); writes
@@ -146,8 +141,7 @@ const USAGE: &str = "usage: carp-service [options]
   --out PATH          write BENCH_service.json here (default: print to stdout)
 
 exit status: 0 on success, 1 if any run audited a collision (or
---expect-speculation saw none, or --conformance / --recovery digests
-diverged), 2 on bad usage";
+--conformance / --recovery digests diverged), 2 on bad usage";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("carp-service: {msg}");
@@ -163,13 +157,10 @@ struct Opts {
     seed: u64,
     queue_capacity: usize,
     deadline_ms: u64,
-    workers: usize,
-    expect_speculation: bool,
     tenants: Vec<String>,
     conformance: bool,
     listen: Option<String>,
     mux_threads: usize,
-    legacy_threads: bool,
     connections: Option<Vec<usize>>,
     wal: Option<String>,
     standby: Option<String>,
@@ -197,13 +188,10 @@ fn parse_opts() -> Opts {
         seed: 7,
         queue_capacity: 256,
         deadline_ms: 0,
-        workers: 1,
-        expect_speculation: false,
         tenants: Vec::new(),
         conformance: false,
         listen: None,
         mux_threads: 2,
-        legacy_threads: false,
         connections: None,
         wal: None,
         standby: None,
@@ -254,11 +242,6 @@ fn parse_opts() -> Opts {
                 Ok(ms) => opts.deadline_ms = ms,
                 Err(_) => usage_error("--deadline-ms expects an integer"),
             },
-            "--workers" => match value("--workers").parse() {
-                Ok(n) if n > 0 => opts.workers = n,
-                _ => usage_error("--workers expects a positive integer"),
-            },
-            "--expect-speculation" => opts.expect_speculation = true,
             "--tenants" => {
                 opts.tenants = value("--tenants")
                     .split(',')
@@ -275,7 +258,6 @@ fn parse_opts() -> Opts {
                 Ok(n) if n > 0 => opts.mux_threads = n,
                 _ => usage_error("--mux-threads expects a positive integer"),
             },
-            "--legacy-threads" => opts.legacy_threads = true,
             "--connections" => {
                 let raw = value("--connections");
                 let conns: Result<Vec<usize>, _> = raw.split(',').map(str::parse).collect();
@@ -359,15 +341,12 @@ fn scenario_for(p: &TenantDayProfile, layout: &Layout) -> LoadScenario {
 fn print_run(report: &LoadReport) {
     eprintln!(
         "carp-service: {} done: {} planned, p95 {} us, {} conflicts, {:.1} plans/s, \
-         speculation {}w/{}r/{}a, wire {} frames / {} B in, {} frames / {} B out",
+         wire {} frames / {} B in, {} frames / {} B out",
         report.scenario,
         report.service.planned,
         report.service.planning_latency.p95_us,
         report.audit_conflicts,
         report.throughput_rps,
-        report.service.speculation_wins,
-        report.service.speculation_retries,
-        report.service.speculation_aborts,
         report.wire.frames_received,
         report.wire.bytes_received,
         report.wire.frames_sent,
@@ -515,17 +494,8 @@ fn run_daemon(addr: &str, profiles: &[TenantDayProfile], cfg: ServiceConfig, opt
         let planner = recovered
             .remove(p.id())
             .unwrap_or_else(|| srp(&layouts[p.id()]));
-        if cfg.workers > 1 {
-            registry.register_speculative(p.id(), planner, cfg);
-        } else {
-            registry.register(p.id(), planner, cfg);
-        }
-        eprintln!(
-            "carp-service: tenant {} ({}, {} workers)",
-            p.id(),
-            p.preset,
-            cfg.workers
-        );
+        registry.register(p.id(), planner, cfg);
+        eprintln!("carp-service: tenant {} ({})", p.id(), p.preset);
     }
     let listener = match std::net::TcpListener::bind(addr) {
         Ok(l) => l,
@@ -561,10 +531,7 @@ fn run_daemon(addr: &str, profiles: &[TenantDayProfile], cfg: ServiceConfig, opt
         .map_or_else(|_| addr.to_string(), |a| a.to_string());
     eprintln!("carp-service: listening on {bound}");
     #[cfg(unix)]
-    let served = if opts.legacy_threads {
-        eprintln!("carp-service: legacy thread-per-connection front-end");
-        serve_tcp_graceful(listener, Arc::clone(&registry), shutdown, limit)
-    } else {
+    let served = {
         eprintln!(
             "carp-service: event-loop front-end, {} reactor thread(s)",
             opts.mux_threads
@@ -619,7 +586,7 @@ fn run_recovery(opts: &Opts, cfg: ServiceConfig, wal_path: &str) -> ! {
         "carp-service: recovery bench {} — leg 1: WAL off",
         scenario.name
     );
-    let (wal_off, _) = run_load_speculative(&scenario, srp(&layout), opts.sim.clone(), cfg);
+    let (wal_off, _) = run_load(&scenario, srp(&layout), opts.sim.clone(), cfg);
     print_run(&wal_off);
 
     eprintln!("carp-service: leg 2: WAL on ({wal_path}), uninterrupted");
@@ -903,9 +870,8 @@ fn run_multi(opts: &Opts, profiles: &[TenantDayProfile], cfg: ServiceConfig) -> 
         })
         .collect();
     eprintln!(
-        "carp-service: serving {} tenants concurrently ({} workers each)...",
-        profiles.len(),
-        cfg.workers
+        "carp-service: serving {} tenants concurrently...",
+        profiles.len()
     );
     let mut reports: Vec<LoadReport> = run_load_multi(loads, opts.sim.clone())
         .into_iter()
@@ -916,9 +882,8 @@ fn run_multi(opts: &Opts, profiles: &[TenantDayProfile], cfg: ServiceConfig) -> 
     }
 
     if opts.conformance {
-        // Replay each tenant alone on a serial worker: the multi-tenant
-        // digest must match bit-for-bit (tenants share nothing but CPU).
-        let serial_cfg = ServiceConfig { workers: 1, ..cfg };
+        // Replay each tenant alone: the multi-tenant digest must match
+        // bit-for-bit (tenants share nothing but CPU).
         let mut diverged = false;
         for (p, multi) in profiles.iter().zip(&reports.clone()) {
             let layout = layout_for(&p.preset);
@@ -926,7 +891,7 @@ fn run_multi(opts: &Opts, profiles: &[TenantDayProfile], cfg: ServiceConfig) -> 
                 &scenario_for(p, &layout),
                 srp(&layout),
                 opts.sim.clone(),
-                serial_cfg,
+                cfg,
             );
             let ok = solo.routes_digest == multi.routes_digest;
             eprintln!(
@@ -978,8 +943,6 @@ fn run_single(opts: &Opts, cfg: ServiceConfig) -> Vec<LoadReport> {
                 }
             };
             run_load_journaled(&scenario, planner, opts.sim.clone(), cfg, journal)
-        } else if opts.workers > 1 {
-            run_load_speculative(&scenario, planner, opts.sim.clone(), cfg)
         } else {
             run_load(&scenario, planner, opts.sim.clone(), cfg)
         };
@@ -998,7 +961,6 @@ fn main() {
         } else {
             Some(Duration::from_millis(opts.deadline_ms))
         },
-        workers: opts.workers,
         ..ServiceConfig::default()
     };
 
@@ -1041,7 +1003,6 @@ fn main() {
 
     let bench = ServiceBenchReport::new(runs);
     let conflicts = bench.total_audit_conflicts();
-    let speculation_wins: u64 = bench.runs.iter().map(|r| r.service.speculation_wins).sum();
     let json = bench.to_json();
     match &opts.out {
         Some(path) => {
@@ -1056,13 +1017,6 @@ fn main() {
 
     if conflicts > 0 {
         eprintln!("carp-service: FAIL — {conflicts} audited collision(s)");
-        std::process::exit(1);
-    }
-    if opts.expect_speculation && speculation_wins == 0 {
-        eprintln!(
-            "carp-service: FAIL — --expect-speculation set but no speculative \
-             commit won (pipeline never engaged)"
-        );
         std::process::exit(1);
     }
 }

@@ -15,10 +15,9 @@
 //!   its next frame. Control frames (advance / cancel / metrics) are
 //!   answered inline the same way.
 //! * the **reply pump** waits on plan tickets strictly in admission order
-//!   and streams `PlanReply` frames back as the tenant's commit stage
-//!   resolves them — so a slow plan never blocks the reader from admitting
-//!   more work (that concurrency is what keeps a speculative worker pool
-//!   fed through the wire).
+//!   and streams `PlanReply` frames back as the tenant's worker resolves
+//!   them — so a slow plan never blocks the reader from admitting more
+//!   work.
 //!
 //! Both threads share the writer behind a mutex; frames are written
 //! atomically, and the client demultiplexes acks from interleaved replies

@@ -5,11 +5,11 @@
 //! loop; this crate turns planners into a *daemon*: a [`TenantRegistry`]
 //! of per-warehouse [`Tenant`]s (each one a [`service::PlanningService`] —
 //! bounded ingest queue with backpressure, per-request planning deadlines,
-//! a serial or speculative commit pipeline, fixed-bucket latency
-//! percentiles), fronted by a shared ingest layer ([`ingest`]) that routes
-//! framed requests to tenant queues over a length-prefixed binary wire
-//! protocol ([`wire`]) — the canonical surface, spoken identically over an
-//! in-process duplex transport and TCP (`carp-service --listen`). A
+//! one planning worker, fixed-bucket latency percentiles), fronted by a
+//! shared ingest layer ([`ingest`]) that routes framed requests to tenant
+//! queues over a length-prefixed binary wire protocol ([`wire`]) — the
+//! canonical surface, spoken identically over an in-process duplex
+//! transport and TCP (`carp-service --listen`). A
 //! deterministic load generator ([`loadgen`]) replays the paper's
 //! W-1/W-2/W-3 day profiles through the wire path — one tenant or several
 //! concurrently — and emits the per-tenant `BENCH_service.json` report
@@ -17,15 +17,11 @@
 //!
 //! Commitment of a route is a linearization point in the online CARP model
 //! (Definition 3): routes are committed one at a time against the state left
-//! by all earlier commits. The default service mode runs a single worker
-//! thread that owns the planner; the speculative pipeline
-//! ([`PlanningService::spawn_speculative`]) instead lets N workers plan
-//! candidates against replicas while a single validate-and-commit stage
-//! preserves the serial contract — and the exact serial output — at any
-//! worker count (DESIGN.md §13).
+//! by all earlier commits. Each tenant's service runs a single worker thread
+//! that owns the planner and both plans and commits, so admission order
+//! alone fixes the committed route set.
 //!
 //! [`Planner`]: carp_warehouse::planner::Planner
-//! [`PlanningService::spawn_speculative`]: service::PlanningService::spawn_speculative
 
 // `deny`, not `forbid`: the mux reactor's `poll(2)` FFI shim ([`mux::sys`])
 // is the single, explicitly allowed unsafe island in the crate — everything
@@ -38,7 +34,6 @@ pub mod ingest;
 pub mod loadgen;
 #[cfg(unix)]
 pub mod mux;
-mod pipeline;
 pub mod report;
 pub mod service;
 pub mod tenant;
@@ -52,8 +47,8 @@ pub use ingest::{
 #[cfg(unix)]
 pub use loadgen::{run_connection_ladder, run_load_replication};
 pub use loadgen::{
-    run_load, run_load_journaled, run_load_multi, run_load_recovery, run_load_speculative,
-    LoadScenario, RecoveryRun, TenantLoad,
+    run_load, run_load_journaled, run_load_multi, run_load_recovery, LoadScenario, RecoveryRun,
+    TenantLoad,
 };
 #[cfg(unix)]
 pub use mux::{serve_tcp_mux, MuxConfig, MuxMetrics};

@@ -24,9 +24,9 @@
 //!
 //! Multi-tenancy: [`run_load_multi`] registers several tenants in **one**
 //! registry and drives each day on its own connection thread,
-//! concurrently. Tenants share nothing but CPU (each has its own queue,
-//! worker pool and commit pipeline), so each tenant's digest must equal
-//! its single-tenant run's — the conformance property the two-tenant CI
+//! concurrently. Tenants share nothing but CPU (each has its own queue and
+//! planning worker), so each tenant's digest must equal its single-tenant
+//! run's — the conformance property the two-tenant CI
 //! smoke gates on.
 //!
 //! Every committed route is mirrored into an [`IncrementalAuditor`] the
@@ -53,7 +53,7 @@ use crate::wire::{WireClient, WireSubmitError};
 use carp_simenv::SimConfig;
 use carp_warehouse::collision::{validate_routes, IncrementalAuditor};
 use carp_warehouse::layout::Layout;
-use carp_warehouse::planner::{EngineMetrics, Planner, SpeculativePlanner};
+use carp_warehouse::planner::{EngineMetrics, Planner, ReplayPlanner};
 use carp_warehouse::request::{QueryKind, Request, RequestId};
 use carp_warehouse::route::Route;
 use carp_warehouse::tasks::{generate_tasks, DayProfile, Task};
@@ -120,7 +120,7 @@ pub struct TenantLoad<P> {
     pub scenario: LoadScenario,
     /// The planner serving this tenant.
     pub planner: P,
-    /// Per-tenant service tuning (queue bound, workers, deadline).
+    /// Per-tenant service tuning (queue bound, deadline).
     pub service_cfg: ServiceConfig,
 }
 
@@ -167,7 +167,7 @@ struct DriverOut {
     wire: WireCounters,
 }
 
-/// Drive `planner` through a full load run of `scenario` on the serial
+/// Drive `planner` through a full load run of `scenario` on the planning
 /// service, over the wire. Returns the report and the planner (recovered
 /// from the registry after shutdown) for post-run inspection.
 pub fn run_load<P: Planner + Send + 'static>(
@@ -182,29 +182,12 @@ pub fn run_load<P: Planner + Send + 'static>(
     recover::<P>(&registry, out)
 }
 
-/// Like [`run_load`], but on the speculative multi-worker commit pipeline
-/// (`service_cfg.workers` planner threads; delegates to the serial worker
-/// when `workers <= 1`). The request stream, burst cadence, and audit are
-/// identical to [`run_load`] — which is the point: with deadlines disabled
-/// the committed route set must be bit-identical across worker counts.
-pub fn run_load_speculative<P: SpeculativePlanner + Send + 'static>(
-    scenario: &LoadScenario,
-    planner: P,
-    sim: SimConfig,
-    service_cfg: ServiceConfig,
-) -> (LoadReport, P) {
-    let registry = Arc::new(TenantRegistry::new());
-    registry.register_speculative(scenario.name.clone(), planner, service_cfg);
-    let out = drive_tenant(&registry, scenario.clone(), &sim);
-    recover::<P>(&registry, out)
-}
-
-/// Like [`run_load_speculative`], with the registry journaling every
+/// Like [`run_load`], with the registry journaling every
 /// commit / cancel / advance into `wal` — the WAL-on leg of the recovery
 /// bench. The tenant is drained through
 /// [`TenantRegistry::remove`](crate::tenant::TenantRegistry::remove) at
 /// the end, so the returned journal is sealed with a `TenantClose` record.
-pub fn run_load_journaled<P: SpeculativePlanner + Send + 'static>(
+pub fn run_load_journaled<P: Planner + Send + 'static>(
     scenario: &LoadScenario,
     planner: P,
     sim: SimConfig,
@@ -213,7 +196,7 @@ pub fn run_load_journaled<P: SpeculativePlanner + Send + 'static>(
 ) -> (LoadReport, P) {
     let registry = Arc::new(TenantRegistry::new());
     registry.attach_journal(wal);
-    registry.register_speculative(scenario.name.clone(), planner, service_cfg);
+    registry.register(scenario.name.clone(), planner, service_cfg);
     let out = drive_tenant(&registry, scenario.clone(), &sim);
     recover::<P>(&registry, out)
 }
@@ -268,14 +251,14 @@ pub fn run_load_recovery<P, F>(
     torn_tail: bool,
 ) -> (RecoveryRun, P)
 where
-    P: SpeculativePlanner + Send + 'static,
+    P: ReplayPlanner + Send + 'static,
     F: FnMut() -> P,
 {
     // ---- phase 1: the primary, driven to the kill point ----
     let journal = WalJournal::create(wal_path).expect("create changeset log");
     let primary = Arc::new(TenantRegistry::new());
     primary.attach_journal(journal);
-    primary.register_speculative(scenario.name.clone(), make_planner(), service_cfg);
+    primary.register(scenario.name.clone(), make_planner(), service_cfg);
     let mut driver = DayDriver::new(scenario);
 
     let ((client_read, client_write), (server_read, server_write)) = duplex();
@@ -334,7 +317,7 @@ where
 
     let standby = Arc::new(TenantRegistry::new());
     standby.attach_journal(Arc::clone(&journal));
-    standby.register_speculative(scenario.name.clone(), planner, service_cfg);
+    standby.register(scenario.name.clone(), planner, service_cfg);
     let ((client_read, client_write), (server_read, server_write)) = duplex();
     let server_registry = Arc::clone(&standby);
     let server = std::thread::Builder::new()
@@ -435,7 +418,7 @@ pub fn run_load_replication<P, F>(
     kill_at: Time,
 ) -> ReplicationBenchReport
 where
-    P: SpeculativePlanner + Send + 'static,
+    P: ReplayPlanner + Send + 'static,
     F: FnMut() -> P,
 {
     use crate::wal::record::ChangeRecord;
@@ -444,14 +427,13 @@ where
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     // ---- leg 1: the uninterrupted baseline, in-process ----
-    let (baseline, _planner) =
-        run_load_speculative(scenario, make_planner(), sim.clone(), service_cfg);
+    let (baseline, _planner) = run_load(scenario, make_planner(), sim.clone(), service_cfg);
 
     // ---- leg 2, phase 1: the primary over TCP, with a live standby ----
     let journal = WalJournal::create(wal_path).expect("create changeset log");
     let registry = Arc::new(TenantRegistry::new());
     registry.attach_journal(Arc::clone(&journal));
-    registry.register_speculative(scenario.name.clone(), make_planner(), service_cfg);
+    registry.register(scenario.name.clone(), make_planner(), service_cfg);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -564,7 +546,7 @@ where
         .unwrap_or_else(&mut make_planner);
     let standby_registry = Arc::new(TenantRegistry::new());
     standby_registry.attach_journal(Arc::clone(&standby_journal));
-    standby_registry.register_speculative(scenario.name.clone(), planner, service_cfg);
+    standby_registry.register(scenario.name.clone(), planner, service_cfg);
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind standby loopback");
     let standby_addr = listener.local_addr().expect("standby local addr");
     let standby_shutdown = Arc::new(AtomicBool::new(false));
@@ -647,17 +629,14 @@ where
 /// Serve several tenants from **one** registry concurrently: each tenant's
 /// day runs on its own connection + driver thread against the shared
 /// daemon. Returns `(report, planner)` per tenant, in input order.
-///
-/// Tenants are registered on the speculative pipeline (serial when a
-/// tenant's `workers <= 1`), so worker pools are per-tenant too.
-pub fn run_load_multi<P: SpeculativePlanner + Send + 'static>(
+pub fn run_load_multi<P: Planner + Send + 'static>(
     tenants: Vec<TenantLoad<P>>,
     sim: SimConfig,
 ) -> Vec<(LoadReport, P)> {
     let registry = Arc::new(TenantRegistry::new());
     let mut scenarios = Vec::with_capacity(tenants.len());
     for t in tenants {
-        registry.register_speculative(t.scenario.name.clone(), t.planner, t.service_cfg);
+        registry.register(t.scenario.name.clone(), t.planner, t.service_cfg);
         scenarios.push(t.scenario);
     }
     let handles: Vec<_> = scenarios
@@ -1096,14 +1075,14 @@ fn nearest_free_robot(robots: &[RobotState], target: Cell) -> Option<usize> {
 /// * the **measured tenant** (`scenario.name`) — its whole day is driven
 ///   over one TCP connection by the same [`DayDriver`] the blocking-path
 ///   benches use, recording client-side submit → ack latency;
-/// * a **churn tenant** (`{name}#churn`, its own queue and worker pool) —
+/// * a **churn tenant** (`{name}#churn`, its own queue and worker) —
 ///   hammered with submit → plan → cancel cycles by a handful of client
 ///   threads that each own a slice of the churn sockets, all opened before
 ///   the day starts and held open until it ends.
 ///
 /// The conformance gate: the measured tenant's committed route set must be
-/// bit-identical to the same day driven through the legacy blocking
-/// thread-per-connection path ([`run_load_speculative`]), at every rung —
+/// bit-identical to the same day driven through the blocking
+/// thread-per-connection path ([`run_load`]), at every rung —
 /// per-tenant isolation plus per-connection admission order make fan-in
 /// invisible to the digest. `digests_match` reports the conjunction.
 #[cfg(unix)]
@@ -1116,13 +1095,12 @@ pub fn run_connection_ladder<P, F>(
     connections: &[usize],
 ) -> MuxBenchReport
 where
-    P: SpeculativePlanner + Send + 'static,
+    P: Planner + Send + 'static,
     F: FnMut() -> P,
 {
-    // The conformance reference: the identical day over the legacy
-    // blocking path, in-process.
-    let (baseline, _planner) =
-        run_load_speculative(scenario, make_planner(), sim.clone(), service_cfg);
+    // The conformance reference: the identical day over the blocking
+    // path, in-process.
+    let (baseline, _planner) = run_load(scenario, make_planner(), sim.clone(), service_cfg);
     let baseline_digest = baseline.routes_digest;
 
     let mut ladder: Vec<usize> = vec![1];
@@ -1176,7 +1154,7 @@ fn ladder_rung<P, F>(
     total_conns: usize,
 ) -> ConnLadderRung
 where
-    P: SpeculativePlanner + Send + 'static,
+    P: Planner + Send + 'static,
     F: FnMut() -> P,
 {
     use std::net::{TcpListener, TcpStream};
@@ -1187,9 +1165,9 @@ where
     let churn_id = format!("{}#churn", scenario.name);
 
     let registry = Arc::new(TenantRegistry::new());
-    registry.register_speculative(scenario.name.clone(), make_planner(), *service_cfg);
+    registry.register(scenario.name.clone(), make_planner(), *service_cfg);
     if churn_conns > 0 {
-        registry.register_speculative(churn_id.clone(), make_planner(), *service_cfg);
+        registry.register(churn_id.clone(), make_planner(), *service_cfg);
     }
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");

@@ -16,9 +16,9 @@ use std::collections::HashMap;
 
 /// Current `BENCH_service.json` schema version.
 ///
-/// v2: `service` gained `workers`, `speculation_{wins,retries,aborts}`,
-/// and the per-stage `queue_latency` / `commit_latency` summaries from the
-/// speculative commit pipeline.
+/// v2: `service` gained `workers`, three win/retry/abort counters, and
+/// the per-stage `queue_latency` / `commit_latency` summaries from the
+/// multi-worker commit pipeline.
 ///
 /// v3: runs are per-tenant — each gained `tenant` (the warehouse id the
 /// run was served under) and `wire` (the tenant's frame/byte encode-decode
@@ -29,7 +29,11 @@ use std::collections::HashMap;
 /// final post-shutdown view (the run-level `engine` duplicate is gone),
 /// and `EngineMetrics` lost the probe-batch and eval-batch fields with the
 /// parallel engine paths they described.
-pub const BENCH_VERSION: u32 = 4;
+///
+/// v5: `service` lost `workers` and the three win/retry/abort counters
+/// with the multi-worker commit pipeline they described; every tenant is
+/// served by one planning worker.
+pub const BENCH_VERSION: u32 = 5;
 
 /// Result of one load run.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -1,5 +1,5 @@
-//! The online planning service: a bounded ingest queue in front of a
-//! planner worker pool.
+//! The online planning service: a bounded ingest queue in front of one
+//! planner worker.
 //!
 //! ```text
 //!  submitters ──▶ bounded queue ──▶ worker thread ──▶ reply tickets
@@ -11,18 +11,11 @@
 //!
 //! **Commits stay serial**: the online contract (Definition 3) requires
 //! every route to be collision-checked against *all previously committed*
-//! routes, so commits are a linearization point. The default mode
-//! ([`PlanningService::spawn`]) satisfies it the blunt way — one worker
-//! thread owns the planner and both plans and commits — and gets its
-//! parallelism from many submitters enqueueing concurrently and from
-//! metrics readers never touching the planner.
-//!
-//! [`PlanningService::spawn_speculative`] decouples planning latency from
-//! the commit point: `workers` threads plan candidates against replicas of
-//! the committed state while a single validate-and-commit stage re-checks
-//! each candidate and adopts winners in strict admission order, so the
-//! serial contract — and the exact serial output — is preserved at any
-//! worker count. See the `pipeline` module and DESIGN.md §13.
+//! routes, so commits are a linearization point.
+//! [`PlanningService::spawn`] satisfies it directly — one worker thread
+//! owns the planner and both plans and commits — and gets its parallelism
+//! from many submitters enqueueing concurrently and from metrics readers
+//! never touching the planner.
 //!
 //! Admission control and degradation:
 //!
@@ -37,14 +30,12 @@
 //!   an over-budget plan never stalls the robot fleet on a stale answer.
 
 use crate::histogram::{LatencyHistogram, LatencySummary};
-use carp_warehouse::planner::{
-    CancelToken, EngineMetrics, PlanOutcome, Planner, SpeculativePlanner,
-};
+use carp_warehouse::planner::{CancelToken, EngineMetrics, PlanOutcome, Planner};
 use carp_warehouse::request::{Request, RequestId};
 use carp_warehouse::route::Route;
 use carp_warehouse::types::Time;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -66,15 +57,11 @@ pub struct ServiceConfig {
     /// amortize lock traffic; the worker still answers strictly in FIFO
     /// order so admission order fully determines commit order.
     pub batch_limit: usize,
-    /// Planner worker threads. `1` (the default) runs the classic serial
-    /// worker that both plans and commits; `> 1` enables the speculative
-    /// plan/validate/commit pipeline under
-    /// [`PlanningService::spawn_speculative`].
+    /// Planner worker threads; must be 1. The service runs exactly one
+    /// worker that both plans and commits, and
+    /// [`PlanningService::spawn`] panics on any other value. The field is
+    /// kept only so struct literals that still name it keep compiling.
     pub workers: usize,
-    /// Replan attempts granted to a speculative candidate that a newer
-    /// commit invalidated, before the commit stage gives up on speculation
-    /// and replans the request inline on the authoritative planner.
-    pub speculation_retries: u32,
 }
 
 impl Default for ServiceConfig {
@@ -85,7 +72,6 @@ impl Default for ServiceConfig {
             retry_after: Duration::from_millis(5),
             batch_limit: 32,
             workers: 1,
-            speculation_retries: 2,
         }
     }
 }
@@ -201,31 +187,22 @@ pub type WakeFn = Arc<dyn Fn() + Send + Sync>;
 /// Reply channel plus the optional completion waker. `send` delivers the
 /// value first and fires the waker second — a woken poller is guaranteed to
 /// observe the value.
-pub(crate) struct ReplySender<T> {
-    pub(crate) tx: mpsc::Sender<T>,
-    pub(crate) waker: Option<WakeFn>,
+struct ReplySender<T> {
+    tx: mpsc::Sender<T>,
+    waker: Option<WakeFn>,
 }
 
 impl<T> ReplySender<T> {
-    pub(crate) fn new(tx: mpsc::Sender<T>, waker: Option<WakeFn>) -> Self {
+    fn new(tx: mpsc::Sender<T>, waker: Option<WakeFn>) -> Self {
         ReplySender { tx, waker }
     }
 
-    pub(crate) fn send(&self, value: T) -> Result<(), mpsc::SendError<T>> {
+    fn send(&self, value: T) -> Result<(), mpsc::SendError<T>> {
         let out = self.tx.send(value);
         if let Some(wake) = &self.waker {
             wake();
         }
         out
-    }
-}
-
-impl<T> Clone for ReplySender<T> {
-    fn clone(&self) -> Self {
-        ReplySender {
-            tx: self.tx.clone(),
-            waker: self.waker.clone(),
-        }
     }
 }
 
@@ -276,22 +253,15 @@ impl<T> ControlReply<T> {
 }
 
 /// One queued unit of work.
-pub(crate) struct Envelope {
-    /// Admission sequence number: the position in the total admission order
-    /// (plan submissions and control commands share one counter). The
-    /// speculative commit stage commits strictly in `seq` order, which is
-    /// what makes its output independent of worker count.
-    pub(crate) seq: u64,
-    /// Speculative replan attempts already spent on this request.
-    pub(crate) attempt: u32,
-    pub(crate) request: Request,
-    pub(crate) enqueued_at: Instant,
-    pub(crate) reply: ReplySender<PlanResponse>,
+struct Envelope {
+    request: Request,
+    enqueued_at: Instant,
+    reply: ReplySender<PlanResponse>,
 }
 
 /// Control-plane commands; these bypass admission control (they carry the
 /// simulation clock and lifecycle, not load).
-pub(crate) enum Control {
+enum Control {
     /// Drive `Planner::advance(now)`: batched retirement plus any route
     /// revisions, which are sent back to the caller.
     Advance {
@@ -307,66 +277,49 @@ pub(crate) enum Control {
 
 /// Monotone event counters, readable without locking the queue.
 #[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub(crate) submitted: AtomicU64,
-    pub(crate) rejected_backpressure: AtomicU64,
-    pub(crate) planned: AtomicU64,
-    pub(crate) infeasible: AtomicU64,
-    pub(crate) shed_deadline: AtomicU64,
-    pub(crate) cancelled_deadline: AtomicU64,
-    pub(crate) in_flight: AtomicU64,
-    /// Speculative candidates that validated clean and committed as-is.
-    pub(crate) speculation_wins: AtomicU64,
-    /// Candidates invalidated by a newer commit and requeued for replan.
-    pub(crate) speculation_retries: AtomicU64,
-    /// Candidates that exhausted their retry budget and fell back to an
-    /// inline authoritative replan at the commit stage.
-    pub(crate) speculation_aborts: AtomicU64,
+struct Counters {
+    submitted: AtomicU64,
+    rejected_backpressure: AtomicU64,
+    planned: AtomicU64,
+    infeasible: AtomicU64,
+    shed_deadline: AtomicU64,
+    cancelled_deadline: AtomicU64,
+    in_flight: AtomicU64,
 }
 
 /// Queue state behind the mutex.
-pub(crate) struct QueueState {
-    pub(crate) plan: VecDeque<Envelope>,
-    pub(crate) control: VecDeque<(u64, Control)>,
-    /// Speculative planning results, keyed by admission sequence. The
-    /// commit stage consumes entry `next`; workers insert out of order.
-    pub(crate) results: BTreeMap<u64, crate::pipeline::SpecResult>,
-    /// Next admission sequence number to hand out.
-    pub(crate) admitted: u64,
-    pub(crate) shutdown: bool,
+struct QueueState {
+    plan: VecDeque<Envelope>,
+    control: VecDeque<Control>,
+    shutdown: bool,
 }
 
-pub(crate) struct Shared {
-    pub(crate) state: Mutex<QueueState>,
-    /// Wakes planner workers (serial or speculative) on new plan work.
-    pub(crate) wakeup: Condvar,
-    /// Wakes the speculative commit stage on new results / controls.
-    pub(crate) commit_cv: Condvar,
-    pub(crate) counters: Counters,
-    pub(crate) config: ServiceConfig,
+struct Shared {
+    state: Mutex<QueueState>,
+    /// Wakes the worker on new plan work or control commands.
+    wakeup: Condvar,
+    counters: Counters,
+    config: ServiceConfig,
     /// Queue wait per request that reached a planner (dequeue − submit).
-    pub(crate) queue_hist: Mutex<LatencyHistogram>,
+    queue_hist: Mutex<LatencyHistogram>,
     /// Wall-clock time spent inside `Planner::plan` per request.
-    pub(crate) planning_hist: Mutex<LatencyHistogram>,
-    /// Commit-point time per committed route: validate+commit in
-    /// speculative mode, journal+accept in serial mode (so WAL overhead
-    /// shows up here in both modes).
-    pub(crate) commit_hist: Mutex<LatencyHistogram>,
+    planning_hist: Mutex<LatencyHistogram>,
+    /// Commit-point time per committed route: the journal append plus the
+    /// accept (so WAL overhead shows up here).
+    commit_hist: Mutex<LatencyHistogram>,
     /// End-to-end submit → reply latency per answered request.
-    pub(crate) turnaround_hist: Mutex<LatencyHistogram>,
+    turnaround_hist: Mutex<LatencyHistogram>,
     /// Last engine metrics published by the worker (updated per cycle).
-    pub(crate) engine: Mutex<Option<EngineMetrics>>,
-    /// Durable changeset journal, written at the validate-and-commit
-    /// point (`None` = durability off). Lives here rather than in
-    /// [`ServiceConfig`] so the config stays `Copy`.
-    pub(crate) journal: Option<crate::wal::TenantJournal>,
+    engine: Mutex<Option<EngineMetrics>>,
+    /// Durable changeset journal, written at the commit point (`None` =
+    /// durability off). Lives here rather than in [`ServiceConfig`] so
+    /// the config stays `Copy`.
+    journal: Option<crate::wal::TenantJournal>,
 }
 
 /// Point-in-time, serializable view of the service's operational state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServiceMetrics {
-    /// Planner worker threads serving the queue (1 = serial mode).
-    pub workers: usize,
     /// Requests currently waiting in the ingest queue.
     pub queue_depth: usize,
     /// Requests dequeued but not yet answered.
@@ -383,20 +336,11 @@ pub struct ServiceMetrics {
     pub shed_deadline: u64,
     /// Plans cancelled for finishing over budget.
     pub cancelled_deadline: u64,
-    /// Speculative candidates that validated clean and committed as-is
-    /// (zero in serial mode).
-    pub speculation_wins: u64,
-    /// Speculative candidates invalidated by a newer commit and requeued.
-    pub speculation_retries: u64,
-    /// Speculative candidates that exhausted their retry budget and fell
-    /// back to an inline authoritative replan.
-    pub speculation_aborts: u64,
     /// Queue wait (submit → dequeue) for requests that reached a planner.
     pub queue_latency: LatencySummary,
     /// Wall-clock planning latency (inside `Planner::plan`).
     pub planning_latency: LatencySummary,
-    /// Commit-point latency per committed route: validate+commit in
-    /// speculative mode, journal+accept in serial mode.
+    /// Commit-point latency per committed route (journal append + accept).
     pub commit_latency: LatencySummary,
     /// End-to-end submit → reply latency.
     pub turnaround_latency: LatencySummary,
@@ -459,11 +403,7 @@ impl ServiceClient {
                     queue_depth: st.plan.len(),
                 });
             }
-            let seq = st.admitted;
-            st.admitted += 1;
             st.plan.push_back(Envelope {
-                seq,
-                attempt: 0,
                 request,
                 enqueued_at: Instant::now(),
                 reply: ReplySender::new(tx, waker),
@@ -503,18 +443,12 @@ impl ServiceClient {
             if st.shutdown {
                 return ControlReply::resolved(Vec::new);
             }
-            let seq = st.admitted;
-            st.admitted += 1;
-            st.control.push_back((
-                seq,
-                Control::Advance {
-                    now,
-                    reply: ReplySender::new(tx, waker),
-                },
-            ));
+            st.control.push_back(Control::Advance {
+                now,
+                reply: ReplySender::new(tx, waker),
+            });
         }
         self.shared.wakeup.notify_one();
-        self.shared.commit_cv.notify_all();
         ControlReply::pending(rx, Vec::new)
     }
 
@@ -535,18 +469,12 @@ impl ServiceClient {
             if st.shutdown {
                 return ControlReply::resolved(no);
             }
-            let seq = st.admitted;
-            st.admitted += 1;
-            st.control.push_back((
-                seq,
-                Control::Cancel {
-                    id,
-                    reply: ReplySender::new(tx, waker),
-                },
-            ));
+            st.control.push_back(Control::Cancel {
+                id,
+                reply: ReplySender::new(tx, waker),
+            });
         }
         self.shared.wakeup.notify_one();
-        self.shared.commit_cv.notify_all();
         ControlReply::pending(rx, no)
     }
 
@@ -557,7 +485,6 @@ impl ServiceClient {
         let queue_depth = self.shared.state.lock().expect("service lock").plan.len();
         let c = &self.shared.counters;
         ServiceMetrics {
-            workers: self.shared.config.workers,
             queue_depth,
             in_flight: c.in_flight.load(Ordering::Relaxed),
             submitted: c.submitted.load(Ordering::Relaxed),
@@ -566,9 +493,6 @@ impl ServiceClient {
             infeasible: c.infeasible.load(Ordering::Relaxed),
             shed_deadline: c.shed_deadline.load(Ordering::Relaxed),
             cancelled_deadline: c.cancelled_deadline.load(Ordering::Relaxed),
-            speculation_wins: c.speculation_wins.load(Ordering::Relaxed),
-            speculation_retries: c.speculation_retries.load(Ordering::Relaxed),
-            speculation_aborts: c.speculation_aborts.load(Ordering::Relaxed),
             queue_latency: self.shared.queue_hist.lock().expect("hist lock").summary(),
             commit_latency: self.shared.commit_hist.lock().expect("hist lock").summary(),
             planning_latency: self
@@ -588,44 +512,19 @@ impl ServiceClient {
     }
 }
 
-/// The running service: owns the worker threads and the planner inside.
+/// The running service: owns the worker thread and the planner inside.
 pub struct PlanningService<P: Planner + Send + 'static> {
     shared: Arc<Shared>,
-    /// Speculative planner workers (empty in serial mode). They own only
-    /// replicas, so they return nothing.
-    planners: Vec<std::thread::JoinHandle<()>>,
-    /// The thread that owns the authoritative planner: the serial worker,
-    /// or the speculative commit stage.
     worker: std::thread::JoinHandle<P>,
 }
 
-fn make_shared(config: ServiceConfig, journal: Option<crate::wal::TenantJournal>) -> Arc<Shared> {
-    assert!(config.queue_capacity > 0, "queue capacity must be positive");
-    assert!(config.batch_limit > 0, "batch limit must be positive");
-    Arc::new(Shared {
-        state: Mutex::new(QueueState {
-            plan: VecDeque::with_capacity(config.queue_capacity),
-            control: VecDeque::new(),
-            results: BTreeMap::new(),
-            admitted: 0,
-            shutdown: false,
-        }),
-        wakeup: Condvar::new(),
-        commit_cv: Condvar::new(),
-        counters: Counters::default(),
-        config,
-        queue_hist: Mutex::new(LatencyHistogram::new()),
-        planning_hist: Mutex::new(LatencyHistogram::new()),
-        commit_hist: Mutex::new(LatencyHistogram::new()),
-        turnaround_hist: Mutex::new(LatencyHistogram::new()),
-        engine: Mutex::new(None),
-        journal,
-    })
-}
-
 impl<P: Planner + Send + 'static> PlanningService<P> {
-    /// Spawn the serial worker thread around `planner` (one thread plans
-    /// *and* commits; `config.workers` is normalized to 1).
+    /// Spawn the worker thread around `planner` (one thread plans *and*
+    /// commits).
+    ///
+    /// # Panics
+    /// When `config.workers` is not 1, or the queue capacity or batch
+    /// limit is zero.
     pub fn spawn(planner: P, config: ServiceConfig) -> Self {
         Self::spawn_journaled(planner, config, None)
     }
@@ -638,21 +537,34 @@ impl<P: Planner + Send + 'static> PlanningService<P> {
         config: ServiceConfig,
         journal: Option<crate::wal::TenantJournal>,
     ) -> Self {
-        let config = ServiceConfig {
-            workers: 1,
-            ..config
-        };
-        let shared = make_shared(config, journal);
+        assert_eq!(
+            config.workers, 1,
+            "the service runs exactly one planner worker"
+        );
+        assert!(config.queue_capacity > 0, "queue capacity must be positive");
+        assert!(config.batch_limit > 0, "batch limit must be positive");
+        let shared = Arc::new(Shared {
+            state: Mutex::new(QueueState {
+                plan: VecDeque::with_capacity(config.queue_capacity),
+                control: VecDeque::new(),
+                shutdown: false,
+            }),
+            wakeup: Condvar::new(),
+            counters: Counters::default(),
+            config,
+            queue_hist: Mutex::new(LatencyHistogram::new()),
+            planning_hist: Mutex::new(LatencyHistogram::new()),
+            commit_hist: Mutex::new(LatencyHistogram::new()),
+            turnaround_hist: Mutex::new(LatencyHistogram::new()),
+            engine: Mutex::new(None),
+            journal,
+        });
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name("carp-service-worker".into())
             .spawn(move || worker_loop(planner, worker_shared))
             .expect("spawn service worker");
-        PlanningService {
-            shared,
-            planners: Vec::new(),
-            worker,
-        }
+        PlanningService { shared, worker }
     }
 
     /// A cloneable client handle for submitters and metrics readers.
@@ -662,7 +574,7 @@ impl<P: Planner + Send + 'static> PlanningService<P> {
         }
     }
 
-    /// Drain the queue, stop the workers, and return the planner for
+    /// Drain the queue, stop the worker, and return the planner for
     /// inspection (engine metrics, provenance, memory accounting).
     pub fn shutdown(self) -> P {
         {
@@ -670,62 +582,7 @@ impl<P: Planner + Send + 'static> PlanningService<P> {
             st.shutdown = true;
         }
         self.shared.wakeup.notify_all();
-        self.shared.commit_cv.notify_all();
-        for h in self.planners {
-            // A replica worker that panicked already surfaced its failure
-            // through `PlanResponse::ServiceDied`; don't re-panic the
-            // caller for it.
-            let _ = h.join();
-        }
         self.worker.join().expect("service worker panicked")
-    }
-}
-
-impl<P: SpeculativePlanner + Send + 'static> PlanningService<P> {
-    /// Spawn the speculative plan/validate/commit pipeline:
-    /// `config.workers` planner threads, each owning a forked replica of
-    /// `planner`, plus one commit-stage thread owning the authoritative
-    /// planner. With `workers <= 1` this delegates to the serial
-    /// [`PlanningService::spawn`] — the pipeline only pays for itself when
-    /// there is real planning concurrency.
-    pub fn spawn_speculative(planner: P, config: ServiceConfig) -> Self {
-        Self::spawn_speculative_journaled(planner, config, None)
-    }
-
-    /// [`PlanningService::spawn_speculative`] with an optional durable
-    /// changeset journal, written by the single validate-and-commit
-    /// stage (workers never touch it — replicas are not authoritative).
-    pub fn spawn_speculative_journaled(
-        planner: P,
-        config: ServiceConfig,
-        journal: Option<crate::wal::TenantJournal>,
-    ) -> Self {
-        if config.workers <= 1 {
-            return Self::spawn_journaled(planner, config, journal);
-        }
-        let shared = make_shared(config, journal);
-        let oplog = Arc::new(crate::pipeline::OpLog::default());
-        let planners = (0..config.workers)
-            .map(|i| {
-                let replica = planner.fork();
-                let shared = Arc::clone(&shared);
-                let oplog = Arc::clone(&oplog);
-                std::thread::Builder::new()
-                    .name(format!("carp-spec-plan-{i}"))
-                    .spawn(move || crate::pipeline::worker_loop(replica, shared, oplog))
-                    .expect("spawn speculative planner worker")
-            })
-            .collect();
-        let commit_shared = Arc::clone(&shared);
-        let worker = std::thread::Builder::new()
-            .name("carp-spec-commit".into())
-            .spawn(move || crate::pipeline::committer_loop(planner, commit_shared, oplog))
-            .expect("spawn speculative commit stage");
-        PlanningService {
-            shared,
-            planners,
-            worker,
-        }
     }
 }
 
@@ -736,7 +593,7 @@ fn worker_loop<P: Planner>(mut planner: P, shared: Arc<Shared>) -> P {
             while st.control.is_empty() && st.plan.is_empty() && !st.shutdown {
                 st = shared.wakeup.wait(st).expect("service lock");
             }
-            let controls: Vec<(u64, Control)> = st.control.drain(..).collect();
+            let controls: Vec<Control> = st.control.drain(..).collect();
             let take = st.plan.len().min(shared.config.batch_limit);
             let batch: Vec<Envelope> = st.plan.drain(..take).collect();
             let stop = st.shutdown && st.plan.is_empty() && st.control.is_empty();
@@ -750,7 +607,7 @@ fn worker_loop<P: Planner>(mut planner: P, shared: Arc<Shared>) -> P {
             .in_flight
             .fetch_add((controls.len() + batch.len()) as u64, Ordering::Relaxed);
 
-        for (_seq, control) in controls {
+        for control in controls {
             match control {
                 Control::Advance { now, reply } => {
                     let revisions = planner.advance(now);
@@ -838,10 +695,10 @@ fn process_one<P: Planner>(planner: &mut P, shared: &Shared, env: Envelope) {
                     .fetch_add(1, Ordering::Relaxed);
                 PlanResponse::DeadlineOverrun
             } else {
-                // In serial mode `plan` already committed, so the accept
-                // path *is* the commit point: the journal append is timed
-                // into `commit_hist`, making WAL-on vs WAL-off commit
-                // latency directly comparable with the speculative stage.
+                // `plan` already committed, so the accept path *is* the
+                // commit point: the journal append is timed into
+                // `commit_hist`, making WAL-on vs WAL-off commit latency
+                // directly comparable.
                 let committed = Instant::now();
                 if let Some(j) = &shared.journal {
                     j.commit(&env.request, &route);
@@ -875,7 +732,7 @@ fn process_one<P: Planner>(planner: &mut P, shared: &Shared, env: Envelope) {
     let _ = env.reply.send(response);
 }
 
-pub(crate) fn record_turnaround(shared: &Shared, enqueued_at: Instant) {
+fn record_turnaround(shared: &Shared, enqueued_at: Instant) {
     shared
         .turnaround_hist
         .lock()
@@ -889,21 +746,14 @@ mod tests {
     use carp_warehouse::request::QueryKind;
     use carp_warehouse::types::Cell;
 
-    /// Test double: plans a stationary route after an optional artificial
-    /// delay, and records cancels.
+    /// Test double: plans a stationary route and counts plans.
     struct StubPlanner {
-        delay: Duration,
-        cancelled: Vec<RequestId>,
         planned: usize,
     }
 
     impl StubPlanner {
-        fn new(delay: Duration) -> Self {
-            StubPlanner {
-                delay,
-                cancelled: Vec::new(),
-                planned: 0,
-            }
+        fn new() -> Self {
+            StubPlanner { planned: 0 }
         }
     }
 
@@ -912,15 +762,8 @@ mod tests {
             "stub"
         }
         fn plan(&mut self, req: &Request) -> PlanOutcome {
-            if !self.delay.is_zero() {
-                std::thread::sleep(self.delay);
-            }
             self.planned += 1;
             PlanOutcome::Planned(Route::stationary(req.t, req.origin))
-        }
-        fn cancel(&mut self, id: RequestId) -> bool {
-            self.cancelled.push(id);
-            true
         }
         fn memory_bytes(&self) -> usize {
             0
@@ -998,8 +841,7 @@ mod tests {
 
     #[test]
     fn plans_flow_through_and_shutdown_returns_planner() {
-        let svc =
-            PlanningService::spawn(StubPlanner::new(Duration::ZERO), ServiceConfig::default());
+        let svc = PlanningService::spawn(StubPlanner::new(), ServiceConfig::default());
         let client = svc.client();
         let tickets: Vec<Ticket> = (0..10).map(|i| client.submit(req(i)).unwrap()).collect();
         for t in tickets {
@@ -1086,15 +928,31 @@ mod tests {
 
     #[test]
     fn over_budget_plans_are_cancelled_not_committed() {
+        // The gate holds the request inside `plan` until its deadline has
+        // verifiably passed, so the overrun does not depend on the worker
+        // waking within a calibrated margin (a late wake-up would shed the
+        // request before planning instead).
+        let deadline = Duration::from_millis(100);
+        let gate = Gate::new();
         let svc = PlanningService::spawn(
-            StubPlanner::new(Duration::from_millis(25)),
+            GateStub {
+                gate: Arc::clone(&gate),
+                cancelled: Vec::new(),
+                planned: 0,
+            },
             ServiceConfig {
-                deadline: Some(Duration::from_millis(1)),
+                deadline: Some(deadline),
                 ..Default::default()
             },
         );
         let client = svc.client();
         let t = client.submit(req(0)).unwrap();
+        let queued = Instant::now();
+        gate.wait_entered(1); // passed the shed check, now inside plan
+        while queued.elapsed() <= deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        gate.permit(1);
         assert_eq!(t.wait(), PlanResponse::DeadlineOverrun);
         let m = client.metrics();
         assert_eq!(m.cancelled_deadline, 1);
@@ -1176,8 +1034,7 @@ mod tests {
 
     #[test]
     fn shutdown_rejects_new_submissions() {
-        let svc =
-            PlanningService::spawn(StubPlanner::new(Duration::ZERO), ServiceConfig::default());
+        let svc = PlanningService::spawn(StubPlanner::new(), ServiceConfig::default());
         let client = svc.client();
         svc.shutdown();
         assert!(matches!(
@@ -1189,7 +1046,6 @@ mod tests {
     #[test]
     fn refusal_rate_accounts_all_refusal_paths() {
         let m = ServiceMetrics {
-            workers: 1,
             queue_depth: 0,
             in_flight: 0,
             submitted: 90,
@@ -1198,9 +1054,6 @@ mod tests {
             infeasible: 2,
             shed_deadline: 5,
             cancelled_deadline: 3,
-            speculation_wins: 0,
-            speculation_retries: 0,
-            speculation_aborts: 0,
             queue_latency: LatencyHistogram::new().summary(),
             planning_latency: LatencyHistogram::new().summary(),
             commit_latency: LatencyHistogram::new().summary(),
@@ -1210,144 +1063,15 @@ mod tests {
         assert!((m.refusal_rate() - 0.18).abs() < 1e-12);
     }
 
-    /// Speculative test double: candidates occupy the cell indexed by how
-    /// many routes the replica has adopted, so two workers planning at the
-    /// same epoch produce *colliding* stationary routes, and a replan after
-    /// syncing the winner's adopt op resolves to a free cell. The first
-    /// `barrier` calls to `plan_candidate` rendezvous, guaranteeing both
-    /// workers plan before either result commits — the deterministic
-    /// trigger for the requeue path.
-    #[derive(Clone)]
-    struct ConflictStub {
-        rendezvous: Arc<(Mutex<usize>, Condvar)>,
-        barrier: usize,
-        adopted: u16,
-    }
-
-    impl ConflictStub {
-        fn new(barrier: usize) -> Self {
-            ConflictStub {
-                rendezvous: Arc::new((Mutex::new(0), Condvar::new())),
-                barrier,
-                adopted: 0,
-            }
-        }
-        fn route_for(&self, req: &Request) -> Route {
-            Route::stationary(req.t, Cell::new(self.adopted, 0))
-        }
-    }
-
-    impl Planner for ConflictStub {
-        fn name(&self) -> &'static str {
-            "conflict-stub"
-        }
-        fn plan(&mut self, req: &Request) -> PlanOutcome {
-            let route = self.route_for(req);
-            self.adopted += 1;
-            PlanOutcome::Planned(route)
-        }
-        fn cancel(&mut self, _id: RequestId) -> bool {
-            true
-        }
-        fn memory_bytes(&self) -> usize {
-            0
-        }
-    }
-
-    impl SpeculativePlanner for ConflictStub {
-        fn fork(&self) -> Self {
-            self.clone()
-        }
-        fn plan_candidate(&mut self, req: &Request) -> Option<Route> {
-            {
-                let (count, cv) = &*self.rendezvous;
-                let mut n = count.lock().unwrap();
-                *n += 1;
-                cv.notify_all();
-                while *n < self.barrier {
-                    n = cv.wait(n).unwrap();
-                }
-            }
-            Some(self.route_for(req))
-        }
-        fn adopt(&mut self, _id: RequestId, _route: &Route) {
-            self.adopted += 1;
-        }
-    }
-
     #[test]
-    fn speculation_losers_requeue_and_win_on_retry() {
-        let svc = PlanningService::spawn_speculative(
-            ConflictStub::new(2),
+    #[should_panic(expected = "exactly one planner worker")]
+    fn more_than_one_worker_is_refused() {
+        let _svc = PlanningService::spawn(
+            StubPlanner::new(),
             ServiceConfig {
-                deadline: None,
-                workers: 2,
-                speculation_retries: 2,
-                ..Default::default()
-            },
-        );
-        let client = svc.client();
-        let t0 = client.submit(req(0)).unwrap();
-        let t1 = client.submit(req(1)).unwrap();
-        let r0 = t0.wait().route().cloned().expect("seq 0 planned");
-        let r1 = t1.wait().route().cloned().expect("seq 1 planned");
-        // Both candidates were planned at epoch 0 on cell (0,0); the seq-0
-        // winner committed, the seq-1 loser was requeued and re-planned
-        // against the synced replica, landing on cell (1,0).
-        assert_eq!(r0.origin(), Cell::new(0, 0));
-        assert_eq!(r1.origin(), Cell::new(1, 0));
-        let m = client.metrics();
-        assert_eq!(m.planned, 2, "no double commit, no lost request");
-        assert_eq!(m.speculation_wins, 2, "the retry wins speculatively");
-        assert_eq!(m.speculation_retries, 1, "exactly one requeue");
-        assert_eq!(m.speculation_aborts, 0, "budget never exhausted");
-        assert_eq!(m.workers, 2);
-        svc.shutdown();
-        assert_eq!(client.metrics().in_flight, 0);
-    }
-
-    #[test]
-    fn speculative_worker_panic_answers_service_died_once() {
-        #[derive(Clone)]
-        struct PanicOnZero;
-        impl Planner for PanicOnZero {
-            fn name(&self) -> &'static str {
-                "panic-on-zero"
-            }
-            fn plan(&mut self, req: &Request) -> PlanOutcome {
-                PlanOutcome::Planned(Route::stationary(req.t, req.origin))
-            }
-            fn memory_bytes(&self) -> usize {
-                0
-            }
-        }
-        impl SpeculativePlanner for PanicOnZero {
-            fn fork(&self) -> Self {
-                self.clone()
-            }
-            fn plan_candidate(&mut self, req: &Request) -> Option<Route> {
-                if req.id == 0 {
-                    panic!("injected replica crash");
-                }
-                Some(Route::stationary(req.t, req.origin))
-            }
-            fn adopt(&mut self, _id: RequestId, _route: &Route) {}
-        }
-        let svc = PlanningService::spawn_speculative(
-            PanicOnZero,
-            ServiceConfig {
-                deadline: None,
                 workers: 2,
                 ..Default::default()
             },
         );
-        let client = svc.client();
-        let t0 = client.submit(req(0)).unwrap();
-        // The crashed request surfaces as a value; the pipeline keeps
-        // serving later requests on the surviving worker.
-        assert_eq!(t0.wait(), PlanResponse::ServiceDied);
-        let t1 = client.submit(req(1)).unwrap();
-        assert!(matches!(t1.wait(), PlanResponse::Planned(_)));
-        svc.shutdown();
     }
 }

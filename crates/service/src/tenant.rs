@@ -1,16 +1,16 @@
 //! Tenants: one planning service per warehouse, behind one registry.
 //!
 //! A [`Tenant`] owns everything one warehouse needs — its engine (via the
-//! planner inside a [`PlanningService`]), its commit pipeline (serial or
-//! speculative worker pool), its metrics, and its wire-traffic tally —
-//! keyed by a [`WarehouseId`]. The [`TenantRegistry`] maps ids to tenants
-//! and is the only shared state between warehouses: each tenant has its own
-//! bounded queue, worker pool and op-log, so backpressure, deadlines and
-//! commit order are all **per tenant**. That isolation is the multi-tenant
-//! determinism argument (DESIGN.md §14): a tenant's committed route set is
-//! a function of its own admission order alone, so serving W-1 and W-2
-//! from one daemon cannot change either one's routes — concurrent tenants
-//! only contend for CPU time, never for planner state.
+//! planner inside a [`PlanningService`]), its planning worker, its metrics,
+//! and its wire-traffic tally — keyed by a [`WarehouseId`]. The
+//! [`TenantRegistry`] maps ids to tenants and is the only shared state
+//! between warehouses: each tenant has its own bounded queue and worker,
+//! so backpressure, deadlines and commit order are all **per tenant**.
+//! That isolation is the multi-tenant determinism argument (DESIGN.md
+//! §14): a tenant's committed route set is a function of its own admission
+//! order alone, so serving W-1 and W-2 from one daemon cannot change either
+//! one's routes — concurrent tenants only contend for CPU time, never for
+//! planner state.
 //!
 //! The registry deliberately exposes planners only through
 //! [`TenantRegistry::remove`], which shuts the tenant's service down and
@@ -20,7 +20,7 @@
 
 use crate::service::{PlanningService, ServiceClient, ServiceConfig};
 use crate::wal::{TenantJournal, WalJournal};
-use carp_warehouse::planner::{Planner, SpeculativePlanner};
+use carp_warehouse::planner::Planner;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -172,48 +172,24 @@ impl TenantRegistry {
             .inspect(|j| j.open())
     }
 
-    /// Register a tenant on the serial (single-worker) service.
+    /// Register a tenant: spawn its planning service around `planner`.
     ///
     /// # Panics
-    /// When `id` is already registered or longer than a wire `str16`.
+    /// When `id` is already registered or longer than a wire `str16`, or
+    /// when [`PlanningService::spawn`] refuses `config`.
     pub fn register<P: Planner + Send + 'static>(
         &self,
         id: impl Into<WarehouseId>,
         planner: P,
         config: ServiceConfig,
     ) -> Arc<Tenant> {
-        self.insert(id.into(), |j| {
-            PlanningService::spawn_journaled(planner, config, j)
-        })
-    }
-
-    /// Register a tenant on the speculative multi-worker pipeline
-    /// (`config.workers` planner threads; serial when `workers <= 1`).
-    ///
-    /// # Panics
-    /// When `id` is already registered or longer than a wire `str16`.
-    pub fn register_speculative<P: SpeculativePlanner + Send + 'static>(
-        &self,
-        id: impl Into<WarehouseId>,
-        planner: P,
-        config: ServiceConfig,
-    ) -> Arc<Tenant> {
-        self.insert(id.into(), |j| {
-            PlanningService::spawn_speculative_journaled(planner, config, j)
-        })
-    }
-
-    fn insert<P, F>(&self, id: WarehouseId, spawn: F) -> Arc<Tenant>
-    where
-        P: Planner + Send + 'static,
-        F: FnOnce(Option<TenantJournal>) -> PlanningService<P>,
-    {
+        let id = id.into();
         assert!(
             u16::try_from(id.len()).is_ok(),
             "tenant id must fit a wire str16"
         );
         let journal = self.tenant_journal(&id);
-        let svc = spawn(journal.clone());
+        let svc = PlanningService::spawn_journaled(planner, config, journal.clone());
         let tenant = Arc::new(Tenant::new(id.clone(), svc, journal));
         let mut map = self.tenants.write().expect("tenant registry lock");
         let prior = map.insert(id.clone(), Arc::clone(&tenant));

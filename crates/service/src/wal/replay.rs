@@ -8,10 +8,8 @@
 //!   file; the compaction proptest pins `replay(snapshot ⊕ tail) ==
 //!   live state`.
 //! * [`recover_planners`] — the warm standby: rebuilds real
-//!   [`SpeculativePlanner`] replicas (committed segments, reservation
-//!   layers and all) by replaying adopt/cancel/advance/revise in log
-//!   order, exactly the discipline worker replicas use on the in-memory
-//!   epoch op-log (DESIGN.md §13) — extended here to cover revision ops.
+//!   [`ReplayPlanner`]s (committed segments, reservation layers and all)
+//!   by replaying adopt/cancel/advance/revise in log order.
 //! * [`audit_log`] — a strict collision audit of the recovered history:
 //!   replays every route into per-tenant [`IncrementalAuditor`]s and
 //!   reports the first conflict, proving the log never certified a
@@ -26,7 +24,7 @@ use super::record::{ChangeOp, ChangeRecord, TenantSnapshot, WalSnapshot};
 use carp_simenv::audit::ReproBundle;
 use carp_warehouse::collision::{AuditConflict, IncrementalAuditor};
 use carp_warehouse::layout::LayoutConfig;
-use carp_warehouse::planner::SpeculativePlanner;
+use carp_warehouse::planner::ReplayPlanner;
 use carp_warehouse::request::Request;
 use std::collections::BTreeMap;
 
@@ -133,7 +131,7 @@ pub fn recover_planners<P, F>(
     mut factory: F,
 ) -> (BTreeMap<String, P>, ReplayState)
 where
-    P: SpeculativePlanner,
+    P: ReplayPlanner,
     F: FnMut(&str) -> P,
 {
     let mut planners: BTreeMap<String, P> = BTreeMap::new();

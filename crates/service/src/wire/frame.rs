@@ -3,7 +3,7 @@
 //! ```text
 //!  offset  size  field
 //!       0     4  magic  b"CARP"
-//!       4     2  version (LE u16) — currently 1
+//!       4     2  version (LE u16) — currently 2
 //!       6     2  kind    (LE u16) — see FrameKind
 //!       8     4  payload length (LE u32), ≤ MAX_PAYLOAD
 //!      12     …  payload (schema depends on kind)
@@ -18,7 +18,10 @@ use std::io::{Read, Write};
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"CARP";
 /// Protocol version spoken by this build.
-pub const VERSION: u16 = 1;
+///
+/// v2: the `MetricsReply` payload lost the worker count and the three
+/// win/retry/abort counters of the removed multi-worker commit pipeline.
+pub const VERSION: u16 = 2;
 /// Bytes in the fixed frame header.
 pub const HEADER_LEN: usize = 12;
 /// Upper bound on a payload (16 MiB) — a route over the largest layout is
@@ -337,12 +340,23 @@ mod tests {
         bad[0] = b'X';
         assert_eq!(read_frame(&mut &bad[..]), Err(WireError::BadMagic));
 
-        let mut bad = buf.clone();
-        bad[4] = 99;
-        assert_eq!(
-            read_frame(&mut &bad[..]),
-            Err(WireError::UnsupportedVersion(99))
-        );
+        // A future version and the previous one (whose `MetricsReply`
+        // layout differs) are both refused, by the blocking reader and by
+        // the incremental decoder alike.
+        for version in [99, VERSION - 1] {
+            let mut bad = buf.clone();
+            bad[4..6].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                read_frame(&mut &bad[..]),
+                Err(WireError::UnsupportedVersion(version))
+            );
+            let mut dec = FrameDecoder::new();
+            dec.push(&bad);
+            assert_eq!(
+                dec.next_frame(),
+                Err(WireError::UnsupportedVersion(version))
+            );
+        }
 
         let mut bad = buf.clone();
         bad[6] = 0xAB;

@@ -416,7 +416,6 @@ fn get_latency(r: &mut Reader<'_>) -> Result<LatencySummary, WireError> {
 /// followed by the tenant's [`WireCounters`].
 pub fn encode_metrics_reply(metrics: &ServiceMetrics, wire: &WireCounters) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u32(metrics.workers.min(u32::MAX as usize) as u32);
     w.put_u32(metrics.queue_depth.min(u32::MAX as usize) as u32);
     w.put_u64(metrics.in_flight);
     w.put_u64(metrics.submitted);
@@ -425,9 +424,6 @@ pub fn encode_metrics_reply(metrics: &ServiceMetrics, wire: &WireCounters) -> Ve
     w.put_u64(metrics.infeasible);
     w.put_u64(metrics.shed_deadline);
     w.put_u64(metrics.cancelled_deadline);
-    w.put_u64(metrics.speculation_wins);
-    w.put_u64(metrics.speculation_retries);
-    w.put_u64(metrics.speculation_aborts);
     put_latency(&mut w, &metrics.queue_latency);
     put_latency(&mut w, &metrics.planning_latency);
     put_latency(&mut w, &metrics.commit_latency);
@@ -453,7 +449,6 @@ pub fn encode_metrics_reply(metrics: &ServiceMetrics, wire: &WireCounters) -> Ve
 /// Decode a `MetricsReply` payload.
 pub fn decode_metrics_reply(payload: &[u8]) -> Result<(ServiceMetrics, WireCounters), WireError> {
     let mut r = Reader::new(payload);
-    let workers = r.u32()? as usize;
     let queue_depth = r.u32()? as usize;
     let in_flight = r.u64()?;
     let submitted = r.u64()?;
@@ -462,9 +457,6 @@ pub fn decode_metrics_reply(payload: &[u8]) -> Result<(ServiceMetrics, WireCount
     let infeasible = r.u64()?;
     let shed_deadline = r.u64()?;
     let cancelled_deadline = r.u64()?;
-    let speculation_wins = r.u64()?;
-    let speculation_retries = r.u64()?;
-    let speculation_aborts = r.u64()?;
     let queue_latency = get_latency(&mut r)?;
     let planning_latency = get_latency(&mut r)?;
     let commit_latency = get_latency(&mut r)?;
@@ -488,7 +480,6 @@ pub fn decode_metrics_reply(payload: &[u8]) -> Result<(ServiceMetrics, WireCount
     };
     r.done()?;
     let metrics = ServiceMetrics {
-        workers,
         queue_depth,
         in_flight,
         submitted,
@@ -497,9 +488,6 @@ pub fn decode_metrics_reply(payload: &[u8]) -> Result<(ServiceMetrics, WireCount
         infeasible,
         shed_deadline,
         cancelled_deadline,
-        speculation_wins,
-        speculation_retries,
-        speculation_aborts,
         queue_latency,
         planning_latency,
         commit_latency,
@@ -781,7 +769,6 @@ mod tests {
     #[test]
     fn metrics_reply_round_trip() {
         let metrics = ServiceMetrics {
-            workers: 4,
             queue_depth: 3,
             in_flight: 2,
             submitted: 100,
@@ -790,9 +777,6 @@ mod tests {
             infeasible: 5,
             shed_deadline: 0,
             cancelled_deadline: 0,
-            speculation_wins: 80,
-            speculation_retries: 7,
-            speculation_aborts: 3,
             queue_latency: LatencySummary {
                 count: 100,
                 mean_us: 12.5,
@@ -821,7 +805,8 @@ mod tests {
         let payload = encode_metrics_reply(&metrics, &wire);
         let (m2, w2) = decode_metrics_reply(&payload).unwrap();
         assert_eq!(w2, wire);
-        assert_eq!(m2.workers, 4);
+        assert_eq!(m2.queue_depth, 3);
+        assert_eq!(m2.in_flight, 2);
         assert_eq!(m2.submitted, 100);
         assert_eq!(m2.queue_latency.mean_us, 12.5);
         assert_eq!(m2.engine, metrics.engine);

@@ -1,12 +1,11 @@
 //! Multi-tenant conformance: the tentpole determinism gate.
 //!
 //! One daemon serving W-1 and W-2 concurrently — each tenant on its own
-//! connection, queue, worker pool and commit pipeline — must commit, for
-//! every tenant, the **bit-identical** route set that tenant gets from an
-//! isolated single-tenant serial run. Tenants share nothing but CPU, so
-//! cross-tenant interference can change wall-clock numbers but never a
-//! route. Checked at 1 and 4 speculative workers per tenant, with zero
-//! audited collisions throughout.
+//! connection, queue and planning worker — must commit, for every tenant,
+//! the **bit-identical** route set that tenant gets from an isolated
+//! single-tenant run. Tenants share nothing but CPU, so cross-tenant
+//! interference can change wall-clock numbers but never a route. Checked
+//! with zero audited collisions throughout.
 //!
 //! A TCP smoke rides along: the same frames over a real socket, proving
 //! the `--listen` path is the in-process path.
@@ -27,10 +26,9 @@ fn srp(layout: &Layout) -> SrpPlanner {
 }
 
 /// Deadline-free config: the bit-determinism regime.
-fn cfg(workers: usize) -> ServiceConfig {
+fn cfg() -> ServiceConfig {
     ServiceConfig {
         deadline: None,
-        workers,
         ..ServiceConfig::default()
     }
 }
@@ -43,9 +41,9 @@ fn two_tenant_digests_match_single_tenant_runs() {
     let s1 = LoadScenario::new("W-1", w1.clone(), 40, 500, 2.0, 11);
     let s2 = LoadScenario::new("W-2", w2.clone(), 60, 600, 4.0, 104);
 
-    // Isolated single-tenant serial baselines.
-    let (solo1, _) = run_load(&s1, srp(&w1), sim.clone(), cfg(1));
-    let (solo2, _) = run_load(&s2, srp(&w2), sim.clone(), cfg(1));
+    // Isolated single-tenant baselines.
+    let (solo1, _) = run_load(&s1, srp(&w1), sim.clone(), cfg());
+    let (solo2, _) = run_load(&s2, srp(&w2), sim.clone(), cfg());
     assert_eq!(solo1.audit_conflicts, 0, "solo W-1 audited a collision");
     assert_eq!(solo2.audit_conflicts, 0, "solo W-2 audited a collision");
     assert_ne!(
@@ -53,52 +51,44 @@ fn two_tenant_digests_match_single_tenant_runs() {
         "distinct days must not share a digest"
     );
 
-    for workers in [1usize, 4] {
-        let reports = run_load_multi(
-            vec![
-                TenantLoad {
-                    scenario: s1.clone(),
-                    planner: srp(&w1),
-                    service_cfg: cfg(workers),
-                },
-                TenantLoad {
-                    scenario: s2.clone(),
-                    planner: srp(&w2),
-                    service_cfg: cfg(workers),
-                },
-            ],
-            sim.clone(),
-        );
-        assert_eq!(reports.len(), 2);
-        let (r1, _) = &reports[0];
-        let (r2, _) = &reports[1];
-        assert_eq!(r1.tenant, "W-1");
-        assert_eq!(r2.tenant, "W-2");
-        assert_eq!(
-            r1.audit_conflicts, 0,
-            "multi W-1 (workers={workers}) audited a collision"
-        );
-        assert_eq!(
-            r2.audit_conflicts, 0,
-            "multi W-2 (workers={workers}) audited a collision"
-        );
-        assert_eq!(
-            r1.routes_digest, solo1.routes_digest,
-            "W-1 digest diverged from its solo run at workers={workers}"
-        );
-        assert_eq!(
-            r2.routes_digest, solo2.routes_digest,
-            "W-2 digest diverged from its solo run at workers={workers}"
-        );
-        assert_eq!(r1.completed, solo1.completed);
-        assert_eq!(r2.completed, solo2.completed);
-        // The wire layer actually carried the traffic.
-        assert!(
-            r1.wire.frames_received as usize >= r1.requests,
-            "W-1 wire counters missed its submissions"
-        );
-        assert!(r2.wire.frames_sent > 0, "W-2 daemon sent no frames");
-    }
+    let reports = run_load_multi(
+        vec![
+            TenantLoad {
+                scenario: s1.clone(),
+                planner: srp(&w1),
+                service_cfg: cfg(),
+            },
+            TenantLoad {
+                scenario: s2.clone(),
+                planner: srp(&w2),
+                service_cfg: cfg(),
+            },
+        ],
+        sim,
+    );
+    assert_eq!(reports.len(), 2);
+    let (r1, _) = &reports[0];
+    let (r2, _) = &reports[1];
+    assert_eq!(r1.tenant, "W-1");
+    assert_eq!(r2.tenant, "W-2");
+    assert_eq!(r1.audit_conflicts, 0, "multi W-1 audited a collision");
+    assert_eq!(r2.audit_conflicts, 0, "multi W-2 audited a collision");
+    assert_eq!(
+        r1.routes_digest, solo1.routes_digest,
+        "W-1 digest diverged from its solo run"
+    );
+    assert_eq!(
+        r2.routes_digest, solo2.routes_digest,
+        "W-2 digest diverged from its solo run"
+    );
+    assert_eq!(r1.completed, solo1.completed);
+    assert_eq!(r2.completed, solo2.completed);
+    // The wire layer actually carried the traffic.
+    assert!(
+        r1.wire.frames_received as usize >= r1.requests,
+        "W-1 wire counters missed its submissions"
+    );
+    assert!(r2.wire.frames_sent > 0, "W-2 daemon sent no frames");
 }
 
 /// The same protocol over a real TCP socket: submit a few requests, plan
@@ -108,7 +98,7 @@ fn two_tenant_digests_match_single_tenant_runs() {
 fn tcp_transport_speaks_the_same_protocol() {
     let layout = LayoutConfig::small().generate();
     let registry = Arc::new(TenantRegistry::new());
-    registry.register("small", srp(&layout), cfg(1));
+    registry.register("small", srp(&layout), cfg());
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr");

@@ -1,14 +1,13 @@
 //! Crash-recovery conformance: kill-primary takeover, revision replay,
 //! graceful drain, rate limiting, and `ReproBundle` subsumption.
 //!
-//! The headline property mirrors the speculative pipeline's: a day whose
-//! primary daemon dies mid-load and is finished by a warm standby rebuilt
+//! The headline property: a day whose primary daemon dies mid-load and is finished by a warm standby rebuilt
 //! purely from the changeset log must commit the **bit-identical** route
 //! set an uninterrupted run commits — with zero audited collisions — even
 //! when the log ends in a torn half-written record.
 
 use carp_service::ingest::{duplex, serve_connection_limited, RateLimit};
-use carp_service::loadgen::{run_load_recovery, run_load_speculative, LoadScenario};
+use carp_service::loadgen::{run_load, run_load_recovery, LoadScenario};
 use carp_service::service::ServiceConfig;
 use carp_service::tenant::TenantRegistry;
 use carp_service::wal::{self, read_log, ChangeOp, LogTail, ReplayState, WalJournal};
@@ -17,7 +16,7 @@ use carp_simenv::audit::ReproBundle;
 use carp_simenv::SimConfig;
 use carp_warehouse::collision::IncrementalAuditor;
 use carp_warehouse::layout::LayoutConfig;
-use carp_warehouse::planner::{PlanOutcome, Planner, SpeculativePlanner};
+use carp_warehouse::planner::{PlanOutcome, Planner, ReplayPlanner};
 use carp_warehouse::request::{QueryKind, Request, RequestId};
 use carp_warehouse::route::Route;
 use carp_warehouse::types::{Cell, Time};
@@ -52,13 +51,10 @@ fn standby_takeover_finishes_the_day_bit_identically() {
     let layout = carp_warehouse::layout::WarehousePreset::W2.generate();
     let scenario = LoadScenario::new("W-2@4x", layout.clone(), 60, 600, 4.0, 104);
     let sim = SimConfig::default();
-    let cfg = ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    };
+    let cfg = ServiceConfig::default();
     let srp = || carp_srp::SrpPlanner::new(layout.matrix.clone(), carp_srp::SrpConfig::default());
 
-    let (baseline, _) = run_load_speculative(&scenario, srp(), sim.clone(), cfg);
+    let (baseline, _) = run_load(&scenario, srp(), sim.clone(), cfg);
     assert_eq!(baseline.audit_conflicts, 0);
 
     let last_arrival = scenario.tasks.last().map_or(0, |t| t.arrival);
@@ -91,10 +87,10 @@ fn standby_takeover_finishes_the_day_bit_identically() {
 }
 
 /// A deterministic planner that *revises* every active route on `advance`
-/// — the windowed-TWP/RP behaviour PR 6's replica replay excluded. Each
-/// request parks on its own private cell, so commits and revisions are
-/// always collision-free and the pipeline's audit stays green.
-#[derive(Clone, Default)]
+/// — the windowed-TWP/RP behaviour. Each request parks on its own private
+/// cell, so commits and revisions are always collision-free and the
+/// journal's audit stays green.
+#[derive(Default)]
 struct RevisingPlanner {
     active: BTreeMap<RequestId, Route>,
 }
@@ -135,37 +131,26 @@ impl Planner for RevisingPlanner {
     }
 }
 
-impl SpeculativePlanner for RevisingPlanner {
-    fn fork(&self) -> Self {
-        self.clone()
-    }
-
-    fn plan_candidate(&mut self, req: &Request) -> Option<Route> {
-        Some(park_route(req.id, req.t))
-    }
-
+impl ReplayPlanner for RevisingPlanner {
     fn adopt(&mut self, id: RequestId, route: &Route) {
         self.active.insert(id, route.clone());
     }
 }
 
-/// Route revisions flow through the speculative pipeline (EpochOp::Revise,
-/// closing the PR 6 exclusion), land in the changeset log as Revise
-/// records, and replay into a standby planner with the authoritative
-/// routes — covering the windowed-TWP/RP shape end to end.
+/// Route revisions delivered by the worker's `advance` land in the
+/// changeset log as Revise records and replay into a standby planner with
+/// the authoritative routes — covering the windowed-TWP/RP shape end to
+/// end.
 #[test]
 fn revisions_are_journaled_and_replayed() {
     let scratch = ScratchLog::new();
     let journal = WalJournal::create(&scratch.0).expect("create journal");
     let registry = TenantRegistry::new();
     registry.attach_journal(Arc::clone(&journal));
-    registry.register_speculative(
+    registry.register(
         "rev".to_string(),
         RevisingPlanner::default(),
-        ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
     );
     let tenant = registry.get("rev").expect("tenant registered");
 
@@ -183,8 +168,8 @@ fn revisions_are_journaled_and_replayed() {
     // the planner revises all of them.
     let revisions = tenant.client().advance(2);
     assert_eq!(revisions.len(), 4, "planner revises every active route");
-    // The pipeline must stay consistent after the revision batch: more
-    // commits land on the revised audited state.
+    // The service must stay consistent after the revision batch: more
+    // commits land on the revised state.
     for id in 10..12u64 {
         assert!(matches!(
             submit(id, 2),
@@ -234,12 +219,12 @@ fn drain_all_closes_tenants_and_seals_the_log() {
     let journal = WalJournal::create(&scratch.0).expect("create journal");
     let registry = TenantRegistry::new();
     registry.attach_journal(Arc::clone(&journal));
-    registry.register_speculative(
+    registry.register(
         "a".to_string(),
         RevisingPlanner::default(),
         ServiceConfig::default(),
     );
-    registry.register_speculative(
+    registry.register(
         "b".to_string(),
         RevisingPlanner::default(),
         ServiceConfig::default(),
@@ -278,7 +263,7 @@ fn drain_all_closes_tenants_and_seals_the_log() {
 #[test]
 fn rate_limited_connection_gets_typed_refusals_then_recovers() {
     let registry = Arc::new(TenantRegistry::new());
-    registry.register_speculative(
+    registry.register(
         "rl".to_string(),
         RevisingPlanner::default(),
         ServiceConfig::default(),
@@ -340,7 +325,7 @@ fn mux_rate_limited_connection_gets_typed_refusals_then_recovers() {
     use std::sync::atomic::AtomicBool;
 
     let registry = Arc::new(TenantRegistry::new());
-    registry.register_speculative(
+    registry.register(
         "rl".to_string(),
         RevisingPlanner::default(),
         ServiceConfig::default(),

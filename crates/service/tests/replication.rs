@@ -44,10 +44,7 @@ fn network_standby_takeover_finishes_the_day_bit_identically() {
     let layout = LayoutConfig::small().generate();
     let scenario = LoadScenario::new("small@2x", layout.clone(), 40, 400, 2.0, 17);
     let last_arrival = scenario.tasks.last().map_or(0, |t| t.arrival);
-    let cfg = ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    };
+    let cfg = ServiceConfig::default();
     let srp = || SrpPlanner::new(layout.matrix.clone(), SrpConfig::default());
 
     let scratch = ScratchLog::new();

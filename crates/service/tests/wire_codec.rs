@@ -15,7 +15,9 @@
 
 use carp_service::service::PlanResponse;
 use carp_service::wire::schema;
-use carp_service::wire::{read_frame, write_frame, FrameDecoder, FrameKind, WireError, HEADER_LEN};
+use carp_service::wire::{
+    read_frame, write_frame, FrameDecoder, FrameKind, WireError, HEADER_LEN, VERSION,
+};
 use carp_warehouse::request::{QueryKind, Request};
 use carp_warehouse::route::Route;
 use carp_warehouse::types::Cell;
@@ -332,7 +334,7 @@ proptest! {
 fn oversize_length_is_rejected_before_allocation() {
     let mut header = Vec::new();
     header.extend_from_slice(b"CARP");
-    header.extend_from_slice(&1u16.to_le_bytes());
+    header.extend_from_slice(&VERSION.to_le_bytes());
     header.extend_from_slice(&1u16.to_le_bytes());
     header.extend_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(header.len(), HEADER_LEN);

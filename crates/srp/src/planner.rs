@@ -26,7 +26,7 @@ use carp_geometry::{Segment, SlopeIndexStore};
 use carp_spacetime::{AStarConfig, Occupancy, SpaceTimeAStar};
 use carp_warehouse::matrix::WarehouseMatrix;
 use carp_warehouse::memory;
-use carp_warehouse::planner::{EngineMetrics, PlanOutcome, Planner, SpeculativePlanner};
+use carp_warehouse::planner::{EngineMetrics, PlanOutcome, Planner, ReplayPlanner};
 use carp_warehouse::request::{Request, RequestId};
 use carp_warehouse::route::Route;
 use carp_warehouse::types::{Cell, Time};
@@ -1207,23 +1207,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
     }
 }
 
-impl<S: SegmentStore + Default + Clone> SpeculativePlanner for SrpPlanner<S> {
-    fn fork(&self) -> Self {
-        self.clone()
-    }
-
-    /// The exact [`Planner::plan`] search — direct strip search, the
-    /// postponed-departure retries, then the grid A\* fallback — without
-    /// the commit. A replica synced to the same committed state produces
-    /// the bit-identical route `plan` would commit.
-    fn plan_candidate(&mut self, req: &Request) -> Option<Route> {
-        match self.plan_strip_level(req) {
-            Some((route, _)) => Some(route),
-            None if self.config.use_fallback => self.plan_fallback(req),
-            None => None,
-        }
-    }
-
+impl<S: SegmentStore + Default> ReplayPlanner for SrpPlanner<S> {
     fn adopt(&mut self, id: RequestId, route: &Route) {
         self.commit_route(id, route);
     }

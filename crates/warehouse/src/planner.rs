@@ -195,52 +195,24 @@ pub trait Planner {
     }
 }
 
-/// The plan/validate/commit split behind the speculative multi-worker
-/// commit pipeline in `carp-service`.
+/// A planner whose committed state can be rebuilt from a log of already
+/// validated routes, without re-running any search.
 ///
-/// The online contract (Definition 3) makes commits a linearization point:
-/// every route must be collision-checked against *all previously committed*
-/// routes. A single thread that both plans and commits satisfies it the
-/// blunt way — planning latency serializes the whole service. This trait
-/// decouples the two: worker threads each own a **replica** of the
-/// committed state ([`SpeculativePlanner::fork`]) kept in sync by replaying
-/// the commit stage's op log, plan candidates against it **without
-/// committing** ([`SpeculativePlanner::plan_candidate`]), and a single
-/// validate-and-commit stage re-checks each candidate against routes
-/// committed since the candidate's snapshot epoch before adopting it
-/// ([`SpeculativePlanner::adopt`]) — in strict admission order, so the
-/// serial contract is preserved.
-///
-/// Determinism requirement: `plan_candidate` must be the *same pure
-/// function of the committed state* as [`Planner::plan`]'s search (a
-/// replica synced to the full committed set must produce bit-identical
-/// routes), and `adopt` followed by `advance`/`cancel` replay must
-/// reconstruct the committed state exactly. Under the planner's monotone
-/// tie-breaking (the route chosen among feasible routes of a state is also
-/// chosen in any less-constrained state where it remains feasible), a
-/// stale candidate that validates clean against the newer commits is
-/// bit-identical to what the serial planner would have produced — the
-/// property the service's conformance suite pins across worker counts
-/// (DESIGN.md §13).
+/// The service's changeset journal records every route at its commit
+/// point; a warm standby (`carp_service::wal::recover_planners`) folds
+/// that log into a fresh planner by replaying each commit through
+/// [`ReplayPlanner::adopt`], interleaved with the logged
+/// [`Planner::cancel`] / [`Planner::advance`] calls. `adopt` followed by
+/// that replay must reconstruct the committed state exactly, so the
+/// rebuilt planner answers the next request bit-identically to the
+/// primary it replaces.
 ///
 /// Windowed/revising planners (TWP, RP) do not implement this trait: their
-/// `advance` rewrites committed routes, so a candidate's validity cannot be
-/// judged by conflict-checking alone.
-pub trait SpeculativePlanner: Planner + Sized {
-    /// Fork a worker-local replica of the full committed state. Called once
-    /// per worker at spawn; afterwards the replica is kept in sync by
-    /// replaying `adopt` / `cancel` / `advance` ops, never re-forked.
-    fn fork(&self) -> Self;
-
-    /// Plan a candidate route against the replica's committed state
-    /// **without committing it** — the exact search [`Planner::plan`] would
-    /// run (including retries and fallbacks), minus the commit.
-    fn plan_candidate(&mut self, req: &Request) -> Option<Route>;
-
+/// `advance` rewrites committed routes from search state the log does not
+/// carry.
+pub trait ReplayPlanner: Planner {
     /// Adopt an externally validated route into the committed state without
-    /// re-running the search (decompose + reserve only). The commit stage
-    /// calls this on the authoritative planner for every validated winner;
-    /// workers call it while replaying the op log into their replicas.
+    /// re-running the search (decompose + reserve only).
     fn adopt(&mut self, id: RequestId, route: &Route);
 }
 
