@@ -682,26 +682,27 @@ fn sipp_extension(opts: Opts) {
     );
     for preset in [WarehousePreset::W1, WarehousePreset::W3] {
         let layout = preset.generate();
-        let day = 0;
-        let sc = Scenario {
-            preset,
-            day,
-            scale: opts.scale,
-        };
-        let tasks = sc.tasks(&layout);
-        let srp = run_scenario(&layout, &tasks, PlannerKind::Srp);
-        let sipp = run_scenario(&layout, &tasks, PlannerKind::Sipp);
-        println!(
-            "{:<5} {:>5} | {:>10.3} {:>10.3} | {:>9.0}K {:>9.0}K | {:>8} {:>8}",
-            preset.name(),
-            day + 1,
-            srp.planning_secs,
-            sipp.planning_secs,
-            srp.peak_memory_bytes as f64 / 1024.0,
-            sipp.peak_memory_bytes as f64 / 1024.0,
-            srp.makespan,
-            sipp.makespan
-        );
+        for day in 0..opts.days.min(5) {
+            let sc = Scenario {
+                preset,
+                day,
+                scale: opts.scale,
+            };
+            let tasks = sc.tasks(&layout);
+            let srp = run_scenario(&layout, &tasks, PlannerKind::Srp);
+            let sipp = run_scenario(&layout, &tasks, PlannerKind::Sipp);
+            println!(
+                "{:<5} {:>5} | {:>10.3} {:>10.3} | {:>9.0}K {:>9.0}K | {:>8} {:>8}",
+                preset.name(),
+                day + 1,
+                srp.planning_secs,
+                sipp.planning_secs,
+                srp.peak_memory_bytes as f64 / 1024.0,
+                sipp.peak_memory_bytes as f64 / 1024.0,
+                srp.makespan,
+                sipp.makespan
+            );
+        }
     }
     println!(
         "(SIPP is the strongest classical grid-level planner; see EXPERIMENTS.md for discussion)"

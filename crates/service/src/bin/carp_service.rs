@@ -83,7 +83,6 @@ const USAGE: &str = "usage: carp-service [options]
   --horizon T         day span in sim-seconds before compression (default 2000)
   --rates R1,R2,...   arrival-rate multipliers, one run each (default 1,4)
   --seed S            task-stream RNG seed (default 7)
-  --queue-capacity N  ingest queue bound (default 256)
   --deadline-ms MS    per-request planning deadline; 0 disables it and makes
                       the committed route set bit-deterministic (default 0)
   --tenants A,B,...   serve several warehouse presets as tenants of one
@@ -155,7 +154,6 @@ struct Opts {
     horizon: u32,
     rates: Vec<f64>,
     seed: u64,
-    queue_capacity: usize,
     deadline_ms: u64,
     tenants: Vec<String>,
     conformance: bool,
@@ -186,7 +184,6 @@ fn parse_opts() -> Opts {
         horizon: 2000,
         rates: vec![1.0, 4.0],
         seed: 7,
-        queue_capacity: 256,
         deadline_ms: 0,
         tenants: Vec::new(),
         conformance: false,
@@ -233,10 +230,6 @@ fn parse_opts() -> Opts {
             "--seed" => match value("--seed").parse() {
                 Ok(s) => opts.seed = s,
                 Err(_) => usage_error("--seed expects an integer"),
-            },
-            "--queue-capacity" => match value("--queue-capacity").parse() {
-                Ok(n) if n > 0 => opts.queue_capacity = n,
-                _ => usage_error("--queue-capacity expects a positive integer"),
             },
             "--deadline-ms" => match value("--deadline-ms").parse() {
                 Ok(ms) => opts.deadline_ms = ms,
@@ -549,8 +542,8 @@ fn run_daemon(addr: &str, profiles: &[TenantDayProfile], cfg: ServiceConfig, opt
     match served {
         Ok(()) => {
             // Graceful drain: stop accepting happened above; now shut each
-            // tenant down in order (every queued request resolves, every
-            // commit is journaled) and seal the log with a final fsync.
+            // tenant down in order (each waits for its request in progress,
+            // every commit is journaled) and seal the log with a final fsync.
             let drained = registry.drain_all();
             eprintln!("carp-service: drained {drained} tenant(s), log sealed; bye");
             std::process::exit(0);
@@ -797,14 +790,14 @@ fn run_ladder(opts: &Opts, cfg: ServiceConfig, connections: &[usize]) -> ! {
     for r in &report.rungs {
         eprintln!(
             "carp-service: {:>4} conns ({} churn): driver ack p50/p99 {}/{} us, churn \
-             {} reqs (ack p99 {} us), digest {:#018x}, {} conflicts, mux peak {} fds, \
+             {} reqs ({}), digest {:#018x}, {} conflicts, mux peak {} fds, \
              {} polls, {} wakeups, {} partial reads / {} writes",
             r.connections,
             r.churn_connections,
             r.driver_ack.p50_us,
             r.driver_ack.p99_us,
             r.churn_requests,
-            r.churn_ack.p99_us,
+            churn_ack_text(&r.churn_ack),
             r.routes_digest,
             r.audit_conflicts,
             r.mux.peak_registered,
@@ -846,6 +839,25 @@ fn run_ladder(opts: &Opts, cfg: ServiceConfig, connections: &[usize]) -> ! {
          blocking path, no collisions"
     );
     std::process::exit(0);
+}
+
+/// A churn rung's ack latency, worded for its sample count: a tail
+/// percentile is printed only when at least 10 samples lie beyond it
+/// (beyond p99 that takes 1000 samples, beyond p95 200); below that, any
+/// "p99" is just the run's largest sample, so p50 and max are printed.
+#[cfg(unix)]
+fn churn_ack_text(ack: &carp_service::LatencySummary) -> String {
+    let beyond = |q: f64| ack.count as f64 * (1.0 - q);
+    if beyond(0.99) >= 10.0 {
+        format!("{} acks, p99 {} us", ack.count, ack.p99_us)
+    } else if beyond(0.95) >= 10.0 {
+        format!("{} acks, p95 {} us", ack.count, ack.p95_us)
+    } else {
+        format!(
+            "{} acks, p50 {} us, max {} us",
+            ack.count, ack.p50_us, ack.max_us
+        )
+    }
 }
 
 #[cfg(not(unix))]
@@ -955,7 +967,6 @@ fn run_single(opts: &Opts, cfg: ServiceConfig) -> Vec<LoadReport> {
 fn main() {
     let opts = parse_opts();
     let service_cfg = ServiceConfig {
-        queue_capacity: opts.queue_capacity,
         deadline: if opts.deadline_ms == 0 {
             None
         } else {

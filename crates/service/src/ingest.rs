@@ -1,46 +1,42 @@
-//! The shared ingest front-end: routes framed requests to tenant queues.
+//! The shared ingest front-end: decodes framed requests and runs each one
+//! on its tenant.
 //!
 //! One [`serve_connection`] call services one client connection over any
 //! `Read`/`Write` pair — the in-process [`duplex`] pipe in tests and
-//! loadgen, a TCP stream under [`serve_tcp`]. Per connection there are
-//! exactly two threads:
+//! loadgen, a TCP stream under [`serve_tcp`] — on the calling thread
+//! alone. It reads one frame, runs it to completion on the addressed
+//! tenant ([`dispatch`]: plan and commit, advance, cancel or metrics, under
+//! the tenant's lock), writes every reply that frame produced in one
+//! write, and only then reads the next frame. So:
 //!
-//! * the **reader** (the calling thread) decodes frames in order. Submits
-//!   are admitted into the addressed tenant's bounded queue and acked
-//!   *synchronously, in frame order* — that single property is what pins
-//!   admission order (and therefore each tenant's commit order and
-//!   committed route set) to the order the client sent its submissions,
-//!   making per-tenant backpressure (`SubmitAck::Backpressure` with a
-//!   retry hint) an admission-control decision the client observes before
-//!   its next frame. Control frames (advance / cancel / metrics) are
-//!   answered inline the same way.
-//! * the **reply pump** waits on plan tickets strictly in admission order
-//!   and streams `PlanReply` frames back as the tenant's worker resolves
-//!   them — so a slow plan never blocks the reader from admitting more
-//!   work.
+//! * per-connection **admission order** is frame order, which pins each
+//!   tenant's commit order (and committed route set) to the order its
+//!   clients sent their submissions;
+//! * a submit is answered by its `SubmitAck` immediately followed by its
+//!   `PlanReply`;
+//! * a client that sends faster than its tenant plans is held back by the
+//!   transport — the connection reads nothing while it plans.
 //!
-//! Both threads share the writer behind a mutex; frames are written
-//! atomically, and the client demultiplexes acks from interleaved replies
-//! by request id. Frame and byte counts are tallied on the addressed
+//! The event-loop front-end (`mux`) runs the same [`dispatch`] on its
+//! reactor threads. Frame and byte counts are tallied on the addressed
 //! tenant's [`WireTally`](crate::tenant::WireTally).
 
-use crate::service::{SubmitError, Ticket};
+use crate::service::SubmitError;
 use crate::tenant::{Tenant, TenantRegistry};
 use crate::wire::frame::{frame_len, read_frame, write_frame, FrameKind, WireError};
 use crate::wire::schema::{self, AckStatus, ErrorCode};
-use carp_warehouse::request::RequestId;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Per-connection rate limit: a token bucket refilled continuously, spent
 /// one token per inbound frame. A throttled submit is refused with
 /// [`AckStatus::Throttled`] (carrying a retry hint), a throttled control
 /// frame with an [`ErrorCode::Throttled`] error reply — a typed verdict
-/// the client can back off on, instead of silent queue pressure.
+/// the client can back off on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateLimit {
     /// Bucket capacity: the largest instantaneous frame burst allowed.
@@ -97,7 +93,7 @@ impl TokenBucket {
 
 /// Serve one client connection until clean EOF (`Ok`) or a protocol /
 /// transport error (`Err`). See the module docs for the thread model.
-pub fn serve_connection<R: Read, W: Write + Send>(
+pub fn serve_connection<R: Read, W: Write>(
     registry: &TenantRegistry,
     reader: R,
     writer: W,
@@ -106,194 +102,161 @@ pub fn serve_connection<R: Read, W: Write + Send>(
 }
 
 /// [`serve_connection`] with an optional per-connection rate limit.
-pub fn serve_connection_limited<R: Read, W: Write + Send>(
+pub fn serve_connection_limited<R: Read, W: Write>(
     registry: &TenantRegistry,
     mut reader: R,
-    writer: W,
+    mut writer: W,
     limit: Option<RateLimit>,
 ) -> Result<(), WireError> {
-    let writer = Arc::new(Mutex::new(writer));
-    let (pump_tx, pump_rx) = mpsc::channel::<(Arc<Tenant>, RequestId, Ticket)>();
     let mut bucket = limit.map(TokenBucket::new);
-    std::thread::scope(|scope| {
-        let pump_writer = Arc::clone(&writer);
-        let pump = scope.spawn(move || {
-            while let Ok((tenant, rid, ticket)) = pump_rx.recv() {
-                let response = ticket.wait();
-                let payload = schema::encode_plan_reply(rid, &response);
-                let mut w = pump_writer.lock().expect("wire writer lock");
-                match write_frame(&mut *w, FrameKind::PlanReply, &payload) {
-                    Ok(()) => tenant.wire().frame_sent(frame_len(payload.len())),
-                    // Writer broken (client gone): keep draining tickets so
-                    // every admitted request still resolves in the tenant.
-                    Err(_) => tenant.wire().protocol_error(),
-                }
-            }
-        });
-        let outcome = read_loop(registry, &mut reader, &writer, &pump_tx, &mut bucket);
-        drop(pump_tx);
-        pump.join().expect("reply pump panicked");
-        outcome
-    })
+    let mut out = Vec::new();
+    loop {
+        let Some((kind, payload)) = read_frame(&mut reader)? else {
+            return Ok(()); // clean EOF at a frame boundary
+        };
+        let received = Instant::now();
+        let mut send = |tenant: Option<&Tenant>, kind: FrameKind, payload: &[u8]| {
+            encode_reply(&mut out, tenant, kind, payload)
+        };
+        // Log tailing is a long-lived push stream; only the mux front-end
+        // can interleave pushes with request/reply traffic without a
+        // dedicated thread per subscriber. This path refuses the
+        // subscription with a typed error and keeps serving requests.
+        if dispatch(registry, &mut bucket, kind, &payload, received, &mut send)?.is_some() {
+            let reply = schema::encode_error_reply(
+                ErrorCode::UnexpectedFrame,
+                "log tailing requires the event-loop front-end",
+            );
+            send(None, FrameKind::ErrorReply, &reply);
+        }
+        writer.write_all(&out)?;
+        writer.flush()?;
+        out.clear();
+    }
 }
 
-/// Write one daemon → client frame, tallying it on `tenant` when known.
-fn send<W: Write>(
-    writer: &Mutex<W>,
+/// Encode one daemon → client frame onto `out`, tallying it on `tenant`
+/// when known.
+pub(crate) fn encode_reply(
+    out: &mut Vec<u8>,
     tenant: Option<&Tenant>,
     kind: FrameKind,
     payload: &[u8],
-) -> Result<(), WireError> {
-    let mut w = writer.lock().expect("wire writer lock");
-    write_frame(&mut *w, kind, payload)?;
+) {
+    write_frame(out, kind, payload).expect("Vec<u8> writes are infallible");
     if let Some(t) = tenant {
         t.wire().frame_sent(frame_len(payload.len()));
     }
-    Ok(())
 }
 
-fn read_loop<R: Read, W: Write>(
+/// Where [`dispatch`] puts a daemon → client frame: the tenant to tally it
+/// on (when known), its kind and its payload.
+pub(crate) type Sink<'a> = dyn FnMut(Option<&Tenant>, FrameKind, &[u8]) + 'a;
+
+/// Run one inbound frame to completion and hand its replies to `send`, in
+/// order. `received` is when the read that completed the frame returned;
+/// a submit's deadline counts from it. Returns `Some(from_seq)` for a
+/// log-tail subscription, which only the caller knows how to serve; every
+/// other frame is answered here.
+pub(crate) fn dispatch(
     registry: &TenantRegistry,
-    reader: &mut R,
-    writer: &Mutex<W>,
-    pump: &mpsc::Sender<(Arc<Tenant>, RequestId, Ticket)>,
     bucket: &mut Option<TokenBucket>,
-) -> Result<(), WireError> {
-    loop {
-        let Some((kind, payload)) = read_frame(reader)? else {
-            return Ok(()); // clean EOF at a frame boundary
-        };
-        // Rate limiting is per inbound frame, decided before any tenant
-        // queue is consulted: a throttled frame costs the daemon only the
-        // decode needed to address the refusal.
-        if let Some(retry_after) = bucket.as_mut().and_then(|b| b.try_take().err()) {
-            if kind == FrameKind::Submit {
-                let (_tenant, request) = schema::decode_submit(&payload)?;
-                let ack =
-                    schema::encode_submit_ack(request.id, AckStatus::Throttled { retry_after });
-                send(writer, None, FrameKind::SubmitAck, &ack)?;
-            } else {
-                let reply = schema::encode_error_reply(
-                    ErrorCode::Throttled,
-                    "connection rate limit exceeded",
-                );
-                send(writer, None, FrameKind::ErrorReply, &reply)?;
-            }
-            continue;
+    kind: FrameKind,
+    payload: &[u8],
+    received: Instant,
+    send: &mut Sink<'_>,
+) -> Result<Option<u64>, WireError> {
+    // Rate limiting is per inbound frame, decided before any tenant is
+    // consulted: a throttled frame costs the daemon only the decode needed
+    // to address the refusal.
+    if let Some(retry_after) = bucket.as_mut().and_then(|b| b.try_take().err()) {
+        if kind == FrameKind::Submit {
+            let (_tenant, request) = schema::decode_submit(payload)?;
+            let ack = schema::encode_submit_ack(request.id, AckStatus::Throttled { retry_after });
+            send(None, FrameKind::SubmitAck, &ack);
+        } else {
+            let reply =
+                schema::encode_error_reply(ErrorCode::Throttled, "connection rate limit exceeded");
+            send(None, FrameKind::ErrorReply, &reply);
         }
-        let wire_bytes = frame_len(payload.len());
-        match kind {
-            FrameKind::Submit => {
-                let (tenant_id, request) = schema::decode_submit(&payload)?;
-                let Some(tenant) = registry.get(tenant_id) else {
-                    let ack = schema::encode_submit_ack(request.id, AckStatus::UnknownTenant);
-                    send(writer, None, FrameKind::SubmitAck, &ack)?;
-                    continue;
-                };
-                tenant.wire().frame_received(wire_bytes);
-                let status = match tenant.client().submit(request) {
-                    Ok(ticket) => {
-                        // Enqueue the ticket *before* acking: the pump
-                        // resolves tickets in admission order either way,
-                        // but this keeps "accepted" and "pending reply"
-                        // atomic from the client's point of view.
-                        pump.send((Arc::clone(&tenant), request.id, ticket))
-                            .expect("reply pump outlives the reader");
-                        AckStatus::Accepted
-                    }
-                    Err(SubmitError::Backpressure {
-                        retry_after,
-                        queue_depth,
-                    }) => AckStatus::Backpressure {
-                        retry_after,
-                        queue_depth,
-                    },
-                    Err(SubmitError::ShuttingDown) => AckStatus::ShuttingDown,
-                };
-                let ack = schema::encode_submit_ack(request.id, status);
-                send(writer, Some(&tenant), FrameKind::SubmitAck, &ack)?;
+        return Ok(None);
+    }
+    let wire_bytes = frame_len(payload.len());
+    // Resolve a frame's tenant, answering `ErrorReply` when unknown.
+    let lookup = |tenant_id: &str, send: &mut Sink<'_>| {
+        let tenant = registry.get(tenant_id);
+        match &tenant {
+            Some(t) => t.wire().frame_received(wire_bytes),
+            None => {
+                let reply = schema::encode_error_reply(ErrorCode::UnknownTenant, tenant_id);
+                send(None, FrameKind::ErrorReply, &reply);
             }
-            FrameKind::Advance => {
-                let (tenant_id, now) = schema::decode_advance(&payload)?;
-                let Some(tenant) = lookup(registry, tenant_id, writer)? else {
-                    continue;
-                };
-                tenant.wire().frame_received(wire_bytes);
-                let revisions = tenant.client().advance(now);
-                let reply = schema::encode_advance_reply(&revisions);
-                send(writer, Some(&tenant), FrameKind::AdvanceReply, &reply)?;
+        }
+        tenant
+    };
+    match kind {
+        FrameKind::Submit => {
+            let (tenant_id, request) = schema::decode_submit(payload)?;
+            let Some(tenant) = registry.get(tenant_id) else {
+                let ack = schema::encode_submit_ack(request.id, AckStatus::UnknownTenant);
+                send(None, FrameKind::SubmitAck, &ack);
+                return Ok(None);
+            };
+            tenant.wire().frame_received(wire_bytes);
+            let t = Some(&*tenant);
+            match tenant.submit(&request, received) {
+                Ok(response) => {
+                    let ack = schema::encode_submit_ack(request.id, AckStatus::Accepted);
+                    send(t, FrameKind::SubmitAck, &ack);
+                    let reply = schema::encode_plan_reply(request.id, &response);
+                    send(t, FrameKind::PlanReply, &reply);
+                }
+                Err(SubmitError::ShuttingDown) => {
+                    let ack = schema::encode_submit_ack(request.id, AckStatus::ShuttingDown);
+                    send(t, FrameKind::SubmitAck, &ack);
+                }
             }
-            FrameKind::Cancel => {
-                let (tenant_id, id) = schema::decode_cancel(&payload)?;
-                let Some(tenant) = lookup(registry, tenant_id, writer)? else {
-                    continue;
-                };
-                tenant.wire().frame_received(wire_bytes);
-                let ok = tenant.client().cancel(id);
-                send(
-                    writer,
-                    Some(&tenant),
-                    FrameKind::CancelReply,
-                    &schema::encode_cancel_reply(ok),
-                )?;
+        }
+        FrameKind::Advance => {
+            let (tenant_id, now) = schema::decode_advance(payload)?;
+            if let Some(tenant) = lookup(tenant_id, send) {
+                let reply = schema::encode_advance_reply(&tenant.advance(now));
+                send(Some(&tenant), FrameKind::AdvanceReply, &reply);
             }
-            FrameKind::MetricsQuery => {
-                let tenant_id = schema::decode_metrics_query(&payload)?;
-                let Some(tenant) = lookup(registry, tenant_id, writer)? else {
-                    continue;
-                };
-                tenant.wire().frame_received(wire_bytes);
-                let metrics = tenant.client().metrics();
-                let wire = tenant.wire().snapshot();
-                let reply = schema::encode_metrics_reply(&metrics, &wire);
-                send(writer, Some(&tenant), FrameKind::MetricsReply, &reply)?;
+        }
+        FrameKind::Cancel => {
+            let (tenant_id, id) = schema::decode_cancel(payload)?;
+            if let Some(tenant) = lookup(tenant_id, send) {
+                let reply = schema::encode_cancel_reply(tenant.cancel(id));
+                send(Some(&tenant), FrameKind::CancelReply, &reply);
             }
-            // Log tailing is a long-lived push stream; only the mux
-            // front-end can interleave pushes with request/reply traffic
-            // without a dedicated thread per subscriber. The legacy
-            // blocking path refuses the subscription with a typed error
-            // and keeps the connection serving requests.
-            FrameKind::TailLog => {
-                let _from_seq = schema::decode_tail_log(&payload)?;
-                let reply = schema::encode_error_reply(
-                    ErrorCode::UnexpectedFrame,
-                    "log tailing requires the event-loop front-end",
-                );
-                send(writer, None, FrameKind::ErrorReply, &reply)?;
+        }
+        FrameKind::MetricsQuery => {
+            let tenant_id = schema::decode_metrics_query(payload)?;
+            if let Some(tenant) = lookup(tenant_id, send) {
+                let reply =
+                    schema::encode_metrics_reply(&tenant.metrics(), &tenant.wire().snapshot());
+                send(Some(&tenant), FrameKind::MetricsReply, &reply);
             }
-            // Reply kinds are daemon → client only; a client sending one
-            // is confused but not fatal — answer with a typed error.
-            FrameKind::SubmitAck
-            | FrameKind::PlanReply
-            | FrameKind::AdvanceReply
-            | FrameKind::CancelReply
-            | FrameKind::MetricsReply
-            | FrameKind::ErrorReply
-            | FrameKind::LogChunk => {
-                let reply = schema::encode_error_reply(
-                    ErrorCode::UnexpectedFrame,
-                    "frame kind is daemon to client only",
-                );
-                send(writer, None, FrameKind::ErrorReply, &reply)?;
-            }
+        }
+        FrameKind::TailLog => return Ok(Some(schema::decode_tail_log(payload)?)),
+        // Reply kinds are daemon → client only; a client sending one is
+        // confused but not fatal — answer with a typed error.
+        FrameKind::SubmitAck
+        | FrameKind::PlanReply
+        | FrameKind::AdvanceReply
+        | FrameKind::CancelReply
+        | FrameKind::MetricsReply
+        | FrameKind::ErrorReply
+        | FrameKind::LogChunk => {
+            let reply = schema::encode_error_reply(
+                ErrorCode::UnexpectedFrame,
+                "frame kind is daemon to client only",
+            );
+            send(None, FrameKind::ErrorReply, &reply);
         }
     }
-}
-
-/// Resolve a control frame's tenant, answering `ErrorReply` when unknown.
-fn lookup<W: Write>(
-    registry: &TenantRegistry,
-    tenant_id: &str,
-    writer: &Mutex<W>,
-) -> Result<Option<Arc<Tenant>>, WireError> {
-    match registry.get(tenant_id) {
-        Some(t) => Ok(Some(t)),
-        None => {
-            let reply = schema::encode_error_reply(ErrorCode::UnknownTenant, tenant_id);
-            send(writer, None, FrameKind::ErrorReply, &reply)?;
-            Ok(None)
-        }
-    }
+    Ok(None)
 }
 
 /// Accept TCP connections forever, serving each on its own thread. Returns

@@ -3,11 +3,11 @@
 //!
 //! The simulator in `carp-simenv` drives planners in a closed single-thread
 //! loop; this crate turns planners into a *daemon*: a [`TenantRegistry`]
-//! of per-warehouse [`Tenant`]s (each one a [`service::PlanningService`] —
-//! bounded ingest queue with backpressure, per-request planning deadlines,
-//! one planning worker, fixed-bucket latency percentiles), fronted by a
-//! shared ingest layer ([`ingest`]) that routes framed requests to tenant
-//! queues over a length-prefixed binary wire protocol ([`wire`]) — the
+//! of per-warehouse [`Tenant`]s (each a planner behind its commit lock,
+//! with per-request planning deadlines and fixed-bucket latency
+//! percentiles), fronted by a shared ingest layer ([`ingest`]) that
+//! decodes framed requests of a length-prefixed binary wire protocol
+//! ([`wire`]) and runs each one to completion on its tenant — the
 //! canonical surface, spoken identically over an in-process duplex
 //! transport and TCP (`carp-service --listen`). A
 //! deterministic load generator ([`loadgen`]) replays the paper's
@@ -17,9 +17,9 @@
 //!
 //! Commitment of a route is a linearization point in the online CARP model
 //! (Definition 3): routes are committed one at a time against the state left
-//! by all earlier commits. Each tenant's service runs a single worker thread
-//! that owns the planner and both plans and commits, so admission order
-//! alone fixes the committed route set.
+//! by all earlier commits. Each tenant plans and commits under one lock, on
+//! the thread that decoded the request's frame, so admission order alone
+//! fixes the committed route set.
 //!
 //! [`Planner`]: carp_warehouse::planner::Planner
 
@@ -56,10 +56,7 @@ pub use report::{
     routes_digest, ConnLadderRung, LoadReport, MuxBenchReport, MuxCounters, RecoveryBenchReport,
     ReplicationBenchReport, ServiceBenchReport, BENCH_VERSION,
 };
-pub use service::{
-    ControlReply, PlanResponse, PlanningService, ServiceClient, ServiceConfig, ServiceMetrics,
-    SubmitError, Ticket, WakeFn,
-};
+pub use service::{PlanResponse, ServiceConfig, ServiceMetrics, SubmitError};
 pub use tenant::{Tenant, TenantRegistry, WarehouseId, WireCounters, WireTally};
 pub use wal::{TenantJournal, WalJournal};
 pub use wire::{WireClient, WireError, WireSubmitError};

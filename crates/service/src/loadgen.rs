@@ -8,14 +8,15 @@
 //! every run registers its tenant(s) in a [`TenantRegistry`], connects a
 //! [`WireClient`] over the in-process [`duplex`] transport, and drives the
 //! whole day through framed submit/ack/plan-reply/advance traffic. The
-//! measured path is the deployed path — queueing, admission control,
-//! deadlines, *and* wire encode/decode.
+//! measured path is the deployed path — admission, the tenant's commit
+//! lock, deadlines, *and* wire encode/decode.
 //!
 //! Determinism: the request stream is a pure function of (layout, profile,
 //! seed, multiplier), and submissions happen in lockstep bursts — all
 //! requests sharing a sim-timestamp are submitted in sequence order (each
-//! acked synchronously by the ingest reader, which pins admission order),
-//! then their replies are collected before the clock moves. With deadlines
+//! planned and acked by the ingest thread in frame order, which pins
+//! admission order), then their replies are collected before the clock
+//! moves. With deadlines
 //! disabled the committed route set is bit-identical across runs and
 //! transports ([`LoadReport::routes_digest`] pins it). With a deadline
 //! set, refusals depend on wall-clock speed — that is the point of a
@@ -24,8 +25,8 @@
 //!
 //! Multi-tenancy: [`run_load_multi`] registers several tenants in **one**
 //! registry and drives each day on its own connection thread,
-//! concurrently. Tenants share nothing but CPU (each has its own queue and
-//! planning worker), so each tenant's digest must equal its single-tenant
+//! concurrently. Tenants share nothing but CPU (each has its own planner
+//! and commit lock), so each tenant's digest must equal its single-tenant
 //! run's — the conformance property the two-tenant CI
 //! smoke gates on.
 //!
@@ -120,7 +121,7 @@ pub struct TenantLoad<P> {
     pub scenario: LoadScenario,
     /// The planner serving this tenant.
     pub planner: P,
-    /// Per-tenant service tuning (queue bound, deadline).
+    /// Per-tenant service tuning (the deadline).
     pub service_cfg: ServiceConfig,
 }
 
@@ -525,7 +526,7 @@ where
         .expect("primary mux server exits clean");
     let shipped = tailer.join().expect("standby tail thread panicked");
     // Abandon the primary registry without drain or seal — no close
-    // records; its worker threads exit as the channels die.
+    // records.
     drop(registry);
 
     // ---- leg 2, phase 2: takeover on the shipped copy alone ----
@@ -911,12 +912,11 @@ impl DayDriver {
                         let rid = self.next_request_id;
                         self.next_request_id += 1;
                         let request = Request::new(rid, now, origin, destination, kind);
-                        // Backpressure and throttling: back off for the
-                        // hinted delay and resubmit. The retry loop keeps
-                        // submission order — there is exactly one submitter
-                        // per connection and the ingest reader acks in
-                        // frame order — so determinism survives rejection
-                        // storms.
+                        // Throttling: back off for the hinted delay and
+                        // resubmit. The retry loop keeps submission order —
+                        // there is exactly one submitter per connection and
+                        // the daemon answers in frame order — so
+                        // determinism survives rejection storms.
                         loop {
                             let attempt_start = Instant::now();
                             match client.submit(tenant, &request) {
@@ -924,8 +924,7 @@ impl DayDriver {
                                     self.ack_us.push(attempt_start.elapsed().as_micros() as u64);
                                     break;
                                 }
-                                Err(WireSubmitError::Backpressure { retry_after, .. })
-                                | Err(WireSubmitError::Throttled { retry_after }) => {
+                                Err(WireSubmitError::Throttled { retry_after }) => {
                                     self.backpressure_retries += 1;
                                     std::thread::sleep(retry_after);
                                 }
@@ -980,7 +979,7 @@ impl DayDriver {
                         }
                     }
                     PlanResponse::ServiceDied => {
-                        panic!("service died mid-run (planner worker panic)")
+                        panic!("service died mid-run (planner panic)")
                     }
                     resp => {
                         // Refusals and infeasibilities share the retry
@@ -1075,7 +1074,7 @@ fn nearest_free_robot(robots: &[RobotState], target: Cell) -> Option<usize> {
 /// * the **measured tenant** (`scenario.name`) — its whole day is driven
 ///   over one TCP connection by the same [`DayDriver`] the blocking-path
 ///   benches use, recording client-side submit → ack latency;
-/// * a **churn tenant** (`{name}#churn`, its own queue and worker) —
+/// * a **churn tenant** (`{name}#churn`, its own planner and lock) —
 ///   hammered with submit → plan → cancel cycles by a handful of client
 ///   threads that each own a slice of the churn sockets, all opened before
 ///   the day starts and held open until it ends.
@@ -1327,8 +1326,7 @@ fn churn_worker(
                         samples.push(attempt_start.elapsed().as_micros() as u64);
                         break;
                     }
-                    Err(WireSubmitError::Backpressure { retry_after, .. })
-                    | Err(WireSubmitError::Throttled { retry_after }) => {
+                    Err(WireSubmitError::Throttled { retry_after }) => {
                         std::thread::sleep(retry_after)
                     }
                     Err(e) => panic!("churn submission refused: {e}"),

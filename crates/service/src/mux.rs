@@ -1,41 +1,43 @@
-//! Readiness-driven event-loop front-end: the multiplexed replacement for
+//! Readiness-driven event-loop front-end: the multiplexed counterpart of
 //! the thread-per-connection ingest path (DESIGN.md §16).
 //!
 //! ```text
 //!                    ┌─ reactor 0 ─ poll(2) over { self-pipe, conns… } ─┐
-//!  acceptor thread ─▶│  reactor 1    nonblocking reads → FrameDecoder   │─▶ TenantRegistry
-//!  (round-robin)     └─ reactor N    write buffers ← resolved tickets ──┘   (unchanged)
+//!  acceptor thread ─▶│  reactor 1    nonblocking reads → FrameDecoder   │─▶ Tenant::submit …
+//!  (round-robin)     └─ reactor N    write buffers ← replies, in order ─┘   (inline, tenant lock)
 //! ```
 //!
-//! The legacy path ([`crate::ingest::serve_connection`]) spends two OS
-//! threads per connection; the wall for the daemon then is connection
-//! *count*, not planning throughput. This module keeps every protocol
-//! invariant of that path while serving all sockets from a small fixed pool
-//! of reactor threads:
+//! The thread-per-connection path ([`crate::ingest::serve_connection`])
+//! spends one OS thread per connection; the wall for the daemon then is
+//! connection *count*, not planning throughput. This module keeps every
+//! protocol invariant of that path while serving all sockets from a small
+//! fixed pool of reactor threads:
 //!
-//! * **Admission order** — each connection is owned by exactly one reactor,
-//!   which decodes and dispatches its frames strictly in arrival order, so
-//!   per-connection admission order (and therefore each tenant's commit
-//!   order and committed route set) is byte-for-byte what the blocking
-//!   reader produced. Acks are generated synchronously at admission, in
-//!   frame order, into the connection's write buffer.
-//! * **Reply order** — plan and control replies resolve through a FIFO
-//!   per-connection pending queue (the reactor polls only the queue head),
-//!   mirroring the legacy reply pump's strict admission-order ticket wait.
-//! * **Nothing blocks the loop** — submits use the nonblocking
-//!   [`ServiceClient::submit_with_waker`], clock advances and cancels the
-//!   deferred [`ServiceClient::advance_deferred`] /
-//!   [`ServiceClient::cancel_deferred`] variants, and each resolved reply
-//!   nudges the reactor through a self-pipe waker so `poll(2)` wakes the
-//!   instant a ticket is answerable (a short timeout backstops the one case
-//!   where no waker fires: a worker that died mid-request).
+//! * **Run to completion** — a reactor decodes each connection's frames
+//!   strictly in arrival order and runs every one through
+//!   [`crate::ingest::dispatch`], the same code the blocking path runs:
+//!   a submit is planned, committed and journaled on the reactor under its
+//!   tenant's lock, and its `SubmitAck` and `PlanReply` land in the
+//!   connection's write buffer back to back. Per-connection admission
+//!   order (and therefore each tenant's commit order and committed route
+//!   set) and reply order are both frame order.
+//! * **Receive time** — every frame is stamped with the instant the
+//!   `read()` that completed it returned; a submit's deadline counts from
+//!   there, so a request that waited behind other connections' plans on
+//!   the same reactor, or for its tenant's lock, pays for it.
+//! * **Known cost** — one slow plan delays every other socket on its
+//!   reactor. A planner panic does not: it is caught at the tenant, which
+//!   answers `ServiceDied` from then on, and the reactor keeps serving.
 //! * **Rate limiting and drain** — the per-connection token bucket runs
 //!   per inbound frame before any tenant lookup, exactly as in
 //!   [`crate::ingest`]; on shutdown the acceptor stops, reactors stop
-//!   reading, flush what the tenants still owe (bounded by
+//!   reading, flush what they already wrote into buffers (bounded by
 //!   [`MuxConfig::drain_grace`]), and [`serve_tcp_mux`] returns so the
 //!   caller can [`TenantRegistry::drain_all`] and seal the WAL — the same
 //!   drain contract as [`crate::ingest::serve_tcp_graceful`].
+//!
+//! The self-pipe wakes a reactor for two things only: a connection handed
+//! over by the acceptor, and a record shipped to a log-tail subscriber.
 //!
 //! The reactor is hand-rolled on `poll(2)` through a single-declaration FFI
 //! shim ([`sys`]) — no event-loop dependency, no `libc` crate. This module
@@ -44,17 +46,13 @@
 //!
 //! [`TenantRegistry::drain_all`]: crate::tenant::TenantRegistry::drain_all
 
-use crate::ingest::{RateLimit, TokenBucket};
+use crate::ingest::{dispatch, encode_reply, RateLimit, TokenBucket};
 use crate::report::MuxCounters;
-use crate::service::{ControlReply, SubmitError, Ticket, WakeFn};
 use crate::tenant::{Tenant, TenantRegistry};
 use crate::wal::record::{encode_record, ChangeRecord};
 use crate::wal::{LogSubscription, WalJournal};
-use crate::wire::frame::{frame_len, write_frame, FrameDecoder, FrameKind, WireError};
-use crate::wire::schema::{self, AckStatus, ErrorCode};
-use carp_warehouse::request::RequestId;
-use carp_warehouse::route::Route;
-use std::collections::VecDeque;
+use crate::wire::frame::{FrameDecoder, FrameKind, WireError};
+use crate::wire::schema::{self, ErrorCode};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -123,9 +121,9 @@ mod sys {
 }
 
 /// How long the reactor sleeps in `poll(2)` when nothing is ready. Purely a
-/// backstop: real work arrives via socket readiness or the self-pipe waker;
-/// the timeout only bounds how long a ticket whose worker died without
-/// waking us (panic) waits before the `ServiceDied` answer is noticed.
+/// backstop: real work arrives via socket readiness or the self-pipe; the
+/// timeout only bounds how late a draining reactor notices that its
+/// [`MuxConfig::drain_grace`] ran out while a client stopped reading.
 const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// Soft cap on the raw-record bytes packed into one shipped `LogChunk`.
@@ -135,17 +133,24 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 /// other connections' replies between chunks of a large catch-up.
 const TAIL_CHUNK_BYTES: usize = 1 << 20;
 
+/// Write-buffer size at which a reactor stops reading a connection until
+/// the client drains its replies: the transport's backpressure, so a
+/// client that pipelines without reading cannot grow the buffer without
+/// bound.
+const OUT_HIGH_WATER: usize = 1 << 20;
+
 /// Reactor pool configuration for [`serve_tcp_mux`].
 #[derive(Debug, Clone, Copy)]
 pub struct MuxConfig {
-    /// Reactor threads sharing the connections (the fixed worker pool);
+    /// Reactor threads sharing the connections (the fixed thread pool);
     /// normalized up to 1.
     pub threads: usize,
     /// Optional per-connection token-bucket rate limit — same semantics as
     /// [`crate::ingest::serve_connection_limited`].
     pub rate_limit: Option<RateLimit>,
-    /// On shutdown, how long reactors keep resolving and flushing replies
-    /// the tenants still owe before closing the remaining connections.
+    /// On shutdown, how long reactors keep flushing replies already
+    /// written into connection buffers before closing the remaining
+    /// connections.
     /// Bounds daemon exit time when clients hold connections open.
     pub drain_grace: Duration,
 }
@@ -217,30 +222,6 @@ impl WakePipe {
     }
 }
 
-/// A reply the connection still owes its client, queued in frame order.
-/// The reactor resolves strictly from the front: plan replies therefore
-/// stream in admission order and control replies slot into the exact
-/// position their request frame had — the same observable order a blocking
-/// per-connection reader + reply pump produced.
-enum Pending {
-    /// An admitted submit awaiting its terminal plan answer.
-    Plan {
-        tenant: Arc<Tenant>,
-        rid: RequestId,
-        ticket: Ticket,
-    },
-    /// A deferred clock advance awaiting its revision batch.
-    Advance {
-        tenant: Arc<Tenant>,
-        reply: ControlReply<Vec<(RequestId, Route)>>,
-    },
-    /// A deferred cancel awaiting its verdict.
-    Cancel {
-        tenant: Arc<Tenant>,
-        reply: ControlReply<bool>,
-    },
-}
-
 /// A connection's live WAL-shipping subscription: the journal it tails
 /// (for the epoch stamped into each chunk) and the queue the journal's
 /// append path pushes committed records into.
@@ -256,12 +237,11 @@ struct Conn {
     decoder: FrameDecoder,
     /// Bytes queued toward the client, flushed as the socket accepts them.
     out: Vec<u8>,
-    pending: VecDeque<Pending>,
     bucket: Option<TokenBucket>,
     /// Live log-tail subscription, when the client sent `TailLog`.
     tail: Option<TailConn>,
     /// No more frames will be read (EOF, decode error, or drain mode);
-    /// the connection stays registered until its owed replies flush.
+    /// the connection stays registered until its write buffer flushes.
     read_closed: bool,
     /// Transport is broken; reap immediately.
     dead: bool,
@@ -270,7 +250,7 @@ struct Conn {
 impl Conn {
     fn wants_events(&self) -> i16 {
         let mut ev = 0i16;
-        if !self.read_closed {
+        if !self.read_closed && self.out.len() < OUT_HIGH_WATER {
             ev |= sys::POLLIN;
         }
         if !self.out.is_empty() {
@@ -280,9 +260,8 @@ impl Conn {
     }
 
     /// Stop reading this connection (protocol error or EOF mid-frame): the
-    /// legacy reader severed its loop at this point while the reply pump
-    /// kept draining owed tickets — mirrored here by keeping the connection
-    /// registered until `pending` and `out` empty.
+    /// blocking reader ends its loop at this point — mirrored here by
+    /// keeping the connection registered only until `out` empties.
     fn fail_read(&mut self) {
         self.read_closed = true;
         self.decoder = FrameDecoder::new();
@@ -293,9 +272,9 @@ impl Conn {
 struct Ctx {
     registry: Arc<TenantRegistry>,
     metrics: Arc<MuxMetrics>,
-    /// Completion waker handed to every tenant submission from this
-    /// reactor; fires the reactor's own self-pipe.
-    wake: WakeFn,
+    /// The reactor's own self-pipe, nudged by the journal whenever it
+    /// ships a record to one of this reactor's log-tail subscribers.
+    wake: Arc<WakePipe>,
 }
 
 struct Reactor {
@@ -324,7 +303,6 @@ impl Reactor {
                 }
             }
             for conn in &mut self.conns {
-                Self::resolve_pending(&self.ctx, conn);
                 Self::pump_tail(&self.ctx, conn);
                 Self::flush(&self.ctx.metrics, conn);
             }
@@ -391,18 +369,18 @@ impl Reactor {
                 // EOF/error itself.
                 if re & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0 && !conn.read_closed {
                     Self::read_conn(&self.ctx, conn, &mut scratch);
-                    // Acks are generated synchronously at admission; push
+                    // Replies are generated inline, frame by frame; push
                     // them onto the wire before touching the next ready
                     // socket, so one connection's burst doesn't tax every
-                    // other connection's ack latency.
+                    // other connection's latency.
                     Self::flush(&self.ctx.metrics, conn);
                 } else if re & (sys::POLLHUP | sys::POLLERR) != 0 && conn.read_closed {
                     // The read side is already severed, so no arm above will
                     // consume this condition — without this arm a peer that
-                    // vanished with replies still owed (POLLERR from an RST,
-                    // POLLHUP) is re-reported by every subsequent poll(2):
-                    // a busy loop, and a leaked fd if the owed ticket never
-                    // resolves. The transport is gone both ways; try one
+                    // vanished with replies still buffered (POLLERR from an
+                    // RST, POLLHUP) is re-reported by every subsequent
+                    // poll(2): a busy loop, and a leaked fd if the buffer
+                    // never drains. The transport is gone both ways; try one
                     // last flush (it marks `dead` itself on failure) and
                     // reap regardless.
                     Self::flush(&self.ctx.metrics, conn);
@@ -431,7 +409,6 @@ impl Reactor {
                 peer,
                 decoder: FrameDecoder::new(),
                 out: Vec::new(),
-                pending: VecDeque::new(),
                 bucket: self.rate_limit.map(TokenBucket::new),
                 tail: None,
                 read_closed: false,
@@ -457,7 +434,8 @@ impl Reactor {
     }
 
     /// Drain the socket until `EWOULDBLOCK`/EOF, handing every complete
-    /// frame to the dispatcher in arrival order.
+    /// frame to the dispatcher in arrival order, stamped with the instant
+    /// the read that completed it returned.
     fn read_conn(ctx: &Ctx, conn: &mut Conn, scratch: &mut [u8]) {
         loop {
             match conn.stream.read(scratch) {
@@ -470,11 +448,14 @@ impl Reactor {
                     break;
                 }
                 Ok(n) => {
+                    let received = Instant::now();
                     conn.decoder.push(&scratch[..n]);
                     loop {
                         match conn.decoder.next_frame() {
                             Ok(Some((kind, payload))) => {
-                                if let Err(e) = Self::handle_frame(ctx, conn, kind, &payload) {
+                                if let Err(e) =
+                                    Self::handle_frame(ctx, conn, kind, &payload, received)
+                                {
                                     eprintln!("carp-service: {}: {e}", conn.peer);
                                     conn.fail_read();
                                     break;
@@ -488,7 +469,7 @@ impl Reactor {
                             }
                         }
                     }
-                    if conn.read_closed {
+                    if conn.read_closed || conn.out.len() >= OUT_HIGH_WATER {
                         break;
                     }
                 }
@@ -508,134 +489,41 @@ impl Reactor {
         }
     }
 
-    /// Dispatch one inbound frame — the nonblocking mirror of the legacy
-    /// `read_loop` arm for arm: same rate-limit-first order, same tenant
-    /// tallies, same ack statuses, same typed error replies.
+    /// Run one inbound frame through the shared dispatcher, queueing its
+    /// replies; a log-tail subscription is served here.
     fn handle_frame(
         ctx: &Ctx,
         conn: &mut Conn,
         kind: FrameKind,
         payload: &[u8],
+        received: Instant,
     ) -> Result<(), WireError> {
         ctx.metrics.frames_in.fetch_add(1, Ordering::Relaxed);
-        if let Some(retry_after) = conn.bucket.as_mut().and_then(|b| b.try_take().err()) {
-            if kind == FrameKind::Submit {
-                let (_tenant, request) = schema::decode_submit(payload)?;
-                let ack =
-                    schema::encode_submit_ack(request.id, AckStatus::Throttled { retry_after });
-                Self::queue_frame(ctx, conn, None, FrameKind::SubmitAck, &ack);
-            } else {
-                let reply = schema::encode_error_reply(
-                    ErrorCode::Throttled,
-                    "connection rate limit exceeded",
-                );
-                Self::queue_frame(ctx, conn, None, FrameKind::ErrorReply, &reply);
-            }
+        let Conn { bucket, out, .. } = conn;
+        let mut send = |tenant: Option<&Tenant>, kind: FrameKind, payload: &[u8]| {
+            Self::queue_frame(&ctx.metrics, out, tenant, kind, payload)
+        };
+        let Some(from_seq) = dispatch(&ctx.registry, bucket, kind, payload, received, &mut send)?
+        else {
             return Ok(());
-        }
-        let wire_bytes = frame_len(payload.len());
-        match kind {
-            FrameKind::Submit => {
-                let (tenant_id, request) = schema::decode_submit(payload)?;
-                let Some(tenant) = ctx.registry.get(tenant_id) else {
-                    let ack = schema::encode_submit_ack(request.id, AckStatus::UnknownTenant);
-                    Self::queue_frame(ctx, conn, None, FrameKind::SubmitAck, &ack);
-                    return Ok(());
-                };
-                tenant.wire().frame_received(wire_bytes);
-                let rid = request.id;
-                let status = match tenant
-                    .client()
-                    .submit_with_waker(request, Some(Arc::clone(&ctx.wake)))
-                {
-                    Ok(ticket) => {
-                        conn.pending.push_back(Pending::Plan {
-                            tenant: Arc::clone(&tenant),
-                            rid,
-                            ticket,
-                        });
-                        AckStatus::Accepted
-                    }
-                    Err(SubmitError::Backpressure {
-                        retry_after,
-                        queue_depth,
-                    }) => AckStatus::Backpressure {
-                        retry_after,
-                        queue_depth,
-                    },
-                    Err(SubmitError::ShuttingDown) => AckStatus::ShuttingDown,
-                };
-                let ack = schema::encode_submit_ack(rid, status);
-                Self::queue_frame(ctx, conn, Some(&tenant), FrameKind::SubmitAck, &ack);
-            }
-            FrameKind::Advance => {
-                let (tenant_id, now) = schema::decode_advance(payload)?;
-                let Some(tenant) = Self::lookup(ctx, conn, tenant_id) else {
-                    return Ok(());
-                };
-                tenant.wire().frame_received(wire_bytes);
-                let reply = tenant
-                    .client()
-                    .advance_deferred(now, Some(Arc::clone(&ctx.wake)));
-                conn.pending.push_back(Pending::Advance { tenant, reply });
-            }
-            FrameKind::Cancel => {
-                let (tenant_id, id) = schema::decode_cancel(payload)?;
-                let Some(tenant) = Self::lookup(ctx, conn, tenant_id) else {
-                    return Ok(());
-                };
-                tenant.wire().frame_received(wire_bytes);
-                let reply = tenant
-                    .client()
-                    .cancel_deferred(id, Some(Arc::clone(&ctx.wake)));
-                conn.pending.push_back(Pending::Cancel { tenant, reply });
-            }
-            FrameKind::MetricsQuery => {
-                let tenant_id = schema::decode_metrics_query(payload)?;
-                let Some(tenant) = Self::lookup(ctx, conn, tenant_id) else {
-                    return Ok(());
-                };
-                tenant.wire().frame_received(wire_bytes);
-                let metrics = tenant.client().metrics();
-                let wire = tenant.wire().snapshot();
-                let reply = schema::encode_metrics_reply(&metrics, &wire);
-                Self::queue_frame(ctx, conn, Some(&tenant), FrameKind::MetricsReply, &reply);
-            }
-            FrameKind::TailLog => {
-                let from_seq = schema::decode_tail_log(payload)?;
-                let Some(journal) = ctx.registry.journal() else {
-                    let reply = schema::encode_error_reply(
-                        ErrorCode::NoJournal,
-                        "daemon has no changeset log attached",
-                    );
-                    Self::queue_frame(ctx, conn, None, FrameKind::ErrorReply, &reply);
-                    return Ok(());
-                };
-                // Catch-up (records already on disk from `from_seq`) and
-                // the live registration happen under the journal's append
-                // lock, so the hand-off is gap-free and duplicate-free:
-                // every later append lands in the subscription queue. The
-                // waker nudges this reactor's self-pipe so the next
-                // `poll(2)` wakes the instant a record ships.
-                let wake = Arc::clone(&ctx.wake);
-                let (catch_up, sub) = journal.tail(from_seq, move || wake())?;
-                Self::queue_log_chunks(ctx, conn, journal.epoch(), &catch_up);
-                conn.tail = Some(TailConn { journal, sub });
-            }
-            FrameKind::SubmitAck
-            | FrameKind::PlanReply
-            | FrameKind::AdvanceReply
-            | FrameKind::CancelReply
-            | FrameKind::MetricsReply
-            | FrameKind::ErrorReply
-            | FrameKind::LogChunk => {
-                let reply = schema::encode_error_reply(
-                    ErrorCode::UnexpectedFrame,
-                    "frame kind is daemon to client only",
-                );
-                Self::queue_frame(ctx, conn, None, FrameKind::ErrorReply, &reply);
-            }
-        }
+        };
+        let Some(journal) = ctx.registry.journal() else {
+            let reply = schema::encode_error_reply(
+                ErrorCode::NoJournal,
+                "daemon has no changeset log attached",
+            );
+            send(None, FrameKind::ErrorReply, &reply);
+            return Ok(());
+        };
+        // Catch-up (records already on disk from `from_seq`) and the live
+        // registration happen under the journal's append lock, so the
+        // hand-off is gap-free and duplicate-free: every later append lands
+        // in the subscription queue. The waker nudges this reactor's
+        // self-pipe so the next `poll(2)` wakes the instant a record ships.
+        let wake = Arc::clone(&ctx.wake);
+        let (catch_up, sub) = journal.tail(from_seq, move || wake.wake())?;
+        Self::queue_log_chunks(ctx, conn, journal.epoch(), &catch_up);
+        conn.tail = Some(TailConn { journal, sub });
         Ok(())
     }
 
@@ -661,7 +549,13 @@ impl Reactor {
             let bytes = encode_record(rec);
             if count > 0 && raw.len() + bytes.len() > TAIL_CHUNK_BYTES {
                 let payload = schema::encode_log_chunk_raw(epoch, count, &raw);
-                Self::queue_frame(ctx, conn, None, FrameKind::LogChunk, &payload);
+                Self::queue_frame(
+                    &ctx.metrics,
+                    &mut conn.out,
+                    None,
+                    FrameKind::LogChunk,
+                    &payload,
+                );
                 raw.clear();
                 count = 0;
             }
@@ -670,93 +564,27 @@ impl Reactor {
         }
         if count > 0 {
             let payload = schema::encode_log_chunk_raw(epoch, count, &raw);
-            Self::queue_frame(ctx, conn, None, FrameKind::LogChunk, &payload);
+            Self::queue_frame(
+                &ctx.metrics,
+                &mut conn.out,
+                None,
+                FrameKind::LogChunk,
+                &payload,
+            );
         }
     }
 
-    fn lookup(ctx: &Ctx, conn: &mut Conn, tenant_id: &str) -> Option<Arc<Tenant>> {
-        match ctx.registry.get(tenant_id) {
-            Some(t) => Some(t),
-            None => {
-                let reply = schema::encode_error_reply(ErrorCode::UnknownTenant, tenant_id);
-                Self::queue_frame(ctx, conn, None, FrameKind::ErrorReply, &reply);
-                None
-            }
-        }
-    }
-
-    /// Encode one daemon → client frame into the connection's write buffer,
-    /// tallying it on `tenant` when known (mirrors the legacy `send`).
+    /// Encode one daemon → client frame into a connection's write buffer,
+    /// tallying it on `tenant` when known.
     fn queue_frame(
-        ctx: &Ctx,
-        conn: &mut Conn,
+        metrics: &MuxMetrics,
+        out: &mut Vec<u8>,
         tenant: Option<&Tenant>,
         kind: FrameKind,
         payload: &[u8],
     ) {
-        write_frame(&mut conn.out, kind, payload).expect("Vec<u8> writes are infallible");
-        ctx.metrics.frames_out.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = tenant {
-            t.wire().frame_sent(frame_len(payload.len()));
-        }
-    }
-
-    /// Resolve owed replies strictly from the queue front, preserving the
-    /// legacy reply pump's admission-order reply stream.
-    fn resolve_pending(ctx: &Ctx, conn: &mut Conn) {
-        while let Some(front) = conn.pending.front() {
-            let resolved = match front {
-                Pending::Plan { ticket, .. } => match ticket.poll_response() {
-                    Some(response) => {
-                        let Some(Pending::Plan { tenant, rid, .. }) = conn.pending.pop_front()
-                        else {
-                            unreachable!("front variant checked");
-                        };
-                        let payload = schema::encode_plan_reply(rid, &response);
-                        Self::queue_frame(ctx, conn, Some(&tenant), FrameKind::PlanReply, &payload);
-                        true
-                    }
-                    None => false,
-                },
-                Pending::Advance { reply, .. } => match reply.poll_response() {
-                    Some(revisions) => {
-                        let Some(Pending::Advance { tenant, .. }) = conn.pending.pop_front() else {
-                            unreachable!("front variant checked");
-                        };
-                        let payload = schema::encode_advance_reply(&revisions);
-                        Self::queue_frame(
-                            ctx,
-                            conn,
-                            Some(&tenant),
-                            FrameKind::AdvanceReply,
-                            &payload,
-                        );
-                        true
-                    }
-                    None => false,
-                },
-                Pending::Cancel { reply, .. } => match reply.poll_response() {
-                    Some(ok) => {
-                        let Some(Pending::Cancel { tenant, .. }) = conn.pending.pop_front() else {
-                            unreachable!("front variant checked");
-                        };
-                        let payload = schema::encode_cancel_reply(ok);
-                        Self::queue_frame(
-                            ctx,
-                            conn,
-                            Some(&tenant),
-                            FrameKind::CancelReply,
-                            &payload,
-                        );
-                        true
-                    }
-                    None => false,
-                },
-            };
-            if !resolved {
-                break;
-            }
-        }
+        metrics.frames_out.fetch_add(1, Ordering::Relaxed);
+        encode_reply(out, tenant, kind, payload);
     }
 
     /// Push buffered bytes out until the socket pushes back.
@@ -780,9 +608,9 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    // Client gone mid-reply. Owed tickets keep resolving in
-                    // their tenants (admitted work is never lost); only the
-                    // transport is finished.
+                    // Client gone mid-reply. Its requests are already
+                    // committed in their tenants; only the transport is
+                    // finished.
                     conn.dead = true;
                     return;
                 }
@@ -791,12 +619,12 @@ impl Reactor {
     }
 
     /// Drop connections that are finished: transport dead, or read side
-    /// done with nothing further owed.
+    /// done with nothing left to flush.
     fn reap(&mut self) {
         let metrics = &self.ctx.metrics;
         let before = self.conns.len();
         self.conns
-            .retain(|c| !(c.dead || c.read_closed && c.pending.is_empty() && c.out.is_empty()));
+            .retain(|c| !(c.dead || c.read_closed && c.out.is_empty()));
         let reaped = before - self.conns.len();
         if reaped > 0 {
             metrics.deregister(reaped as u64);
@@ -805,9 +633,9 @@ impl Reactor {
 }
 
 /// Accept TCP connections and serve them all from `config.threads` reactor
-/// threads until `shutdown` is set — the multiplexed replacement for
+/// threads until `shutdown` is set — the multiplexed counterpart of
 /// [`crate::ingest::serve_tcp_graceful`], with the same drain contract:
-/// once the flag is set the listener stops accepting, reactors settle what
+/// once the flag is set the listener stops accepting, reactors flush what
 /// connected clients are still owed (bounded by [`MuxConfig::drain_grace`])
 /// and `serve_tcp_mux` returns `Ok(())` so the caller can drain tenants and
 /// seal the changeset log. `metrics` is shared so callers can snapshot
@@ -834,10 +662,7 @@ pub fn serve_tcp_mux(
             ctx: Ctx {
                 registry: Arc::clone(&registry),
                 metrics: Arc::clone(&metrics),
-                wake: {
-                    let pipe = Arc::clone(&pipe);
-                    Arc::new(move || pipe.wake())
-                },
+                wake: Arc::clone(&pipe),
             },
             conns: Vec::new(),
             inbox: Arc::clone(&inbox),
@@ -889,7 +714,7 @@ pub fn serve_tcp_mux(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ServiceConfig;
+    use crate::service::{PlanResponse, ServiceConfig};
     use crate::wire::client::WireClient;
     use carp_warehouse::planner::{PlanOutcome, Planner};
     use carp_warehouse::request::{QueryKind, Request};
@@ -913,13 +738,30 @@ mod tests {
         }
     }
 
-    fn registry() -> Arc<TenantRegistry> {
-        let registry = Arc::new(TenantRegistry::new());
-        let cfg = ServiceConfig {
+    struct PanicPlanner;
+
+    impl Planner for PanicPlanner {
+        fn name(&self) -> &'static str {
+            "mux-panic"
+        }
+        fn plan(&mut self, _req: &Request) -> PlanOutcome {
+            panic!("injected planner crash");
+        }
+        fn memory_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    fn no_deadline() -> ServiceConfig {
+        ServiceConfig {
             deadline: None,
             ..ServiceConfig::default()
-        };
-        registry.register("W-test", StubPlanner, cfg);
+        }
+    }
+
+    fn registry() -> Arc<TenantRegistry> {
+        let registry = Arc::new(TenantRegistry::new());
+        registry.register("W-test", StubPlanner, no_deadline());
         registry
     }
 
@@ -932,9 +774,12 @@ mod tests {
     );
 
     fn start(config: MuxConfig) -> Harness {
+        start_with(config, registry())
+    }
+
+    fn start_with(config: MuxConfig, registry: Arc<TenantRegistry>) -> Harness {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().expect("local addr");
-        let registry = registry();
         let shutdown = Arc::new(AtomicBool::new(false));
         let metrics = Arc::new(MuxMetrics::default());
         let srv = {
@@ -1014,5 +859,89 @@ mod tests {
             started.elapsed() < Duration::from_secs(3),
             "drain must be bounded by the grace period"
         );
+    }
+
+    #[test]
+    fn pipelined_frames_are_answered_in_frame_order() {
+        use crate::wire::frame::{read_frame, write_frame};
+        use crate::wire::schema::{AckStatus, PlanVerdict};
+        let (addr, shutdown, _metrics, srv, _registry) = start(MuxConfig::default());
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        // Six submits with an advance in the middle, sent in one write so
+        // the reactor decodes them from one read.
+        let mut burst = Vec::new();
+        for id in 0..6u64 {
+            let payload = schema::encode_submit("W-test", &req(id));
+            write_frame(&mut burst, FrameKind::Submit, &payload).expect("encode");
+            if id == 2 {
+                let payload = schema::encode_advance("W-test", 1);
+                write_frame(&mut burst, FrameKind::Advance, &payload).expect("encode");
+            }
+        }
+        stream.write_all(&burst).expect("send burst");
+        let mut next = || read_frame(&mut stream).expect("read").expect("frame");
+        for id in 0..6u64 {
+            let (kind, payload) = next();
+            assert_eq!(kind, FrameKind::SubmitAck, "request {id}: ack first");
+            let (acked, status) = schema::decode_submit_ack(&payload).expect("ack");
+            assert_eq!((acked, status), (id, AckStatus::Accepted));
+            let (kind, payload) = next();
+            assert_eq!(
+                kind,
+                FrameKind::PlanReply,
+                "request {id}: reply right after its ack"
+            );
+            let (planned, verdict) = schema::decode_plan_reply(&payload).expect("reply");
+            assert_eq!(planned, id);
+            assert!(matches!(verdict, PlanVerdict::Planned(_)));
+            if id == 2 {
+                let (kind, _) = next();
+                assert_eq!(kind, FrameKind::AdvanceReply, "advance keeps its slot");
+            }
+        }
+        drop(stream);
+        shutdown.store(true, Ordering::SeqCst);
+        srv.join().expect("server thread").expect("serve ok");
+    }
+
+    #[test]
+    fn a_planner_panic_spares_the_reactor_and_the_other_tenant() {
+        let registry = registry();
+        registry.register("W-panic", PanicPlanner, no_deadline());
+        // One reactor: both connections share the thread the panic hits.
+        let (addr, shutdown, metrics, srv, _registry) = start_with(
+            MuxConfig {
+                threads: 1,
+                ..MuxConfig::default()
+            },
+            registry,
+        );
+        let connect = || {
+            let stream = TcpStream::connect(addr).expect("connect");
+            let reader = stream.try_clone().expect("clone");
+            WireClient::new(reader, stream)
+        };
+        let mut doomed = connect();
+        let mut healthy = connect();
+        for id in 0..2u64 {
+            doomed.submit("W-panic", &req(id)).expect("submit acked");
+            assert_eq!(
+                doomed.wait_plan(id).expect("plan reply"),
+                PlanResponse::ServiceDied
+            );
+        }
+        for id in 10..13u64 {
+            healthy.submit("W-test", &req(id)).expect("submit acked");
+            assert!(healthy.wait_plan(id).expect("plan reply").route().is_some());
+        }
+        // The connection that hit the panic still serves other tenants.
+        doomed.submit("W-test", &req(20)).expect("submit acked");
+        assert!(doomed.wait_plan(20).expect("plan reply").route().is_some());
+        let (m, _) = healthy.metrics("W-test").expect("metrics");
+        assert_eq!(m.planned, 4);
+        drop((doomed, healthy));
+        shutdown.store(true, Ordering::SeqCst);
+        srv.join().expect("server thread").expect("serve ok");
+        assert_eq!(metrics.snapshot().accepted, 2);
     }
 }

@@ -33,7 +33,12 @@ use std::collections::HashMap;
 /// v5: `service` lost `workers` and the three win/retry/abort counters
 /// with the multi-worker commit pipeline they described; every tenant is
 /// served by one planning worker.
-pub const BENCH_VERSION: u32 = 5;
+///
+/// v6: `service` lost `queue_depth` and `in_flight` with the per-tenant
+/// queue and worker they described; requests run to completion on the
+/// thread that decoded them, so `queue_latency` is now the wait from frame
+/// receipt to planning start and `rejected_backpressure` is always 0.
+pub const BENCH_VERSION: u32 = 6;
 
 /// Result of one load run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -55,10 +60,11 @@ pub struct LoadReport {
     /// Leg requests abandoned after exhausting retries.
     pub failed_requests: usize,
     /// Requests refused by the service (deadline shed/overrun), before
-    /// retries; backpressure rejections are counted separately since those
-    /// submissions never entered the queue.
+    /// retries; rate-limit rejections are counted separately since those
+    /// submissions never reached the tenant.
     pub refused_requests: usize,
-    /// Submission attempts bounced by backpressure and retried.
+    /// Submission attempts bounced by the connection's rate limit and
+    /// retried.
     pub backpressure_retries: u64,
     /// Refusal rate over all submission attempts (see
     /// [`ServiceMetrics::refusal_rate`]).
@@ -75,7 +81,7 @@ pub struct LoadReport {
     /// id — two runs with the same seed and rate must produce the same
     /// digest (the determinism pin the CI job checks).
     pub routes_digest: u64,
-    /// Full service metrics snapshot (queue, latency percentiles,
+    /// Full service metrics snapshot (latency percentiles, refusal
     /// counters), fetched through the wire (`MetricsQuery`). Its `engine`
     /// block is the planner's final view, read after shutdown.
     pub service: ServiceMetrics,

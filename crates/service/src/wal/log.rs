@@ -21,11 +21,14 @@
 //!   record and syncs without holding the append lock; on success the
 //!   watermark moves to the captured record, and the syncer goes again at
 //!   once if half a cadence is unsynced by then.
-//! * **Bound.** An append that would return with `fsync_every` or more
-//!   unsynced records waits for the watermark instead. So, as with an
-//!   inline `fsync` every `fsync_every` appends, at most `fsync_every − 1`
-//!   written records are ever exposed to an OS crash when an append
-//!   returns ([`WalStats::max_unsynced`] records the worst seen).
+//! * **Bound.** An append returns only once its own record is fewer than
+//!   `fsync_every` records past the watermark; until then it waits for
+//!   the syncer, *after* releasing the append lock, so other tenants'
+//!   appends, [`WalJournal::tail`] and [`WalJournal::last_seq`] never
+//!   queue behind one `fdatasync`. So, as with an inline `fsync` every
+//!   `fsync_every` appends, at most `fsync_every − 1` records of returned
+//!   appends are ever exposed to an OS crash ([`WalStats::max_unsynced`]
+//!   records the worst gap an append returned with).
 //! * **Synchronous paths.** [`WalJournal::sync`], [`WalJournal::seal`],
 //!   [`WalJournal::bump_epoch`] (fencing must be durable) and compaction
 //!   sync inline and advance the watermark themselves.
@@ -112,8 +115,9 @@ pub struct WalStats {
     /// The durable watermark: the highest sequence number covered by a
     /// successful `fsync` (0 = none yet).
     pub durable_seq: u64,
-    /// The most written-but-unsynced records any append returned with.
-    /// Below [`WalConfig::fsync_every`] unless a sync failed.
+    /// The largest gap between an append's own record and the watermark
+    /// when the append returned. Below [`WalConfig::fsync_every`] unless a
+    /// sync failed.
     pub max_unsynced: u64,
 }
 
@@ -125,8 +129,8 @@ struct Inner {
 }
 
 /// What the append path and the syncer share. Lock order: the journal's
-/// `inner` before `state`, always; the syncer never takes `inner`, so an
-/// appender may wait on `synced` while holding it.
+/// `inner` before `state`, always. Appenders wait on `synced` only after
+/// releasing `inner`.
 struct Durability {
     state: Mutex<SyncState>,
     /// Wakes the syncer.
@@ -448,7 +452,10 @@ impl WalJournal {
     /// beats a mid-day outage, and the stats surface the damage.
     pub fn append(&self, tenant: &str, op: ChangeOp) -> u64 {
         let mut inner = self.inner.lock().expect("wal lock poisoned");
-        self.append_locked(&mut inner, tenant, op)
+        let (seq, written) = self.append_locked(&mut inner, tenant, op);
+        drop(inner);
+        self.await_bound(written);
+        seq
     }
 
     /// [`WalJournal::append`] fenced on a leadership epoch: refused with
@@ -467,7 +474,10 @@ impl WalJournal {
                 current,
             });
         }
-        Ok(self.append_locked(&mut inner, tenant, op))
+        let (seq, written) = self.append_locked(&mut inner, tenant, op);
+        drop(inner);
+        self.await_bound(written);
+        Ok(seq)
     }
 
     /// The journal's current leadership epoch (1 until the first bump).
@@ -483,6 +493,7 @@ impl WalJournal {
     pub fn bump_epoch(&self) -> u64 {
         let mut inner = self.inner.lock().expect("wal lock poisoned");
         let next = inner.state.epoch + 1;
+        // The inline sync covers the bump, so there is no bound to wait on.
         self.append_locked(&mut inner, "", ChangeOp::Epoch(next));
         self.sync_locked(&inner);
         next
@@ -500,12 +511,17 @@ impl WalJournal {
         }
         inner.next_seq = rec.seq + 1;
         inner.state.apply(rec);
-        self.write_locked(&inner, rec);
+        let written = self.write_locked(&inner, rec);
         self.ship_to_subs(rec);
+        drop(inner);
+        self.await_bound(written);
         true
     }
 
-    fn append_locked(&self, inner: &mut Inner, tenant: &str, op: ChangeOp) -> u64 {
+    /// Append under `inner`; returns the record's sequence number and its
+    /// write index for [`WalJournal::await_bound`], which the caller runs
+    /// after releasing `inner`.
+    fn append_locked(&self, inner: &mut Inner, tenant: &str, op: ChangeOp) -> (u64, Option<u64>) {
         let seq = inner.next_seq;
         inner.next_seq += 1;
         let rec = ChangeRecord {
@@ -514,7 +530,7 @@ impl WalJournal {
             op,
         };
         inner.state.apply(&rec);
-        self.write_locked(inner, &rec);
+        let written = self.write_locked(inner, &rec);
         // Ship to live tail subscribers *under the append lock*: the
         // subscriber's queue order is exactly the journal's append order,
         // and a tail() registration can never miss a record between its
@@ -530,43 +546,55 @@ impl WalJournal {
                 }
             }
         }
-        seq
+        (seq, written)
     }
 
-    /// Write `rec` through to the file, then hold the durability bound:
-    /// wake the syncer at half a cadence unsynced, and wait for the
-    /// watermark at a full one. Called with `inner` held, which is what
-    /// keeps `written` in file order.
-    fn write_locked(&self, inner: &Inner, rec: &ChangeRecord) {
+    /// Write `rec` through to the file and wake the syncer at half a
+    /// cadence unsynced. Called with `inner` held, which is what keeps
+    /// `written` in file order. Returns the record's write index (`None`
+    /// when the write failed).
+    fn write_locked(&self, inner: &Inner, rec: &ChangeRecord) -> Option<u64> {
         let bytes = encode_record(rec);
         if let Err(e) = (&*inner.file).write_all(&bytes) {
             self.durability
                 .append_errors
                 .fetch_add(1, Ordering::Relaxed);
             eprintln!("carp-service: wal append failed: {e}");
-            return;
+            return None;
         }
         self.appends.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         let d = &*self.durability;
-        let bound = Self::bound(&self.config);
         let mut st = d.lock();
         st.written += 1;
         st.written_seq = rec.seq;
         if st.unsynced() >= Self::trigger(&self.config) {
             d.request(&mut st);
         }
+        Some(st.written)
+    }
+
+    /// Hold the durability bound for the record written at index
+    /// `written`: wait, without any journal lock, until it is fewer than
+    /// `fsync_every` records past the watermark, or until a sync fails.
+    fn await_bound(&self, written: Option<u64>) {
+        let Some(written) = written else {
+            return;
+        };
+        let d = &*self.durability;
+        let bound = Self::bound(&self.config);
+        let mut st = d.lock();
         let failures = st.failures;
-        while st.unsynced() >= bound && st.failures == failures {
+        while written.saturating_sub(st.durable) >= bound && st.failures == failures {
             d.request(&mut st);
             st = d.synced.wait(st).expect("wal sync lock poisoned");
         }
+        let gap = written.saturating_sub(st.durable);
         debug_assert!(
-            st.unsynced() < bound || st.failures != failures,
-            "append returned with {} unsynced records (bound {bound})",
-            st.unsynced()
+            gap < bound || st.failures != failures,
+            "append returned {gap} records past the watermark (bound {bound})"
         );
-        st.max_unsynced = st.max_unsynced.max(st.unsynced());
+        st.max_unsynced = st.max_unsynced.max(gap);
     }
 
     /// Push `rec` to every live subscriber and wake it; entries whose
@@ -835,5 +863,72 @@ impl TenantJournal {
             });
         }
         self.append(ChangeOp::Advance { now });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// An appender parked on the durability bound holds no journal lock:
+    /// readers and other appenders go on while it waits for the syncer.
+    #[test]
+    fn an_append_parked_on_the_bound_does_not_block_the_journal() {
+        let path =
+            std::env::temp_dir().join(format!("carp-wal-bound-unit-{}.wal", std::process::id()));
+        let journal = WalJournal::create_with(
+            &path,
+            WalConfig {
+                fsync_every: 1,
+                snapshot_every: None,
+            },
+        )
+        .expect("create journal");
+        // Pretend a sync is already running: requests are then left to it,
+        // so nothing reaches the disk until the test lets the syncer go.
+        journal.durability.lock().running = true;
+
+        let appender = {
+            let journal = Arc::clone(&journal);
+            std::thread::spawn(move || journal.append("t", ChangeOp::TenantOpen))
+        };
+        while journal.durability.lock().written < 1 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(
+            !appender.is_finished(),
+            "the append must wait for the watermark"
+        );
+
+        let (tx, rx) = mpsc::channel();
+        {
+            let journal = Arc::clone(&journal);
+            std::thread::spawn(move || {
+                let last = journal.last_seq();
+                let (catch_up, _sub) = journal.tail(1, || {}).expect("tail");
+                let _ = tx.send((last, catch_up.len()));
+            });
+        }
+        let (last, caught_up) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("last_seq and tail must not wait behind a parked append");
+        assert_eq!((last, caught_up), (1, 1));
+        assert!(!appender.is_finished());
+
+        {
+            let d = &*journal.durability;
+            let mut st = d.lock();
+            st.running = false;
+            d.request(&mut st);
+        }
+        assert_eq!(appender.join().expect("appender"), 1);
+        let stats = journal.stats();
+        assert!(stats.durable_seq >= 1);
+        assert_eq!(stats.max_unsynced, 0);
+        drop(journal);
+        let _ = std::fs::remove_file(&path);
     }
 }

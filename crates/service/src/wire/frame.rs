@@ -21,7 +21,10 @@ pub const MAGIC: [u8; 4] = *b"CARP";
 ///
 /// v2: the `MetricsReply` payload lost the worker count and the three
 /// win/retry/abort counters of the removed multi-worker commit pipeline.
-pub const VERSION: u16 = 2;
+///
+/// v3: the `MetricsReply` payload lost the queue depth and in-flight gauge
+/// with the per-tenant queue and worker they described.
+pub const VERSION: u16 = 3;
 /// Bytes in the fixed frame header.
 pub const HEADER_LEN: usize = 12;
 /// Upper bound on a payload (16 MiB) — a route over the largest layout is

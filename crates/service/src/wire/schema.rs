@@ -88,9 +88,10 @@ pub fn decode_submit(payload: &[u8]) -> Result<(&str, Request), WireError> {
 /// Admission verdict carried by a `SubmitAck` frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckStatus {
-    /// The request entered the tenant's queue; a `PlanReply` will follow.
+    /// The tenant took the request; its `PlanReply` follows.
     Accepted,
-    /// The tenant's bounded queue is full; retry after the hinted delay.
+    /// A tenant queue was full; retry after the hinted delay. This daemon
+    /// has no queue and never sends it; clients still decode it.
     Backpressure {
         /// Suggested client-side wait before re-submitting.
         retry_after: Duration,
@@ -102,8 +103,8 @@ pub enum AckStatus {
     /// No tenant by that id is registered.
     UnknownTenant,
     /// The connection exceeded its per-connection rate limit; retry after
-    /// the hinted delay. Unlike [`AckStatus::Backpressure`] this is a
-    /// *connection* verdict — the tenant queue was never consulted.
+    /// the hinted delay. This is a *connection* verdict — the tenant was
+    /// never consulted.
     Throttled {
         /// Suggested client-side wait before re-submitting.
         retry_after: Duration,
@@ -241,11 +242,11 @@ pub enum PlanVerdict<'a> {
     Planned(RouteView<'a>),
     /// No route under the planner's search limits.
     Infeasible,
-    /// Shed in the queue past its deadline.
+    /// Shed past its deadline before planning.
     DeadlineShed,
     /// Planned over budget; the route was cancelled.
     DeadlineOverrun,
-    /// The tenant's service died before answering.
+    /// The tenant's planner panicked.
     ServiceDied,
 }
 
@@ -416,8 +417,6 @@ fn get_latency(r: &mut Reader<'_>) -> Result<LatencySummary, WireError> {
 /// followed by the tenant's [`WireCounters`].
 pub fn encode_metrics_reply(metrics: &ServiceMetrics, wire: &WireCounters) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u32(metrics.queue_depth.min(u32::MAX as usize) as u32);
-    w.put_u64(metrics.in_flight);
     w.put_u64(metrics.submitted);
     w.put_u64(metrics.rejected_backpressure);
     w.put_u64(metrics.planned);
@@ -449,8 +448,6 @@ pub fn encode_metrics_reply(metrics: &ServiceMetrics, wire: &WireCounters) -> Ve
 /// Decode a `MetricsReply` payload.
 pub fn decode_metrics_reply(payload: &[u8]) -> Result<(ServiceMetrics, WireCounters), WireError> {
     let mut r = Reader::new(payload);
-    let queue_depth = r.u32()? as usize;
-    let in_flight = r.u64()?;
     let submitted = r.u64()?;
     let rejected_backpressure = r.u64()?;
     let planned = r.u64()?;
@@ -480,8 +477,6 @@ pub fn decode_metrics_reply(payload: &[u8]) -> Result<(ServiceMetrics, WireCount
     };
     r.done()?;
     let metrics = ServiceMetrics {
-        queue_depth,
-        in_flight,
         submitted,
         rejected_backpressure,
         planned,
@@ -769,8 +764,6 @@ mod tests {
     #[test]
     fn metrics_reply_round_trip() {
         let metrics = ServiceMetrics {
-            queue_depth: 3,
-            in_flight: 2,
             submitted: 100,
             rejected_backpressure: 5,
             planned: 90,
@@ -805,8 +798,6 @@ mod tests {
         let payload = encode_metrics_reply(&metrics, &wire);
         let (m2, w2) = decode_metrics_reply(&payload).unwrap();
         assert_eq!(w2, wire);
-        assert_eq!(m2.queue_depth, 3);
-        assert_eq!(m2.in_flight, 2);
         assert_eq!(m2.submitted, 100);
         assert_eq!(m2.queue_latency.mean_us, 12.5);
         assert_eq!(m2.engine, metrics.engine);

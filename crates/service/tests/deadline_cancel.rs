@@ -1,15 +1,21 @@
-//! The deadline path against the *real* SRP planner: an over-budget plan
+//! The deadline path. Against the *real* SRP planner: an over-budget plan
 //! must be cancelled post-commit, and that cancel must actually retire the
 //! route's segments from the segment-store engine — otherwise every
 //! refused request would leak phantom traffic that blocks later robots.
+//! Over the wire: a request that spends its budget waiting for its
+//! tenant's lock is shed without being planned.
 
-use carp_service::service::{PlanResponse, PlanningService, ServiceConfig};
+use carp_service::ingest::{duplex, serve_connection};
+use carp_service::service::{PlanResponse, ServiceConfig};
+use carp_service::tenant::TenantRegistry;
+use carp_service::wire::WireClient;
 use carp_srp::{SrpConfig, SrpPlanner};
 use carp_warehouse::layout::{Layout, LayoutConfig};
 use carp_warehouse::request::RequestId;
 use carp_warehouse::types::{Cell, Time};
 use carp_warehouse::{PlanOutcome, Planner, QueryKind, Request, Route};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// A real SRP planner whose `plan` is artificially slow — every other
 /// operation (cancel, retirement, metrics) is the production code path,
@@ -58,6 +64,14 @@ fn a_request(id: RequestId, layout: &Layout) -> Request {
     Request::new(id, 0, free[0], free[free.len() - 1], QueryKind::Pickup)
 }
 
+fn take_slow(registry: &TenantRegistry) -> SlowSrp {
+    *registry
+        .remove("slow")
+        .expect("registered")
+        .downcast::<SlowSrp>()
+        .expect("slow SRP planner")
+}
+
 /// Over-budget plan → `DeadlineOverrun`, and the cancelled route's
 /// segments are gone from the engine: the planner is bit-equivalent to a
 /// twin that never saw the request.
@@ -72,21 +86,20 @@ fn deadline_overrun_retires_segments_from_engine() {
         deadline: Some(Duration::from_millis(50)),
         ..ServiceConfig::default()
     };
-    let service = PlanningService::spawn(slow, config);
-    let client = service.client();
+    let registry = TenantRegistry::new();
+    let tenant = registry.register("slow", slow, config);
 
-    // The queue wait is near zero (single request, idle worker), so the
-    // budget is blown *inside* `plan` — the post-commit cancel path. If a
-    // slow CI host sheds it in the queue instead, resubmit: either way the
+    // The request is planned the moment it is received, so the budget is
+    // blown *inside* `plan` — the post-commit cancel path. If a slow CI
+    // host sheds it before planning instead, resubmit: either way the
     // route must never survive.
     let mut response = PlanResponse::DeadlineShed;
     let mut id = 0;
     for attempt in 0..5u64 {
         id = attempt;
-        response = client
-            .submit(a_request(id, &layout))
-            .expect("queue accepts")
-            .wait();
+        response = tenant
+            .submit(&a_request(id, &layout), Instant::now())
+            .expect("tenant is live");
         if response != PlanResponse::DeadlineShed {
             break;
         }
@@ -97,11 +110,10 @@ fn deadline_overrun_retires_segments_from_engine() {
         "a 200ms plan under a 50ms budget must overrun"
     );
 
-    // Shut down first: the worker publishes its engine-metrics snapshot at
-    // the end of each cycle, so only after join is the snapshot guaranteed
-    // current. The client handle stays readable past shutdown.
-    let slow = service.shutdown();
-    let metrics = client.metrics();
+    // The tenant publishes its engine-metrics snapshot after every
+    // request; the tenant handle stays readable after removal.
+    let slow = take_slow(&registry);
+    let metrics = tenant.metrics();
     assert_eq!(metrics.cancelled_deadline, 1);
     assert_eq!(metrics.planned, 0);
     let engine = metrics.engine.expect("SRP publishes engine metrics");
@@ -146,24 +158,141 @@ fn without_deadline_slow_plan_commits_and_segments_persist() {
         deadline: None,
         ..ServiceConfig::default()
     };
-    let service = PlanningService::spawn(slow, config);
-    let client = service.client();
-    let response = client
-        .submit(a_request(0, &layout))
-        .expect("queue accepts")
-        .wait();
+    let registry = TenantRegistry::new();
+    let tenant = registry.register("slow", slow, config);
+    let response = tenant
+        .submit(&a_request(0, &layout), Instant::now())
+        .expect("tenant is live");
     assert!(
         response.route().is_some(),
         "deadline-free slow plan must commit, got {response:?}"
     );
 
-    let metrics = client.metrics();
+    let metrics = tenant.metrics();
     assert_eq!(metrics.planned, 1);
     assert_eq!(metrics.cancelled_deadline, 0);
 
-    let slow = service.shutdown();
+    let slow = take_slow(&registry);
     assert!(
         slow.inner.total_segments() > 0,
         "committed route must keep its segments reserved"
+    );
+}
+
+/// A stub whose first `plan` announces itself and then blocks until the
+/// test opens the gate; it records every request it plans.
+struct GatedStub {
+    gate: Arc<(Mutex<Gate>, Condvar)>,
+    planned: Vec<RequestId>,
+}
+
+#[derive(Default)]
+struct Gate {
+    entered: bool,
+    open: bool,
+}
+
+impl Planner for GatedStub {
+    fn name(&self) -> &'static str {
+        "gated-stub"
+    }
+    fn plan(&mut self, req: &Request) -> PlanOutcome {
+        let (lock, cv) = &*self.gate;
+        let mut gate = lock.lock().unwrap();
+        gate.entered = true;
+        cv.notify_all();
+        while !gate.open {
+            gate = cv.wait(gate).unwrap();
+        }
+        self.planned.push(req.id);
+        PlanOutcome::Planned(Route::stationary(req.t, req.origin))
+    }
+    fn cancel(&mut self, _id: RequestId) -> bool {
+        true
+    }
+    fn memory_bytes(&self) -> usize {
+        0
+    }
+}
+
+/// Two connections, one tenant: the second request is decoded while the
+/// first holds the tenant's lock inside a plan that outlasts the budget.
+/// Its deadline counts from its own frame's receipt, so by the time it
+/// gets the lock it is shed — answered `DeadlineShed` and never planned.
+#[test]
+fn waiting_for_the_tenant_lock_past_the_budget_sheds_unplanned() {
+    let deadline = Duration::from_millis(50);
+    let gate = Arc::new((Mutex::new(Gate::default()), Condvar::new()));
+    let registry = TenantRegistry::new();
+    let tenant = registry.register(
+        "w",
+        GatedStub {
+            gate: Arc::clone(&gate),
+            planned: Vec::new(),
+        },
+        ServiceConfig {
+            deadline: Some(deadline),
+            ..ServiceConfig::default()
+        },
+    );
+    let req =
+        |id: RequestId| Request::new(id, 0, Cell::new(0, 0), Cell::new(0, 1), QueryKind::Pickup);
+    let (first, second) = std::thread::scope(|scope| {
+        let connect = || {
+            let ((client_read, client_write), (server_read, server_write)) = duplex();
+            let registry = &registry;
+            scope.spawn(move || serve_connection(registry, server_read, server_write));
+            WireClient::new(client_read, client_write)
+        };
+        let (mut a, mut b) = (connect(), connect());
+        let first = scope.spawn(move || {
+            a.submit("w", &req(0)).expect("accepted");
+            a.wait_plan(0).expect("plan reply")
+        });
+        {
+            let (lock, cv) = &*gate;
+            let mut g = lock.lock().unwrap();
+            while !g.entered {
+                g = cv.wait(g).unwrap();
+            }
+        }
+        // Request 0 is inside `plan`, holding the tenant lock.
+        let second = scope.spawn(move || {
+            b.submit("w", &req(1)).expect("accepted");
+            b.wait_plan(1).expect("plan reply")
+        });
+        // Request 1's frame is counted after its receive time is stamped
+        // and before its connection thread asks for the tenant lock.
+        while tenant.wire().snapshot().frames_received < 2 {
+            std::thread::yield_now();
+        }
+        let decoded = Instant::now();
+        while decoded.elapsed() <= deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        {
+            let (lock, cv) = &*gate;
+            lock.lock().unwrap().open = true;
+            cv.notify_all();
+        }
+        (first.join().unwrap(), second.join().unwrap())
+    });
+    // Request 0 passed its shed check and was gated past its own budget.
+    assert_eq!(first, PlanResponse::DeadlineOverrun);
+    assert_eq!(second, PlanResponse::DeadlineShed);
+    let m = tenant.metrics();
+    assert_eq!(
+        (m.submitted, m.shed_deadline, m.cancelled_deadline),
+        (2, 1, 1)
+    );
+    let stub = registry
+        .remove("w")
+        .expect("registered")
+        .downcast::<GatedStub>()
+        .expect("gated stub");
+    assert_eq!(
+        stub.planned,
+        vec![0],
+        "the shed request reached the planner"
     );
 }

@@ -444,70 +444,27 @@ fn two_hundred_churning_connections_stay_ordered_leak_free_and_deterministic() {
     }
 }
 
-/// Planner whose `plan` blocks until the test opens the gate, so a
-/// submission's plan reply stays *owed* for as long as the test needs —
-/// the reactor cannot reap the connection through the resolved-ticket
-/// path while the gate is shut.
-#[derive(Clone)]
-struct GatedPlanner {
-    gate: Arc<(Mutex<bool>, std::sync::Condvar)>,
-    entered: Arc<AtomicBool>,
-}
-
-impl GatedPlanner {
-    fn new() -> Self {
-        GatedPlanner {
-            gate: Arc::new((Mutex::new(false), std::sync::Condvar::new())),
-            entered: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    fn open(&self) {
-        let (lock, cv) = &*self.gate;
-        *lock.lock().expect("gate lock") = true;
-        cv.notify_all();
-    }
-}
-
-impl Planner for GatedPlanner {
-    fn name(&self) -> &'static str {
-        "gated-stub"
-    }
-    fn plan(&mut self, req: &Request) -> PlanOutcome {
-        self.entered.store(true, Ordering::SeqCst);
-        let (lock, cv) = &*self.gate;
-        let mut open = lock.lock().expect("gate lock");
-        while !*open {
-            open = cv.wait(open).expect("gate wait");
-        }
-        PlanOutcome::Planned(route_for(req.id))
-    }
-    fn cancel(&mut self, _id: RequestId) -> bool {
-        false
-    }
-    fn memory_bytes(&self) -> usize {
-        0
-    }
-}
-
 /// Regression: a peer that vanishes with an RST *after* its read side was
-/// already severed (garbage frame → `read_closed`) and with a reply still
-/// owed used to be unreapable — `POLLERR`/`POLLHUP` matched no event arm,
-/// so every `poll(2)` re-reported the dead socket (busy loop) and the
-/// connection pinned its fd until the owed ticket resolved, which a stuck
-/// planner could defer forever. The reactor must instead reap it the
-/// moment the transport is gone both ways.
+/// already severed (garbage frame → `read_closed`) and with replies still
+/// owed — sitting in the connection's write buffer because the peer never
+/// read them — used to be unreapable: `POLLERR`/`POLLHUP` matched no event
+/// arm, so every `poll(2)` re-reported the dead socket (busy loop) and the
+/// connection pinned its fd until the buffer drained, which a peer that
+/// never reads defers forever. The reactor must instead reap it the
+/// moment the transport is gone both ways. With replies buffered, Linux
+/// also reports `POLLOUT` after the RST and the failing flush reaps the
+/// connection too, so this pins the outcome rather than that one arm.
 #[test]
 fn reset_after_read_close_with_owed_reply_is_reaped_not_wedged() {
     use std::io::Write;
 
     let registry = Arc::new(TenantRegistry::new());
-    let planner = GatedPlanner::new();
+    let (planner, _log) = LogPlanner::new();
     let cfg = ServiceConfig {
         deadline: None,
         ..ServiceConfig::default()
     };
-    registry.register("gated", planner.clone(), cfg);
+    registry.register("owed", planner, cfg);
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -525,12 +482,12 @@ fn reset_after_read_close_with_owed_reply_is_reaped_not_wedged() {
 
     // Settle the fd baseline. The reactor threads open their wake pipes
     // asynchronously after `serve_tcp_mux` is spawned, so a warm-up
-    // round-trip (MetricsQuery — it never touches the gated planner) plus
-    // a stability window keeps those out of the leak accounting.
+    // round-trip plus a stability window keeps those out of the leak
+    // accounting.
     {
         let stream = connect(addr);
         let mut client = WireClient::new(stream.try_clone().expect("clone"), stream);
-        client.metrics("gated").expect("warm-up metrics round-trip");
+        client.metrics("owed").expect("warm-up metrics round-trip");
     }
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut fd_baseline = open_fds();
@@ -547,40 +504,53 @@ fn reset_after_read_close_with_owed_reply_is_reaped_not_wedged() {
     let stream = connect(addr);
     let mut writer = stream.try_clone().expect("clone write half");
 
-    // Submit while the planner is gated: the ack is queued immediately but
-    // the plan reply stays owed. The ack is deliberately left unread.
-    let payload = schema::encode_submit("gated", &req_for(7));
-    write_frame(&mut writer, FrameKind::Submit, &payload).expect("submit");
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while !planner.entered.load(Ordering::SeqCst) {
+    // Pipeline submits without reading a single reply, one batch at a time,
+    // each batch decoded before the next is sent, until the reactor's
+    // writes to us would block: from then on replies sit in the
+    // connection's write buffer, owed, and the buffer stays far below the
+    // size at which the reactor stops reading.
+    let frames_before = metrics.snapshot().frames_in;
+    let mut sent = 0u64;
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while metrics.snapshot().partial_writes == 0 {
+        let mut batch = Vec::new();
+        for _ in 0..64 {
+            let payload = schema::encode_submit("owed", &req_for(sent));
+            write_frame(&mut batch, FrameKind::Submit, &payload).expect("encode submit");
+            sent += 1;
+        }
+        writer.write_all(&batch).expect("pipelined submits");
+        while metrics.snapshot().frames_in < frames_before + sent {
+            assert!(Instant::now() < deadline, "submits never decoded");
+            std::thread::yield_now();
+        }
         assert!(
             Instant::now() < deadline,
-            "submission never reached the planner"
+            "the reactor's writes never backed up"
         );
-        std::thread::sleep(Duration::from_millis(5));
     }
 
-    // Garbage after the valid frame: the reactor severs the read side
+    // Garbage after the valid frames: the reactor severs the read side
     // (`read_closed`) but keeps the connection registered for the owed
-    // reply — the exact state the bug needed.
+    // replies — the exact state the bug needed.
     writer
         .write_all(b"garbage, not a CARP frame")
         .expect("garbage");
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while metrics.snapshot().frames_in < 1 {
-        assert!(Instant::now() < deadline, "submit frame never decoded");
-        std::thread::sleep(Duration::from_millis(5));
-    }
     // Give the reactor a moment to consume the garbage and sever reads.
     std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(
+        metrics.snapshot().registered,
+        1,
+        "the connection still owes replies"
+    );
 
-    // Abrupt close with the unread ack still in our receive buffer: the
+    // Abrupt close with unread replies still in our receive buffer: the
     // kernel turns that into an RST, and the server socket reports
     // `POLLERR`/`POLLHUP` from then on.
     drop(writer);
     drop(stream);
 
-    // The reply is still owed (gate shut), yet the reactor must reap the
+    // The replies are still owed, yet the reactor must reap the
     // connection and shed its fd — the transport is gone both ways.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -608,8 +578,6 @@ fn reset_after_read_close_with_owed_reply_is_reaped_not_wedged() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    // Let the worker finish so shutdown can drain cleanly.
-    planner.open();
     shutdown.store(true, Ordering::SeqCst);
     handle
         .join()

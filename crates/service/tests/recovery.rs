@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 struct ScratchLog(PathBuf);
 
@@ -137,7 +138,7 @@ impl ReplayPlanner for RevisingPlanner {
     }
 }
 
-/// Route revisions delivered by the worker's `advance` land in the
+/// Route revisions delivered by the tenant's `advance` land in the
 /// changeset log as Revise records and replay into a standby planner with
 /// the authoritative routes — covering the windowed-TWP/RP shape end to
 /// end.
@@ -156,7 +157,9 @@ fn revisions_are_journaled_and_replayed() {
 
     let submit = |id: u64, t: Time| {
         let req = Request::new(id, t, Cell::new(0, 0), Cell::new(1, 1), QueryKind::Pickup);
-        tenant.client().submit(req).expect("submit accepted").wait()
+        tenant
+            .submit(&req, Instant::now())
+            .expect("submit accepted")
     };
     for id in 0..4u64 {
         assert!(matches!(
@@ -166,7 +169,7 @@ fn revisions_are_journaled_and_replayed() {
     }
     // All four routes end at t=4, so at now=2 each is still active and
     // the planner revises all of them.
-    let revisions = tenant.client().advance(2);
+    let revisions = tenant.advance(2);
     assert_eq!(revisions.len(), 4, "planner revises every active route");
     // The service must stay consistent after the revision batch: more
     // commits land on the revised state.
@@ -233,10 +236,8 @@ fn drain_all_closes_tenants_and_seals_the_log() {
     registry
         .get("a")
         .expect("tenant a")
-        .client()
-        .submit(req)
-        .expect("submit")
-        .wait();
+        .submit(&req, Instant::now())
+        .expect("submit");
 
     assert_eq!(registry.drain_all(), 2);
     assert!(registry.get("a").is_none());

@@ -52,7 +52,7 @@ pub mod prelude {
         AcpConfig, AcpPlanner, RpConfig, RpPlanner, SapPlanner, TwpConfig, TwpPlanner,
     };
     pub use carp_geometry::{NaiveStore, Segment, SegmentStore, SlopeIndexStore};
-    pub use carp_service::{LoadScenario, PlanningService, ServiceConfig, ServiceMetrics};
+    pub use carp_service::{LoadScenario, ServiceConfig, ServiceMetrics, TenantRegistry};
     pub use carp_simenv::{DayReport, ReproBundle, SimConfig, Simulation};
     pub use carp_spacetime::AStarConfig;
     pub use carp_srp::{PlannerPath, Provenance, SrpConfig, SrpPlanner, StripGraph};
