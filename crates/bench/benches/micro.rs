@@ -3,13 +3,15 @@
 //! * segment collision queries — naive ordered set (§V-B) vs slope index
 //!   (§V-D), the micro version of Fig. 22(b);
 //! * strip-graph construction (Algorithm 1, the Table II extraction);
-//! * intra-strip backtracking (Algorithm 2);
+//! * intra-strip backtracking (Algorithm 2), one leg and every exit of a
+//!   strip;
 //! * one end-to-end `plan()` call per planner on the W-1 preset with
 //!   committed background traffic (the TC kernel of Figs. 16–18).
 
 use carp_baselines::{AcpConfig, AcpPlanner, SapPlanner};
 use carp_geometry::{NaiveStore, Segment, SegmentStore, SlopeIndexStore};
 use carp_spacetime::AStarConfig;
+use carp_srp::intra::{arrival_at, plan_within_cost, IntraSweep};
 use carp_srp::{IntraConfig, SrpConfig, SrpPlanner, StripGraph};
 use carp_warehouse::layout::WarehousePreset;
 use carp_warehouse::tasks::generate_requests;
@@ -138,6 +140,33 @@ fn bench_intra(c: &mut Criterion) {
         b.iter(|| {
             t = (t + 7) % 400;
             black_box(carp_srp::intra::plan_within(&store, t, 0, 99, &cfg))
+        })
+    });
+    // Every exit of the strip from one entry: a search per exit, as the
+    // strip search once priced a settled strip's edges, against the one
+    // pass toward the strip's end that it runs now.
+    let entries: Vec<u32> = (0..400)
+        .step_by(7)
+        .filter(|&t| store.earliest_collision(&Segment::point(t, 0)).is_none())
+        .collect();
+    let mut i = 0;
+    group.bench_function("all_exits/per_exit", |b| {
+        b.iter(|| {
+            i = (i + 1) % entries.len();
+            for x in 1..100 {
+                black_box(plan_within_cost(&store, entries[i], 0, x, &cfg));
+            }
+        })
+    });
+    let mut sweep = IntraSweep::default();
+    group.bench_function("all_exits/one_pass", |b| {
+        b.iter(|| {
+            i = (i + 1) % entries.len();
+            sweep.clear();
+            sweep.run(&store, entries[i], 0, 99, &cfg);
+            for x in 1..100 {
+                black_box(arrival_at(sweep.covers(), 0, x));
+            }
         })
     });
     group.finish();

@@ -267,8 +267,9 @@ pub fn serve_tcp(listener: TcpListener, registry: Arc<TenantRegistry>) -> std::i
 }
 
 /// [`serve_tcp`] with graceful shutdown and optional per-connection rate
-/// limiting. The accept loop polls `shutdown` between accepts (the
-/// listener runs non-blocking with a short sleep); once the flag is set it
+/// limiting. The accept loop checks `shutdown` between accepts (the
+/// listener runs non-blocking; while no one connects, the loop waits in
+/// `poll(2)` on it with a timeout); once the flag is set it
 /// stops accepting and returns `Ok(())` so the caller can drain tenants
 /// ([`TenantRegistry::drain_all`](crate::tenant::TenantRegistry::drain_all)),
 /// seal the changeset log, and exit cleanly. Connections already accepted
@@ -287,6 +288,9 @@ pub fn serve_tcp_graceful(
         let (stream, peer) = match listener.accept() {
             Ok(accepted) => accepted,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                #[cfg(unix)]
+                crate::mux::wait_for_connection(&listener)?;
+                #[cfg(not(unix))]
                 std::thread::sleep(Duration::from_millis(25));
                 continue;
             }

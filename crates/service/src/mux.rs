@@ -123,8 +123,21 @@ mod sys {
 /// How long the reactor sleeps in `poll(2)` when nothing is ready. Purely a
 /// backstop: real work arrives via socket readiness or the self-pipe; the
 /// timeout only bounds how late a draining reactor notices that its
-/// [`MuxConfig::drain_grace`] ran out while a client stopped reading.
+/// [`MuxConfig::drain_grace`] ran out while a client stopped reading, and
+/// how late an idle acceptor notices its shutdown flag.
 const POLL_TIMEOUT: Duration = Duration::from_millis(25);
+
+/// Block in `poll(2)` until `listener` has a connection to accept, or until
+/// [`POLL_TIMEOUT`] passes so the caller can re-check its shutdown flag. A
+/// socket that connects while the acceptor waits is accepted at once.
+pub(crate) fn wait_for_connection(listener: &TcpListener) -> std::io::Result<()> {
+    let mut fds = [sys::PollFd {
+        fd: listener.as_raw_fd(),
+        events: sys::POLLIN,
+        revents: 0,
+    }];
+    sys::poll_fds(&mut fds, POLL_TIMEOUT.as_millis() as i32).map(drop)
+}
 
 /// Soft cap on the raw-record bytes packed into one shipped `LogChunk`.
 /// A standby catching up from `seq=1` would otherwise receive the whole
@@ -696,7 +709,7 @@ pub fn serve_tcp_mux(
                 wakers[slot].wake();
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
+                wait_for_connection(&listener)?;
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -835,6 +848,50 @@ mod tests {
             assert!(Instant::now() < deadline, "torn connection never reaped");
             std::thread::sleep(Duration::from_millis(10));
         }
+        shutdown.store(true, Ordering::SeqCst);
+        srv.join().expect("server thread").expect("serve ok");
+    }
+
+    /// Connect ten times, each after the acceptor has idled for at least
+    /// 30 ms and at phases 2.5 ms apart, and time each connection's first
+    /// `Metrics` reply. An acceptor that naps 25 ms whenever `accept` would
+    /// block answers about one connection in five 20 ms late or worse.
+    fn assert_idle_acceptor_answers_at_once(addr: std::net::SocketAddr) {
+        for k in 0..10u64 {
+            std::thread::sleep(Duration::from_micros(30_000 + 2_500 * k));
+            let started = Instant::now();
+            let stream = TcpStream::connect(addr).expect("connect");
+            let reader = stream.try_clone().expect("clone");
+            let mut client = WireClient::new(reader, stream);
+            client.metrics("W-test").expect("metrics");
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_millis(20),
+                "connection {k}: first reply after {took:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn idle_mux_acceptor_answers_a_new_connection_at_once() {
+        let (addr, shutdown, _metrics, srv, _registry) = start(MuxConfig::default());
+        assert_idle_acceptor_answers_at_once(addr);
+        shutdown.store(true, Ordering::SeqCst);
+        srv.join().expect("server thread").expect("serve ok");
+    }
+
+    #[test]
+    fn idle_thread_acceptor_answers_a_new_connection_at_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let srv = {
+            let shutdown = Arc::clone(&shutdown);
+            std::thread::spawn(move || {
+                crate::ingest::serve_tcp_graceful(listener, registry(), shutdown, None)
+            })
+        };
+        assert_idle_acceptor_answers_at_once(addr);
         shutdown.store(true, Ordering::SeqCst);
         srv.join().expect("server thread").expect("serve ok");
     }

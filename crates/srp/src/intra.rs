@@ -1,14 +1,34 @@
-//! Intra-strip route planning (§V-C, Algorithm 2): backtracking search for
-//! the shortest collision-free polyline from one grid number to another
-//! within a strip.
+//! Intra-strip route planning (§V-C, Algorithm 2) as one pass per strip
+//! and direction.
 //!
-//! The search greedily moves towards the destination; when the move would
-//! collide at time `c` (earliest collision from the segment store), it
-//! stops right before the collision, waits, and tries again — recursing
-//! with longer waits when necessary. Moving *backward* (away from the
-//! destination) is prohibited for efficiency (§V-C), which is one of the
-//! three sub-optimality sources analysed in §VII-A; infeasibility under
-//! this restriction is handled by the caller's A\* fallback (§VI remarks).
+//! Algorithm 2 is a depth-first search over stop points. From a node
+//! `(t, p)` it moves greedily towards its destination; when the move would
+//! collide (earliest collision from the segment store) it stops right
+//! before the collision, then tries waits of increasing length there, each
+//! wait a child node. Moving *backward* is prohibited for efficiency
+//! (§V-C), one of the three sub-optimality sources of §VII-A; requests that
+//! this makes infeasible go to the caller's A\* fallback (§VI remarks).
+//!
+//! [`IntraSweep`] runs that search with an explicit frame stack toward an
+//! *end* offset and records a [`Cover`] each time its collision-free reach
+//! grows. One pass toward the strip's end prices every exit on the way:
+//!
+//! * Up to the first node whose move reaches exit `x`, the search toward
+//!   `x` and the search toward the end visit the same nodes in the same
+//!   order. The move toward `x` is a time prefix of the move toward the
+//!   end, so both see the same earliest collision and stop at the same
+//!   point while that point lies before `x`; the wait probe does not depend
+//!   on the destination at all; and both count nodes alike, so both hit
+//!   `max_nodes` at the same node.
+//! * The search toward `x` ends at that first reaching node `(t, p)` with
+//!   arrival `t + |x − p|`, which is what the cover answers.
+//! * If no node reaches `x`, both searches visit the same nodes until they
+//!   run out or hit the cap: `x` fails, and so does every offset beyond it.
+//!
+//! So a pass's covers answer any exit by binary search, exactly as a
+//! separate call per exit would. [`plan_within`] and [`plan_within_cost`]
+//! are passes whose end is the destination; the polyline of
+//! [`plan_within`] is read off the frame stack at the node that reaches it.
 //!
 //! Unlike the paper's pseudocode, candidate segments are **not** inserted
 //! into the shared store during the search: a robot's own consecutive
@@ -17,7 +37,8 @@
 //! "Query/commit split").
 
 use carp_geometry::store::SegmentStore;
-use carp_geometry::Segment;
+use carp_geometry::{CollisionKind, Segment};
+use carp_warehouse::memory;
 use carp_warehouse::types::Time;
 
 /// Limits on the backtracking search.
@@ -77,6 +98,196 @@ impl IntraRoute {
     }
 }
 
+/// One growth of a pass's collision-free reach: node `(t, p)` was the first
+/// whose move reached offset `reach`. Every offset up to `reach` that no
+/// earlier cover of the pass reaches is reached at `t + |x − p|`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cover {
+    /// Farthest offset the node's move reaches collision-free.
+    pub reach: i32,
+    /// The node's time.
+    pub t: Time,
+    /// The node's offset.
+    pub p: i32,
+}
+
+/// A node of the pass with children left to try: `(t, p)` moved to its
+/// stop point `(stop_t, p_stop)` and now waits there `tau` of at most
+/// `max_tau` steps.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    t: Time,
+    p: i32,
+    stop_t: Time,
+    p_stop: i32,
+    tau: Time,
+    max_tau: Time,
+}
+
+/// Algorithm 2 as one iterative pass, with its buffers: the frame stack of
+/// the running pass and an arena of covers that keeps the covers of every
+/// pass until [`IntraSweep::clear`].
+#[derive(Debug, Default, Clone)]
+pub struct IntraSweep {
+    frames: Vec<Frame>,
+    covers: Vec<Cover>,
+}
+
+impl IntraSweep {
+    /// Run Algorithm 2 from `(t, from)` toward `end` (`end != from`) and
+    /// append its covers to the arena; returns the number of nodes
+    /// visited. The pass stops at the first node that reaches `end`, or
+    /// fails when the search runs out of nodes or hits `max_nodes`.
+    ///
+    /// Precondition: `(t, from)` itself is collision-free (guaranteed by
+    /// the caller, who checked the entry point — see the planner's entry
+    /// probing).
+    pub fn run<S: SegmentStore>(
+        &mut self,
+        store: &S,
+        t: Time,
+        from: i32,
+        end: i32,
+        config: &IntraConfig,
+    ) -> usize {
+        debug_assert_ne!(from, end, "a pass needs somewhere to go");
+        debug_assert!(
+            store.earliest_collision(&Segment::point(t, from)).is_none(),
+            "entry point (t={t}, s={from}) is contested; caller must probe first"
+        );
+        self.frames.clear();
+        let dir = if end > from { 1 } else { -1 };
+        let (mut t, mut p, mut reach) = (t, from, from);
+        let mut nodes = 0;
+        while nodes < config.max_nodes {
+            nodes += 1;
+            // Greedy move towards the end (lines 8–12).
+            let Some(collision) = store.earliest_collision(&Segment::travel(t, p, end)) else {
+                self.covers.push(Cover { reach: end, t, p });
+                return nodes;
+            };
+            // Stop right before the collision (line 18). For a vertex
+            // conflict at time `c` the last safe instant on the move is
+            // `c − 1`; for a swap the conflict is the motion `c → c + 1`
+            // itself, so occupying the stop point at `c` is still safe.
+            let c = collision.time;
+            let stop_t = match collision.kind {
+                CollisionKind::Vertex => {
+                    debug_assert!(c > t, "entry point was contested");
+                    c - 1
+                }
+                CollisionKind::Swap => c,
+            };
+            let p_stop = p + dir * (stop_t - t) as i32;
+            if (p_stop - reach) * dir > 0 {
+                reach = p_stop;
+                self.covers.push(Cover { reach, t, p });
+            }
+            if p_stop == end {
+                // The collision lies beyond the end — cannot occur since
+                // the move ends there; defensive only.
+                return nodes;
+            }
+            // Longest permissible wait at the stop point: until someone
+            // else needs this grid (waits are slope-0, so any collision
+            // against them is a vertex conflict at the intruder's arrival).
+            let probe = Segment::wait(stop_t, stop_t + config.max_wait, p_stop);
+            let max_tau = match store.earliest_collision(&probe) {
+                Some(c2) => {
+                    debug_assert!(c2.time > stop_t, "stop point reached collision-free");
+                    (c2.time - 1 - stop_t).min(config.max_wait)
+                }
+                None => config.max_wait,
+            };
+            self.frames.push(Frame {
+                t,
+                p,
+                stop_t,
+                p_stop,
+                tau: 0,
+                max_tau,
+            });
+            // The next node: one step longer a wait at the deepest stop
+            // point that has one left (lines 16–21).
+            loop {
+                let Some(top) = self.frames.last_mut() else {
+                    return nodes;
+                };
+                if top.tau < top.max_tau {
+                    top.tau += 1;
+                    (t, p) = (top.stop_t + top.tau, top.p_stop);
+                    break;
+                }
+                self.frames.pop();
+            }
+        }
+        nodes
+    }
+
+    /// Plan the route of [`plan_within`] with this sweep's buffers.
+    pub fn route<S: SegmentStore>(
+        &mut self,
+        store: &S,
+        t: Time,
+        from: i32,
+        to: i32,
+        config: &IntraConfig,
+    ) -> Option<IntraRoute> {
+        if from == to {
+            return Some(IntraRoute {
+                segments: vec![Segment::point(t, from)],
+                enter: t,
+                arrive: t,
+            });
+        }
+        let start = self.covers.len();
+        self.run(store, t, from, to, config);
+        let last = *self.covers[start..].last().filter(|c| c.reach == to)?;
+        // The frames are the reaching node's ancestors, each waiting the
+        // `tau` that led towards it.
+        let mut segments = Vec::with_capacity(2 * self.frames.len() + 1);
+        for f in &self.frames {
+            if f.stop_t > f.t {
+                segments.push(Segment::travel(f.t, f.p, f.p_stop));
+            }
+            segments.push(Segment::wait(f.stop_t, f.stop_t + f.tau, f.p_stop));
+        }
+        segments.push(Segment::travel(last.t, last.p, to));
+        let route = IntraRoute {
+            segments,
+            enter: t,
+            arrive: last.t + to.abs_diff(last.p),
+        };
+        debug_assert!(route.is_well_formed());
+        Some(route)
+    }
+
+    /// The covers of every pass since the last [`IntraSweep::clear`].
+    pub fn covers(&self) -> &[Cover] {
+        &self.covers
+    }
+
+    /// Empty the cover arena, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.covers.clear();
+    }
+
+    /// Heap bytes held by the frame stack and the cover arena.
+    pub fn memory_bytes(&self) -> usize {
+        memory::vec_bytes(&self.frames) + memory::vec_bytes(&self.covers)
+    }
+}
+
+/// Arrival at `to` of the pass from `from` whose covers are `covers`: the
+/// first cover whose reach includes `to`, or `None` when the pass never
+/// reached it. `to != from`.
+pub fn arrival_at(covers: &[Cover], from: i32, to: i32) -> Option<Time> {
+    debug_assert_ne!(from, to);
+    let dir = (to - from).signum();
+    let i = covers.partition_point(|c| (to - c.reach) * dir > 0);
+    covers.get(i).map(|c| c.t + to.abs_diff(c.p))
+}
+
 /// Plan a collision-free intra-strip route from grid number `from` to `to`
 /// starting at time `t`, against the committed segments in `store`.
 ///
@@ -90,34 +301,11 @@ pub fn plan_within<S: SegmentStore>(
     to: i32,
     config: &IntraConfig,
 ) -> Option<IntraRoute> {
-    debug_assert!(
-        store.earliest_collision(&Segment::point(t, from)).is_none(),
-        "entry point (t={t}, s={from}) is contested; caller must probe first"
-    );
-    if from == to {
-        return Some(IntraRoute {
-            segments: vec![Segment::point(t, from)],
-            enter: t,
-            arrive: t,
-        });
-    }
-    let mut segments = Vec::new();
-    let mut nodes = 0usize;
-    let arrive = backtrack::<S, true>(store, t, from, to, config, &mut nodes, &mut segments)?;
-    let route = IntraRoute {
-        segments,
-        enter: t,
-        arrive,
-    };
-    debug_assert!(route.is_well_formed());
-    Some(route)
+    IntraSweep::default().route(store, t, from, to, config)
 }
 
-/// Arrival time of [`plan_within`] without materializing the polyline —
-/// the allocation-free query used by the inter-strip search, whose
-/// relaxations only need the edge *weight* (§VI); the winning chain is
-/// re-planned with [`plan_within`] afterwards. Deterministic: returns
-/// exactly `plan_within(..).map(|r| r.arrive)`.
+/// Arrival time of [`plan_within`] without materializing the polyline.
+/// Deterministic: returns exactly `plan_within(..).map(|r| r.arrive)`.
 pub fn plan_within_cost<S: SegmentStore>(
     store: &S,
     t: Time,
@@ -132,15 +320,43 @@ pub fn plan_within_cost<S: SegmentStore>(
     if store.is_empty() {
         return Some(t + from.abs_diff(to));
     }
-    let mut nodes = 0usize;
-    let mut scratch = Vec::new();
-    backtrack::<S, false>(store, t, from, to, config, &mut nodes, &mut scratch)
+    let mut sweep = IntraSweep::default();
+    sweep.run(store, t, from, to, config);
+    arrival_at(sweep.covers(), from, to)
 }
 
-/// The recursive backtracking of Algorithm 2, returning the arrival time
-/// at `d`. With `COLLECT`, `out` holds the chosen polyline on success and
-/// is left untouched on failure; without it, no segments are materialized.
-fn backtrack<S: SegmentStore, const COLLECT: bool>(
+/// The recursive backtracking that [`IntraSweep`] replaced, kept as the
+/// reference it is checked against: the route of one search from
+/// `(t, from)` to `to`, and the nodes it visited (at most `max_nodes`).
+#[cfg(any(test, debug_assertions))]
+#[doc(hidden)]
+pub fn plan_within_reference<S: SegmentStore>(
+    store: &S,
+    t: Time,
+    from: i32,
+    to: i32,
+    config: &IntraConfig,
+) -> (Option<IntraRoute>, usize) {
+    let mut segments = Vec::new();
+    let mut nodes = 0usize;
+    let arrive = if from == to {
+        segments.push(Segment::point(t, from));
+        Some(t)
+    } else {
+        backtrack_reference(store, t, from, to, config, &mut nodes, &mut segments)
+    };
+    let route = arrive.map(|arrive| IntraRoute {
+        segments,
+        enter: t,
+        arrive,
+    });
+    (route, nodes.min(config.max_nodes))
+}
+
+/// The recursion of [`plan_within_reference`]: returns the arrival at `d`,
+/// with the chosen polyline in `out` on success.
+#[cfg(any(test, debug_assertions))]
+fn backtrack_reference<S: SegmentStore>(
     store: &S,
     t: Time,
     p: i32,
@@ -153,71 +369,41 @@ fn backtrack<S: SegmentStore, const COLLECT: bool>(
     if *nodes > config.max_nodes {
         return None;
     }
-    if p == d {
-        // Trivial leg; only reachable from plan_within's `from == to` guard
-        // or a recursion that stopped exactly at the destination.
-        return Some(t);
-    }
-    // Greedy move towards the destination (lines 8–9).
     let full = Segment::travel(t, p, d);
     let Some(collision) = store.earliest_collision(&full) else {
-        if COLLECT {
-            out.push(full);
-        }
-        return Some(full.t1); // lines 10–12
+        out.push(full);
+        return Some(full.t1);
     };
-    // Stop right before the collision (line 18). For a vertex conflict at
-    // time `c` the last safe instant on the move is `c − 1`; for a swap the
-    // conflict is the motion `c → c + 1` itself, so occupying the stop
-    // point at `c` is still safe.
     let c = collision.time;
     let stop_t = match collision.kind {
-        carp_geometry::CollisionKind::Vertex => {
-            debug_assert!(c > t, "entry point was contested");
-            c - 1
-        }
-        carp_geometry::CollisionKind::Swap => c,
+        CollisionKind::Vertex => c - 1,
+        CollisionKind::Swap => c,
     };
     let dir = if d > p { 1 } else { -1 };
     let p_stop = p + dir * (stop_t - t) as i32;
     let moved = stop_t > t;
-    if COLLECT && moved {
+    if moved {
         out.push(Segment::travel(t, p, p_stop));
     }
     if p_stop == d {
-        // The collision happens beyond the destination — cannot occur since
-        // the full segment ends at d; defensive only.
-        if COLLECT && !moved {
+        if !moved {
             out.push(Segment::point(t, p));
         }
         return Some(stop_t);
     }
-    // Longest permissible wait at the stop point: until someone else needs
-    // this grid (waits are slope-0, so any collision against them is a
-    // vertex conflict at the intruder's arrival).
     let probe = Segment::wait(stop_t, stop_t + config.max_wait, p_stop);
     let max_tau = match store.earliest_collision(&probe) {
-        Some(c2) => {
-            debug_assert!(c2.time > stop_t, "stop point reached collision-free");
-            (c2.time - 1 - stop_t).min(config.max_wait)
-        }
+        Some(c2) => (c2.time - 1 - stop_t).min(config.max_wait),
         None => config.max_wait,
     };
-    // Try waits of increasing length (lines 16–21).
     for tau in 1..=max_tau {
-        if COLLECT {
-            out.push(Segment::wait(stop_t, stop_t + tau, p_stop));
-        }
-        if let Some(arr) =
-            backtrack::<S, COLLECT>(store, stop_t + tau, p_stop, d, config, nodes, out)
-        {
+        out.push(Segment::wait(stop_t, stop_t + tau, p_stop));
+        if let Some(arr) = backtrack_reference(store, stop_t + tau, p_stop, d, config, nodes, out) {
             return Some(arr);
         }
-        if COLLECT {
-            out.pop();
-        }
+        out.pop();
     }
-    if COLLECT && moved {
+    if moved {
         out.pop();
     }
     None
@@ -351,6 +537,33 @@ mod tests {
         let a = plan_within(&naive, 0, 0, 9, &IntraConfig::default());
         let b = plan_within(&index, 0, 0, 9, &IntraConfig::default());
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn one_pass_prices_every_exit_like_a_search_per_exit() {
+        let mut store = SlopeIndexStore::new();
+        for s in [
+            Segment::wait(0, 6, 3),
+            Segment::wait(8, 14, 6),
+            Segment::travel(20, 9, 7),
+        ] {
+            store.insert(s);
+        }
+        let cfg = IntraConfig::default();
+        for (from, end) in [(0, 9), (9, 0), (4, 9)] {
+            let mut sweep = IntraSweep::default();
+            let nodes = sweep.run(&store, 0, from, end, &cfg);
+            let mut per_exit = 0;
+            let (lo, hi) = (from.min(end), from.max(end));
+            for x in (lo..=hi).filter(|&x| x != from) {
+                let (reference, n) = plan_within_reference(&store, 0, from, x, &cfg);
+                per_exit += n;
+                let arrive = reference.as_ref().map(|r| r.arrive);
+                assert_eq!(arrival_at(sweep.covers(), from, x), arrive, "{from}→{x}");
+                assert_eq!(plan_within(&store, 0, from, x, &cfg), reference);
+            }
+            assert!(nodes <= per_exit, "{nodes} > {per_exit}");
+        }
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //!
 //! Planning one request runs a time-dependent Dijkstra over the strip
 //! graph. Labels are `(strip, entry cell, arrival time)`; relaxing an edge
-//! `u → v` calls the intra-strip backtracking planner to move from the
-//! current cell to the transit grid adjacent to `v` (the edge weight of
-//! Definition 5), then crosses the boundary. Collision awareness lives
-//! entirely at the intra-strip level (segment stores) plus one global
-//! boundary-crossing table for cross-strip swap conflicts (an engineering
-//! completion the paper leaves implicit — DESIGN.md §3).
+//! `u → v` prices the intra-strip leg from the current cell to the transit
+//! grid adjacent to `v` (the edge weight of Definition 5), then crosses the
+//! boundary. The legs out of one settled strip all start from its one
+//! label, so one backtracking pass per strip and direction prices them all
+//! (`crate::intra`). Collision awareness lives entirely at the intra-strip
+//! level (segment stores) plus one global boundary-crossing table for
+//! cross-strip swap conflicts (an engineering completion the paper leaves
+//! implicit — DESIGN.md §3).
 //!
 //! The search restrictions (no backward intra-strip moves, greedy transit
 //! pairs, one visit per strip) can rarely make a request infeasible; as the
@@ -16,7 +18,9 @@
 //! set directly through `StoreView` — no reservation table is built.
 
 use crate::convert::{compose, decompose};
-use crate::intra::{plan_within, plan_within_cost, IntraConfig, IntraRoute};
+#[cfg(debug_assertions)]
+use crate::intra::plan_within_reference;
+use crate::intra::{arrival_at, IntraConfig, IntraRoute, IntraSweep};
 use crate::lane_cursor::{LaneCursor, LaneProbe};
 use crate::mul_hash::MulHasher;
 use crate::strip_graph::{EdgeGeom, StripEdge, StripGraph, StripId, StripKind};
@@ -47,8 +51,13 @@ pub struct SrpConfig {
     /// contested at the request time.
     pub max_start_delay: Time,
     /// Use the Manhattan heuristic on the inter-strip search (turns the
-    /// paper's plain Dijkstra into A\*; identical results on FIFO edge
-    /// weights, substantially fewer strip expansions — see DESIGN.md §6).
+    /// paper's plain Dijkstra into A\*, with substantially fewer strip
+    /// expansions). It changes routes, not just work: a strip keeps one
+    /// label, so A\* can settle a strip before its earliest arrival is
+    /// known, even with no traffic (DESIGN.md §6, "The heuristic is not
+    /// result-neutral"). Neither search is optimal under traffic, where an
+    /// intra-strip leg can fail from an early label and pass from a later
+    /// one.
     pub use_heuristic: bool,
     /// Start-time bumps retried at strip level before resorting to the
     /// grid fallback. A request whose direct traversal is blocked (e.g. a
@@ -105,6 +114,9 @@ pub struct SrpStats {
     pub strips_settled: usize,
     /// Intra-strip planning calls.
     pub intra_calls: usize,
+    /// Backtracking nodes (stop points) visited by the search phase's
+    /// intra-strip passes, one pass per settled strip and direction.
+    pub intra_nodes: usize,
     /// Nanoseconds in inter-strip search bookkeeping (when instrumented).
     pub inter_ns: u64,
     /// Nanoseconds in intra-strip planning + collision queries, including
@@ -318,6 +330,19 @@ struct SearchScratch {
     walk_gen: u32,
     /// The dead-region walk's stack, kept for its allocation.
     walk: Vec<StripId>,
+    /// Per strip and direction, slot `2 · strip + forward`: the intra pass
+    /// this search ran from the strip's label.
+    passes: Vec<PassSlot>,
+    /// The passes' frame stack and cover arena, emptied per search.
+    sweep: IntraSweep,
+}
+
+/// One intra pass of a search: when stamped with the search's generation,
+/// its covers are `sweep.covers()[covers.0..covers.1]`.
+#[derive(Debug, Default, Clone, Copy)]
+struct PassSlot {
+    gen: u32,
+    covers: (u32, u32),
 }
 
 impl SearchScratch {
@@ -332,6 +357,7 @@ impl SearchScratch {
             self.entry.resize(n, Cell::new(0, 0));
             self.parent.resize(n, ParentLite::NONE);
             self.region.resize(n, 0);
+            self.passes.resize(2 * n, PassSlot::default());
         }
         if self.cursors.len() < lanes {
             self.cursors.resize(lanes, LaneCursor::default());
@@ -340,12 +366,14 @@ impl SearchScratch {
             self.consumed.resize(slots, 0);
         }
         self.heap.clear();
+        self.sweep.clear();
         self.gen = self.gen.wrapping_add(1);
         if self.gen == 0 {
             // Extremely rare wrap: hard-reset the stamps.
             self.stamp.fill(0);
             self.settled_stamp.fill(0);
             self.consumed.fill(0);
+            self.passes.fill(PassSlot::default());
             self.gen = 1;
         }
     }
@@ -357,6 +385,7 @@ impl SearchScratch {
 
     #[inline]
     fn relax(&mut self, i: usize, t: Time, entry: Cell, p: ParentLite) {
+        debug_assert!(!self.settled(i), "strip {i} relabeled after it settled");
         self.stamp[i] = self.gen;
         self.dist_v[i] = t;
         self.entry[i] = entry;
@@ -441,6 +470,8 @@ impl SearchScratch {
             + memory::vec_bytes(&self.consumed)
             + memory::vec_bytes(&self.region)
             + memory::vec_bytes(&self.walk)
+            + memory::vec_bytes(&self.passes)
+            + self.sweep.memory_bytes()
     }
 }
 
@@ -734,7 +765,6 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                 // Deferred edge evaluation: `at` is the optimistic arrival.
                 self.scratch.consume(self.graph.slot(u, edge_k));
                 let gu = self.scratch.entry[ui];
-                let settle_at = self.scratch.dist(ui).expect("edge source settled");
                 if let Some(lane) = self.graph.lane_of(u, edge_k) {
                     // A lane entry hands the heap its lane's next edge,
                     // whatever its own verdict below.
@@ -760,7 +790,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                 if self.scratch.settled(vi) || self.scratch.dist(vi).is_some_and(|dv| dv <= at) {
                     continue;
                 }
-                let Some(arrival) = self.eval_edge(u, settle_at, gu, g_u, g_v) else {
+                let Some(arrival) = self.eval_edge(u, g_u, g_v) else {
                     continue;
                 };
                 let depart = arrival - 1;
@@ -801,9 +831,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
 
             // Final leg when the destination strip is an aisle.
             if u == sd {
-                let strip = *self.graph.strip(u);
-                if let Some(total) = self.intra_cost(u, at, strip.offset_of(gu), strip.offset_of(d))
-                {
+                if let Some(total) = self.intra_cost(u, d) {
                     if self.scratch.dist(goal_slot).is_none_or(|g| total < g) {
                         self.scratch.relax(
                             goal_slot,
@@ -992,12 +1020,56 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         }
     }
 
-    /// Instrumented cost-only intra-strip query (search phase).
-    fn intra_cost(&mut self, strip: StripId, t: Time, from: i32, to: i32) -> Option<Time> {
+    /// Instrumented cost-only intra-strip query (search phase): the
+    /// arrival at `exit` of the leg from the settled strip's label.
+    ///
+    /// A strip settles once, and a settled strip is never relabeled, so
+    /// every query of it in one search starts from the same `(t, entry)`.
+    /// The first query in each direction runs one intra pass toward the
+    /// strip's end, and every query in that direction is answered from the
+    /// pass's covers, exactly as a search per exit would answer it (`intra`
+    /// module docs).
+    fn intra_cost(&mut self, strip: StripId, exit: Cell) -> Option<Time> {
         let started = self.now();
         self.stats.intra_calls += 1;
-        let intra = self.config.intra;
-        let arrive = plan_within_cost(self.engine.shard(strip), t, from, to, &intra);
+        let si = strip as usize;
+        debug_assert!(self.scratch.settled(si), "strip {strip} priced unsettled");
+        let geom = *self.graph.strip(strip);
+        let t = self.scratch.dist_v[si];
+        let (from, to) = (geom.offset_of(self.scratch.entry[si]), geom.offset_of(exit));
+        let store = self.engine.shard(strip);
+        let arrive = if from == to || store.is_empty() {
+            Some(t + from.abs_diff(to))
+        } else {
+            let forward = to > from;
+            let slot = 2 * si + usize::from(forward);
+            let scratch = &mut self.scratch;
+            let pass = scratch.passes[slot];
+            let (lo, hi) = if pass.gen == scratch.gen {
+                pass.covers
+            } else {
+                let end = if forward { geom.len() as i32 - 1 } else { 0 };
+                let lo = scratch.sweep.covers().len() as u32;
+                self.stats.intra_nodes +=
+                    scratch.sweep.run(store, t, from, end, &self.config.intra);
+                let covers = (lo, scratch.sweep.covers().len() as u32);
+                scratch.passes[slot] = PassSlot {
+                    gen: scratch.gen,
+                    covers,
+                };
+                covers
+            };
+            arrival_at(&scratch.sweep.covers()[lo as usize..hi as usize], from, to)
+        };
+        #[cfg(debug_assertions)]
+        {
+            let (reference, _) = plan_within_reference(store, t, from, to, &self.config.intra);
+            debug_assert_eq!(
+                arrive,
+                reference.map(|r| r.arrive),
+                "intra pass and reference disagree: strip {strip}, ({t}, {from}) → {to}"
+            );
+        }
         self.lap(started, |s| &mut s.intra_ns);
         arrive
     }
@@ -1005,8 +1077,11 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
     /// Instrumented full intra-strip planning (reconstruction phase).
     fn intra_full(&mut self, strip: StripId, t: Time, from: i32, to: i32) -> Option<IntraRoute> {
         let started = self.now();
-        let intra = self.config.intra;
-        let leg = plan_within(self.engine.shard(strip), t, from, to, &intra);
+        let store = self.engine.shard(strip);
+        let leg = self
+            .scratch
+            .sweep
+            .route(store, t, from, to, &self.config.intra);
         self.lap(started, |s| &mut s.intra_ns);
         leg
     }
@@ -1081,22 +1156,14 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         None
     }
 
-    /// Price one edge: intra-strip leg to the transit cell, then the
-    /// boundary-crossing scan. Returns the arrival time in the next strip
-    /// (`depart + 1`), or `None` when the edge is infeasible at this settle
-    /// time.
-    fn eval_edge(
-        &mut self,
-        u: StripId,
-        settle_at: Time,
-        gu: Cell,
-        g_u: Cell,
-        g_v: Cell,
-    ) -> Option<Time> {
-        let strip_u = *self.graph.strip(u);
-        let arrive =
-            self.intra_cost(u, settle_at, strip_u.offset_of(gu), strip_u.offset_of(g_u))?;
-        let depart = self.cross_cost(u, arrive, strip_u.offset_of(g_u), g_u, g_v)?;
+    /// Price one edge of the settled strip `u`: intra-strip leg from its
+    /// label to the transit cell, then the boundary-crossing scan. Returns
+    /// the arrival time in the next strip (`depart + 1`), or `None` when the
+    /// edge is infeasible at this settle time.
+    fn eval_edge(&mut self, u: StripId, g_u: Cell, g_v: Cell) -> Option<Time> {
+        let arrive = self.intra_cost(u, g_u)?;
+        let exit_off = self.graph.strip(u).offset_of(g_u);
+        let depart = self.cross_cost(u, arrive, exit_off, g_u, g_v)?;
         Some(depart + 1)
     }
 

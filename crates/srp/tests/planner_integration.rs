@@ -205,6 +205,10 @@ fn search_cut_pins_the_w2_stream_counts() {
     // over 228046 intra-strip calls, with the same retries, fallback and
     // routes.
     const UNCUT: (usize, usize) = (183_847, 228_046);
+    // Before one intra-strip pass per settled strip and direction priced
+    // every exit, each priced exit ran its own backtracking search: 250962
+    // nodes visited over the same intra-strip calls.
+    const PER_EXIT_NODES: usize = 250_962;
     let layout = WarehousePreset::W2.generate();
     let mut srp = SrpPlanner::new(layout.matrix.clone(), SrpConfig::default());
     let mut digest: u64 = 0;
@@ -221,6 +225,8 @@ fn search_cut_pins_the_w2_stream_counts() {
     assert!(counts.0 < DRAINED.0 && counts.1 < DRAINED.1, "{counts:?}");
     assert!(counts.0 < UNCUT.0 && counts.1 < UNCUT.1, "{counts:?}");
     assert_eq!(counts, (85_402, 117_060));
+    assert!(srp.stats.intra_nodes < PER_EXIT_NODES);
+    assert_eq!(srp.stats.intra_nodes, 22_998);
     assert_eq!((srp.stats.retries, srp.stats.fallbacks), (37, 1));
     assert_eq!(digest, 14_993_411_029_761_016_964, "routes moved");
 }
@@ -230,6 +236,9 @@ fn dijkstra_pins_the_small_stream_counts() {
     // The plain-Dijkstra search (no heuristic) walks lanes through their
     // left and right walks only. Small layout at 4× (seed 2), retiring
     // finished routes before each plan; one request stays unplanned.
+    // Before one intra-strip pass per settled strip and direction priced
+    // every exit, a search per exit visited 124228 backtracking nodes.
+    const PER_EXIT_NODES: usize = 124_228;
     let layout = LayoutConfig::small().generate();
     let config = SrpConfig {
         use_heuristic: false,
@@ -252,6 +261,8 @@ fn dijkstra_pins_the_small_stream_counts() {
     }
     let counts = (srp.stats.strips_settled, srp.stats.intra_calls);
     assert_eq!(counts, (47_927, 71_608));
+    assert!(srp.stats.intra_nodes < PER_EXIT_NODES);
+    assert_eq!(srp.stats.intra_nodes, 29_630);
     assert_eq!(
         (srp.stats.retries, srp.stats.fallbacks, unplanned),
         (251, 7, 1)

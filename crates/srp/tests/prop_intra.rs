@@ -2,6 +2,8 @@
 //! checked against an independent brute-force 1-D space-time BFS.
 
 use carp_geometry::{earliest_collision_reference, Segment, SegmentStore, SlopeIndexStore};
+#[cfg(debug_assertions)]
+use carp_srp::intra::{arrival_at, plan_within_reference, IntraSweep};
 use carp_srp::intra::{plan_within, plan_within_cost, IntraConfig};
 use carp_warehouse::types::Time;
 use proptest::prelude::*;
@@ -10,6 +12,10 @@ use std::collections::{HashSet, VecDeque};
 const STRIP_LEN: i32 = 12;
 
 fn arb_population() -> impl Strategy<Value = Vec<Segment>> {
+    arb_segments(0..8)
+}
+
+fn arb_segments(count: core::ops::Range<usize>) -> impl Strategy<Value = Vec<Segment>> {
     prop::collection::vec(
         (1u32..30, 1i32..STRIP_LEN, 0usize..3, 0u32..8).prop_map(
             |(t0, s0, kind, span)| match kind {
@@ -18,7 +24,7 @@ fn arb_population() -> impl Strategy<Value = Vec<Segment>> {
                 _ => Segment::travel(t0, s0, (s0 - span as i32).max(0)),
             },
         ),
-        0..8,
+        count,
     )
 }
 
@@ -130,5 +136,49 @@ proptest! {
         let full = plan_within(&store, 0, from, to, &cfg).map(|r| r.arrive);
         let cost = plan_within_cost(&store, 0, from, to, &cfg);
         prop_assert_eq!(full, cost);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// One pass toward either end of the strip prices every offset on the
+    /// way exactly as a reference search per offset does, and a pass toward
+    /// one offset plans the reference's polyline — with the default node
+    /// cap and with one small enough to be hit.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn sweep_matches_reference_search_per_exit(
+        population in arb_segments(0..16),
+        from in 0i32..STRIP_LEN,
+        t0 in 0u32..12,
+        small_cap in 0u8..2,
+    ) {
+        let mut store = SlopeIndexStore::new();
+        for s in &population {
+            store.insert(*s);
+        }
+        prop_assume!(store.earliest_collision(&Segment::point(t0, from)).is_none());
+        let cfg = if small_cap == 1 {
+            IntraConfig { max_wait: 8, max_nodes: 4 }
+        } else {
+            IntraConfig::default()
+        };
+        for end in [0, STRIP_LEN - 1] {
+            if end == from {
+                continue;
+            }
+            let mut sweep = IntraSweep::default();
+            let nodes = sweep.run(&store, t0, from, end, &cfg);
+            prop_assert!(nodes <= cfg.max_nodes);
+            let (lo, hi) = (from.min(end), from.max(end));
+            for x in (lo..=hi).filter(|&x| x != from) {
+                let (reference, _) = plan_within_reference(&store, t0, from, x, &cfg);
+                let arrive = reference.as_ref().map(|r| r.arrive);
+                prop_assert_eq!(arrival_at(sweep.covers(), from, x), arrive, "{}→{}", from, x);
+                prop_assert_eq!(plan_within_cost(&store, t0, from, x, &cfg), arrive);
+                prop_assert_eq!(plan_within(&store, t0, from, x, &cfg), reference);
+            }
+        }
     }
 }
