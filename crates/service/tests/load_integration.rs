@@ -90,11 +90,14 @@ fn w2_load_at_1x_and_4x_is_collision_free_and_deterministic() {
     // meant to alter routes (planner search rules, the task generator, the
     // day workflow or the digest itself) may re-pin these, and it must say
     // so; a refactor or speedup that moves them is a bug.
-    assert_eq!(
-        r1.routes_digest, 16920713747252020565,
-        "W-2@1x routes moved"
-    );
-    assert_eq!(r4.routes_digest, 282179651509069869, "W-2@4x routes moved");
+    //
+    // Before the strip search weighted its heuristic by 17/16 the pins
+    // read 16920713747252020565 (1×) and 282179651509069869 (4×), with
+    // the same makespans.
+    const UNWEIGHTED: (u64, u64) = (16920713747252020565, 282179651509069869);
+    assert_ne!((r1.routes_digest, r4.routes_digest), UNWEIGHTED);
+    assert_eq!(r1.routes_digest, 4976129927407677990, "W-2@1x routes moved");
+    assert_eq!(r4.routes_digest, 7187276854565664362, "W-2@4x routes moved");
     assert_eq!((r1.makespan, r4.makespan), (1094, 886));
 }
 

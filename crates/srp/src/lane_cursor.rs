@@ -6,17 +6,21 @@
 //!
 //! ```text
 //! lb  = at + 1 + |e − x|
-//! key = lb + w·(|P − d_perp| + |x − d_axis|)
+//! m   = |P − d_perp| + |x − d_axis|
+//! key = lb + w·estimate(m)
 //! ```
 //!
 //! where `x` is the edge's transit coordinate, `P` the lane's target row
-//! (or column), `d` the destination and `w` whether the heuristic is on.
-//! The search pops entries in the order `(key, Reverse(lb), strip, k)`.
-//! Within one lane that order is a merge of three walks over the lane's
-//! `x`-sorted edges, each already in order:
+//! (or column), `d` the destination, `w` whether the heuristic is on and
+//! [`estimate`] the search's weighted Manhattan estimate,
+//! `m + ⌊m/16⌋`. The search pops entries in the order
+//! `(key, Reverse(lb), strip, k)`. Within one lane that order is a merge of
+//! three walks over the lane's `x`-sorted edges, each already in order
+//! because `estimate` is nondecreasing in `m`:
 //!
-//! 1. inside `[min, max](e, a)` with `a = w ? d_axis : e`, where the key is
-//!    constant and `lb` grows away from `e`: from the end far from `e`;
+//! 1. inside `[min, max](e, a)` with `a = w ? d_axis : e`: one step away
+//!    from `a` raises `m` by one, so the key stays or grows (it grows where
+//!    `⌊m/16⌋` does), while `lb` falls: from the end at `a`, toward `e`;
 //! 2. left of that interval, where key and `lb` grow as `x` falls:
 //!    descending;
 //! 3. right of it, where both grow with `x`: ascending.
@@ -25,6 +29,7 @@
 //! hands out the smallest, so a lane yields exactly the sorted sequence of
 //! its edges' keys while touching only the edges the search actually pops.
 
+use crate::planner::estimate;
 use crate::strip_graph::{Lane, LaneEdge, Strip};
 use carp_warehouse::types::{Cell, Time};
 use core::cmp::Reverse;
@@ -39,7 +44,7 @@ pub(crate) struct LaneProbe {
     entry: u16,
     /// Axis coordinate the heuristic pulls towards (`a`).
     aim: u16,
-    /// The heuristic's constant part `|P − d_perp|`.
+    /// The constant part `|P − d_perp|` of the Manhattan distance `m`.
     perp_cost: Time,
     /// Whether the heuristic is on (`w`).
     heuristic: bool,
@@ -75,7 +80,8 @@ impl LaneProbe {
     fn key(&self, x: u16) -> (Time, Time) {
         let lb = self.base + Time::from(self.entry.abs_diff(x));
         if self.heuristic {
-            (lb + self.perp_cost + Time::from(self.aim.abs_diff(x)), lb)
+            let m = self.perp_cost + Time::from(self.aim.abs_diff(x));
+            (lb + estimate(m), lb)
         } else {
             (lb, lb)
         }
@@ -127,7 +133,7 @@ impl LaneCursor {
 
     /// The lane's next edge in heap order.
     fn pop(&mut self, edges: &[LaneEdge], probe: &LaneProbe) -> Option<(Time, Time, u32)> {
-        // The inside walk starts at the end far from the entry.
+        // The inside walk starts at the aim, the end far from the entry.
         let downward = probe.aim > probe.entry;
         let mid = (self.mid_lo < self.mid_hi).then(|| {
             if downward {
@@ -173,9 +179,11 @@ mod tests {
     /// Random settles of lane-carrying strips: each lane's cursor must yield
     /// exactly the sorted `(key, Reverse(lb), k)` of its live edges, with
     /// the keys computed the way the eager settle loop computed them
-    /// (transit pair from `StripGraph::transition`, Manhattan heuristic on
-    /// the target cell) and a random set of edges declared dead. Also
-    /// checks that lanes and settle edges partition each strip's adjacency.
+    /// (transit pair from `StripGraph::transition`, the planner's
+    /// [`estimate`] of the target cell's Manhattan distance, so the cursor
+    /// and the heap share one estimate) and a random set of edges declared
+    /// dead. Also checks that lanes and settle edges partition each strip's
+    /// adjacency.
     fn check_graph(m: &WarehouseMatrix, seed: u64, samples: usize) -> usize {
         let g = StripGraph::build(m);
         let with_lanes: Vec<StripId> = (0..g.num_vertices() as StripId)
@@ -214,7 +222,11 @@ mod tests {
                         let edge = g.edges(u)[e.k as usize];
                         let (g_u, g_v) = g.transition(u, &edge, entry);
                         let lb = at + strip.offset_of(entry).abs_diff(strip.offset_of(g_u)) + 1;
-                        let h = if heuristic { g_v.manhattan(d) } else { 0 };
+                        let h = if heuristic {
+                            estimate(g_v.manhattan(d))
+                        } else {
+                            0
+                        };
                         (lb + h, Reverse(lb), e.k)
                     })
                     .collect();

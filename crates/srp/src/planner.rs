@@ -50,14 +50,16 @@ pub struct SrpConfig {
     /// How long the departure may be postponed when the origin cell is
     /// contested at the request time.
     pub max_start_delay: Time,
-    /// Use the Manhattan heuristic on the inter-strip search (turns the
-    /// paper's plain Dijkstra into A\*, with substantially fewer strip
-    /// expansions). It changes routes, not just work: a strip keeps one
-    /// label, so A\* can settle a strip before its earliest arrival is
-    /// known, even with no traffic (DESIGN.md §6, "The heuristic is not
-    /// result-neutral"). Neither search is optimal under traffic, where an
-    /// intra-strip leg can fail from an early label and pass from a later
-    /// one.
+    /// Use the Manhattan heuristic, weighted by 17/16 (`estimate`), on
+    /// the inter-strip search (turns the paper's plain Dijkstra into
+    /// weighted A\*, with far fewer strip expansions). It changes routes,
+    /// not just work: a strip keeps one label, so A\* can settle a strip
+    /// before its earliest arrival is known, even with no traffic, and the
+    /// weight lets an entry nearer the destination pop before a cheaper one
+    /// farther away (DESIGN.md §6, "The heuristic is not result-neutral").
+    /// Neither search is optimal under traffic, where an intra-strip leg
+    /// can fail from an early label and pass from a later one. `false`
+    /// runs plain Dijkstra.
     pub use_heuristic: bool,
     /// Start-time bumps retried at strip level before resorting to the
     /// grid fallback. A request whose direct traversal is blocked (e.g. a
@@ -264,6 +266,24 @@ const NO_EDGE: u32 = u32::MAX;
 /// come after twice as many settles as the one before. The cut is exact, so
 /// this only trades the cost of a check against the settles it saves.
 const CUT_FIRST_CHECK: usize = 256;
+
+/// Divisor of the heuristic's weight: the estimate is `m + ⌊m / 16⌋`,
+/// weight 17/16 on the Manhattan distance `m`.
+const ESTIMATE_WEIGHT_DIV: Time = 16;
+
+/// The Phase-1 search's estimate of the time left from a cell whose
+/// Manhattan distance to the destination is `m`: weighted A\* (Pohl, 1970)
+/// with weight 17/16, rounded down. On an open aisle mesh Manhattan is
+/// nearly exact, so plain A\* ties every strip of the origin–destination
+/// rectangle at `f = f_opt` and one detour or wait makes it pop that whole
+/// plateau before any `f_opt + 1` entry; the weight makes entries nearer
+/// the destination win those ties (DESIGN.md §6). The heap keys of
+/// `plan_strips` and the lane cursors' keys both come from here, and the
+/// cursors rely on it being nondecreasing in `m`.
+#[inline]
+pub(crate) fn estimate(m: Time) -> Time {
+    m + m / ESTIMATE_WEIGHT_DIV
+}
 
 /// Request-fixed context for resolving strip edges during one search.
 #[derive(Clone, Copy)]
@@ -656,7 +676,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         let use_h = self.config.use_heuristic;
         let h = move |cell: Cell| -> Time {
             if use_h {
-                cell.manhattan(d)
+                estimate(cell.manhattan(d))
             } else {
                 0
             }
@@ -672,9 +692,11 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         self.scratch
             .begin(n + 1, self.graph.num_lanes(), self.graph.num_slots());
         // Min-heap on (f, Reverse(g)): among equal f the deepest entry wins,
-        // so the search dives along one optimal staircase instead of
-        // flooding the whole equal-cost plateau between origin and
-        // destination (consistent heuristic ⇒ optimality is unaffected).
+        // so the search dives along one staircase instead of flooding the
+        // whole equal-cost plateau between origin and destination. The
+        // weighted estimate (`estimate`) breaks the plateau once a detour
+        // or a wait has lifted the staircase above it: entries nearer the
+        // destination then come first across f values too.
         //
         // Edges are evaluated LAZILY: an edge enters the heap as a cheap
         // optimistic entry (`edge_k != NO_EDGE`) carrying the admissible

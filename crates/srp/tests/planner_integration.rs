@@ -209,6 +209,14 @@ fn search_cut_pins_the_w2_stream_counts() {
     // every exit, each priced exit ran its own backtracking search: 250962
     // nodes visited over the same intra-strip calls.
     const PER_EXIT_NODES: usize = 250_962;
+    // Before the heuristic was weighted by 17/16, plain Manhattan tied the
+    // open mesh's strips at one f value and the search popped that plateau:
+    // 85402 strips settled over 117060 intra-strip calls and 22998
+    // backtracking nodes, with 37 retries, 1 fallback and route digest
+    // 14993411029761016964.
+    const UNWEIGHTED: (usize, usize, usize) = (85_402, 117_060, 22_998);
+    const UNWEIGHTED_RETRIES: (usize, usize) = (37, 1);
+    const UNWEIGHTED_DIGEST: u64 = 14_993_411_029_761_016_964;
     let layout = WarehousePreset::W2.generate();
     let mut srp = SrpPlanner::new(layout.matrix.clone(), SrpConfig::default());
     let mut digest: u64 = 0;
@@ -224,11 +232,19 @@ fn search_cut_pins_the_w2_stream_counts() {
     let counts = (srp.stats.strips_settled, srp.stats.intra_calls);
     assert!(counts.0 < DRAINED.0 && counts.1 < DRAINED.1, "{counts:?}");
     assert!(counts.0 < UNCUT.0 && counts.1 < UNCUT.1, "{counts:?}");
-    assert_eq!(counts, (85_402, 117_060));
+    assert!(
+        counts.0 < UNWEIGHTED.0 && counts.1 < UNWEIGHTED.1,
+        "{counts:?}"
+    );
+    assert_eq!(counts, (53_561, 80_059));
     assert!(srp.stats.intra_nodes < PER_EXIT_NODES);
-    assert_eq!(srp.stats.intra_nodes, 22_998);
-    assert_eq!((srp.stats.retries, srp.stats.fallbacks), (37, 1));
-    assert_eq!(digest, 14_993_411_029_761_016_964, "routes moved");
+    assert!(srp.stats.intra_nodes < UNWEIGHTED.2);
+    assert_eq!(srp.stats.intra_nodes, 14_160);
+    let rescued = (srp.stats.retries, srp.stats.fallbacks);
+    assert!(rescued.0 <= UNWEIGHTED_RETRIES.0 && rescued.1 <= UNWEIGHTED_RETRIES.1);
+    assert_eq!(rescued, (34, 0));
+    assert_ne!(digest, UNWEIGHTED_DIGEST);
+    assert_eq!(digest, 10_757_745_757_430_395_957, "routes moved");
 }
 
 #[test]
