@@ -19,13 +19,15 @@
 //!   bit-identical to its isolated run — the multi-tenant determinism gate.
 //!
 //! * **Daemon** (`--listen ADDR`): bind a TCP listener and serve the
-//!   configured tenants over the same framed protocol until killed.
+//!   configured tenants over the same framed protocol, through the
+//!   `poll(2)` event loop, until SIGTERM/SIGINT. `--listen`,
+//!   `--replication` and `--connections` need that event loop, so on a
+//!   non-unix host they are refused as bad usage.
 //!
 //! The process exits non-zero if any run reports an audited collision or a
 //! conformance digest diverges, which is the CI perf job's gate.
 
-#[cfg(not(unix))]
-use carp_service::ingest::serve_tcp_graceful;
+#[cfg(unix)]
 use carp_service::ingest::RateLimit;
 #[cfg(unix)]
 use carp_service::loadgen::{run_connection_ladder, run_load_replication};
@@ -36,20 +38,24 @@ use carp_service::loadgen::{
 use carp_service::mux::{serve_tcp_mux, MuxConfig, MuxMetrics};
 use carp_service::report::{LoadReport, RecoveryBenchReport, ServiceBenchReport, BENCH_VERSION};
 use carp_service::service::ServiceConfig;
+#[cfg(unix)]
 use carp_service::tenant::TenantRegistry;
-use carp_service::wal::{self, LogTail, WalJournal};
-use carp_service::wire::WireClient;
+use carp_service::wal::WalJournal;
+#[cfg(unix)]
+use carp_service::wal::{self, LogTail};
 use carp_simenv::{SimConfig, TenantDayProfile};
 use carp_srp::{SrpConfig, SrpPlanner};
 use carp_warehouse::layout::{Layout, LayoutConfig, WarehousePreset};
 use carp_warehouse::types::Time;
+#[cfg(unix)]
 use std::collections::HashMap;
 use std::path::Path;
+#[cfg(unix)]
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// SIGTERM/SIGINT → a process-wide flag the graceful accept loop polls.
+/// SIGTERM/SIGINT → a process-wide flag the daemon's accept loop polls.
 /// Lives only in the binary: the library stays `forbid(unsafe_code)`; the
 /// single `signal(2)` registration below is the binary's one unsafe block.
 #[cfg(unix)]
@@ -102,7 +108,7 @@ const USAGE: &str = "usage: carp-service [options]
                       rung per N, holding N connections open (1 driving the
                       measured day, N-1 churning a second tenant); writes
                       BENCH_service_mux.json and fails unless every rung's
-                      route digest is bit-identical to the blocking path's
+                      route digest is bit-identical to an in-process run's
   --wal PATH          journal every commit/cancel/advance into a changeset
                       log at PATH (created fresh; daemon and load-run modes)
   --standby PATH      with --listen: warm-standby takeover — replay the
@@ -146,6 +152,12 @@ fn usage_error(msg: &str) -> ! {
     eprintln!("carp-service: {msg}");
     eprintln!("{USAGE}");
     std::process::exit(2);
+}
+
+/// A gate failed: say which and exit 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("carp-service: FAIL — {msg}");
+    std::process::exit(1);
 }
 
 struct Opts {
@@ -331,6 +343,64 @@ fn scenario_for(p: &TenantDayProfile, layout: &Layout) -> LoadScenario {
     LoadScenario::new(p.id(), layout.clone(), p.tasks, p.horizon, p.rate, p.seed)
 }
 
+/// The `--preset` day at arrival-rate multiplier `rate`.
+fn preset_scenario(opts: &Opts, layout: &Layout, rate: f64) -> LoadScenario {
+    LoadScenario::new(
+        format!("{}@{}x", opts.preset, rate),
+        layout.clone(),
+        opts.tasks,
+        opts.horizon,
+        rate,
+        opts.seed,
+    )
+}
+
+/// The one day a digest-gated bench `mode` drives: the `--preset` day at
+/// the first `--rates` entry, with deadlines off so digests are
+/// deterministic.
+fn bench_scenario(opts: &Opts, mode: &str) -> (Layout, LoadScenario) {
+    if opts.deadline_ms != 0 {
+        usage_error(&format!(
+            "{mode} requires --deadline-ms 0 (digests must be deterministic)"
+        ));
+    }
+    let layout = layout_for(&opts.preset);
+    let scenario = preset_scenario(opts, &layout, opts.rates[0]);
+    (layout, scenario)
+}
+
+/// Sim time `--kill-frac` of the way through the day's arrivals.
+fn kill_point(opts: &Opts, scenario: &LoadScenario) -> Time {
+    let last_arrival = scenario.tasks.last().map_or(0, |t| t.arrival);
+    (f64::from(last_arrival) * opts.kill_frac) as Time
+}
+
+/// A fresh changeset log at `path`, or exit 2.
+fn create_journal(path: &str) -> Arc<WalJournal> {
+    WalJournal::create(path).unwrap_or_else(|e| {
+        eprintln!("carp-service: cannot create changeset log {path}: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Write a bench document to `--out` (stdout without it), then exit 1 if
+/// its runs audited `conflicts` collisions.
+fn emit(opts: &Opts, json: &str, conflicts: usize) {
+    match &opts.out {
+        Some(path) => {
+            if let Err(e) = std::fs::write(path, json) {
+                eprintln!("carp-service: cannot write {path}: {e}");
+                std::process::exit(2);
+            }
+            eprintln!("carp-service: wrote {path}");
+        }
+        None => println!("{json}"),
+    }
+    if conflicts > 0 {
+        fail(&format!("{conflicts} audited collision(s)"));
+    }
+}
+
 fn print_run(report: &LoadReport) {
     eprintln!(
         "carp-service: {} done: {} planned, p95 {} us, {} conflicts, {:.1} plans/s, \
@@ -348,8 +418,9 @@ fn print_run(report: &LoadReport) {
 }
 
 /// Daemon mode: register every configured tenant (rebuilt from the
-/// changeset log in `--standby` mode) and serve TCP until SIGTERM/SIGINT,
-/// then drain every tenant, seal the log, and exit 0.
+/// changeset log in `--standby` / `--follow` mode) and serve TCP until
+/// SIGTERM/SIGINT, then drain every tenant, seal the log, and exit 0.
+#[cfg(unix)]
 fn run_daemon(addr: &str, profiles: &[TenantDayProfile], cfg: ServiceConfig, opts: &Opts) -> ! {
     let registry = Arc::new(TenantRegistry::new());
     let layouts: HashMap<String, Layout> = profiles
@@ -357,92 +428,26 @@ fn run_daemon(addr: &str, profiles: &[TenantDayProfile], cfg: ServiceConfig, opt
         .map(|p| (p.id().to_string(), layout_for(&p.preset)))
         .collect();
 
-    // Warm standby: replay the primary's changeset log into fresh
-    // planners before serving — the takeover path of DESIGN.md §15.
-    let mut recovered: HashMap<String, SrpPlanner> = HashMap::new();
-    if let Some(primary) = &opts.follow {
-        // Network standby (DESIGN.md §17): mirror the primary's changeset
-        // log over the wire into our own journal, then take over when the
-        // primary's stream ends.
+    // A standby takes over a log before serving (DESIGN.md §15, §17):
+    // `--standby` reads the primary's file, `--follow` mirrors it over the
+    // wire into our own journal until the primary's stream ends.
+    let (journal, takeover) = if let Some(primary) = &opts.follow {
         let Some(wal_path) = &opts.wal else {
             usage_error("--follow requires --wal (the standby's own journal path)");
         };
-        let journal = match WalJournal::create(wal_path) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("carp-service: cannot create changeset log {wal_path}: {e}");
-                std::process::exit(2);
-            }
-        };
+        let journal = create_journal(wal_path);
         eprintln!("carp-service: standby: following {primary}, mirroring to {wal_path}");
         let mut records = Vec::new();
-        match std::net::TcpStream::connect(primary) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                let reader = stream.try_clone().unwrap_or_else(|e| {
-                    eprintln!("carp-service: cannot clone primary socket: {e}");
-                    std::process::exit(2);
-                });
-                let mut client = WireClient::new(reader, stream);
-                if let Err(e) = client.tail_log(1) {
-                    eprintln!("carp-service: cannot subscribe to {primary}: {e}");
-                    std::process::exit(2);
-                }
-                loop {
-                    match client.next_log_chunk() {
-                        Ok(Some((_epoch, recs))) => {
-                            for rec in recs {
-                                if journal.append_record(&rec) {
-                                    records.push(rec);
-                                }
-                            }
-                        }
-                        Ok(None) => {
-                            eprintln!("carp-service: standby: primary closed the stream");
-                            break;
-                        }
-                        Err(e) => {
-                            eprintln!("carp-service: standby: log tail failed: {e}");
-                            break;
-                        }
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("carp-service: standby: cannot reach primary {primary}: {e}");
-            }
+        match wal::follow(primary.as_str(), &journal, &mut records) {
+            Ok(()) => eprintln!("carp-service: standby: primary closed the stream"),
+            Err(e) => eprintln!("carp-service: standby: log tail from {primary} failed: {e}"),
         }
-        // Takeover: the shipped copy must audit clean before we serve on
-        // top of it, and the epoch bump fences the old primary's handles.
-        if let Err((tenant, conflict)) = wal::audit_log(&records) {
-            eprintln!("carp-service: standby: shipped log fails audit for {tenant}: {conflict:?}");
-            std::process::exit(1);
-        }
-        let epoch = journal.bump_epoch();
-        let (planners, state) = wal::recover_planners(&records, |id| {
-            let Some(layout) = layouts.get(id) else {
-                eprintln!("carp-service: standby: log names tenant {id} not in --tenants");
-                std::process::exit(2);
-            };
-            srp(layout)
-        });
-        eprintln!(
-            "carp-service: standby: taking over at epoch {epoch} — {} shipped records \
-             (seq {}) for {} tenant(s)",
-            records.len(),
-            state.last_seq,
-            planners.len()
-        );
-        recovered = planners.into_iter().collect();
-        registry.attach_journal(journal);
+        (Some(journal), Some(records))
     } else if let Some(path) = &opts.standby {
-        let (journal, records, tail) = match WalJournal::open_append(path) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("carp-service: cannot open changeset log {path}: {e}");
-                std::process::exit(2);
-            }
-        };
+        let (journal, records, tail) = WalJournal::open_append(path).unwrap_or_else(|e| {
+            eprintln!("carp-service: cannot open changeset log {path}: {e}");
+            std::process::exit(2);
+        });
         if let LogTail::Torn {
             valid_bytes,
             dropped_bytes,
@@ -453,34 +458,51 @@ fn run_daemon(addr: &str, profiles: &[TenantDayProfile], cfg: ServiceConfig, opt
                  truncated {dropped_bytes}"
             );
         }
-        if let Err((tenant, conflict)) = wal::audit_log(&records) {
-            eprintln!("carp-service: standby: log fails audit for {tenant}: {conflict:?}");
-            std::process::exit(1);
-        }
-        let (planners, state) = wal::recover_planners(&records, |id| {
+        (Some(journal), Some(records))
+    } else {
+        let journal = opts.wal.as_deref().map(|path| {
+            eprintln!("carp-service: journaling changesets to {path}");
+            create_journal(path)
+        });
+        (journal, None)
+    };
+
+    let mut recovered: HashMap<String, SrpPlanner> = HashMap::new();
+    if let (Some(journal), Some(records)) = (&journal, takeover) {
+        let (planners, state) = wal::take_over(&records, |id| {
             let Some(layout) = layouts.get(id) else {
                 eprintln!("carp-service: standby: log names tenant {id} not in --tenants");
                 std::process::exit(2);
             };
             srp(layout)
+        })
+        .unwrap_or_else(|(tenant, conflict)| {
+            eprintln!("carp-service: standby: log fails audit for {tenant}: {conflict:?}");
+            std::process::exit(1);
         });
-        eprintln!(
-            "carp-service: standby: replayed {} records (seq {}) for {} tenant(s) from {path}",
-            records.len(),
-            state.last_seq,
-            planners.len()
-        );
-        recovered = planners.into_iter().collect();
-        registry.attach_journal(journal);
-    } else if let Some(path) = &opts.wal {
-        match WalJournal::create(path) {
-            Ok(journal) => registry.attach_journal(journal),
-            Err(e) => {
-                eprintln!("carp-service: cannot create changeset log {path}: {e}");
-                std::process::exit(2);
-            }
+        if opts.follow.is_some() {
+            // The epoch bump fences the old primary's handles.
+            let epoch = journal.bump_epoch();
+            eprintln!(
+                "carp-service: standby: taking over at epoch {epoch} — {} shipped records \
+                 (seq {}) for {} tenant(s)",
+                records.len(),
+                state.last_seq,
+                planners.len()
+            );
+        } else {
+            eprintln!(
+                "carp-service: standby: replayed {} records (seq {}) for {} tenant(s) from {}",
+                records.len(),
+                state.last_seq,
+                planners.len(),
+                journal.path().display()
+            );
         }
-        eprintln!("carp-service: journaling changesets to {path}");
+        recovered = planners.into_iter().collect();
+    }
+    if let Some(journal) = journal {
+        registry.attach_journal(journal);
     }
 
     for p in profiles {
@@ -498,9 +520,8 @@ fn run_daemon(addr: &str, profiles: &[TenantDayProfile], cfg: ServiceConfig, opt
         }
     };
     let shutdown = Arc::new(AtomicBool::new(false));
-    #[cfg(unix)]
+    shutdown_signal::install();
     {
-        shutdown_signal::install();
         let shutdown = Arc::clone(&shutdown);
         std::thread::Builder::new()
             .name("carp-signal-bridge".into())
@@ -513,33 +534,26 @@ fn run_daemon(addr: &str, profiles: &[TenantDayProfile], cfg: ServiceConfig, opt
             })
             .expect("spawn signal bridge");
     }
-    let limit = opts.rate_limit.map(|n| RateLimit {
-        burst: n,
-        per_sec: f64::from(n),
-    });
     // Print the *bound* address, not the requested one: with `:0` the
     // kernel picks the port, and whoever spawned us needs to know it.
     let bound = listener
         .local_addr()
         .map_or_else(|_| addr.to_string(), |a| a.to_string());
     eprintln!("carp-service: listening on {bound}");
-    #[cfg(unix)]
-    let served = {
-        eprintln!(
-            "carp-service: event-loop front-end, {} reactor thread(s)",
-            opts.mux_threads
-        );
-        let config = MuxConfig {
-            threads: opts.mux_threads,
-            rate_limit: limit,
-            ..MuxConfig::default()
-        };
-        let metrics = Arc::new(MuxMetrics::default());
-        serve_tcp_mux(listener, Arc::clone(&registry), shutdown, config, metrics)
+    eprintln!(
+        "carp-service: event-loop front-end, {} reactor thread(s)",
+        opts.mux_threads
+    );
+    let config = MuxConfig {
+        threads: opts.mux_threads,
+        rate_limit: opts.rate_limit.map(|n| RateLimit {
+            burst: n,
+            per_sec: f64::from(n),
+        }),
+        ..MuxConfig::default()
     };
-    #[cfg(not(unix))]
-    let served = serve_tcp_graceful(listener, Arc::clone(&registry), shutdown, limit);
-    match served {
+    let metrics = Arc::new(MuxMetrics::default());
+    match serve_tcp_mux(listener, Arc::clone(&registry), shutdown, config, metrics) {
         Ok(()) => {
             // Graceful drain: stop accepting happened above; now shut each
             // tenant down in order (each waits for its request in progress,
@@ -559,21 +573,8 @@ fn run_daemon(addr: &str, profiles: &[TenantDayProfile], cfg: ServiceConfig, opt
 /// WAL-on, and killed-then-recovered; emits `BENCH_service_recovery.json`
 /// and fails unless the three digests are bit-identical and collision-free.
 fn run_recovery(opts: &Opts, cfg: ServiceConfig, wal_path: &str) -> ! {
-    if opts.deadline_ms != 0 {
-        usage_error("--recovery requires --deadline-ms 0 (digests must be deterministic)");
-    }
-    let layout = layout_for(&opts.preset);
-    let rate = opts.rates[0];
-    let scenario = LoadScenario::new(
-        format!("{}@{}x", opts.preset, rate),
-        layout.clone(),
-        opts.tasks,
-        opts.horizon,
-        rate,
-        opts.seed,
-    );
-    let last_arrival = scenario.tasks.last().map_or(0, |t| t.arrival);
-    let kill_at = (f64::from(last_arrival) * opts.kill_frac) as Time;
+    let (layout, scenario) = bench_scenario(opts, "--recovery");
+    let kill_at = kill_point(opts, &scenario);
 
     eprintln!(
         "carp-service: recovery bench {} — leg 1: WAL off",
@@ -583,13 +584,7 @@ fn run_recovery(opts: &Opts, cfg: ServiceConfig, wal_path: &str) -> ! {
     print_run(&wal_off);
 
     eprintln!("carp-service: leg 2: WAL on ({wal_path}), uninterrupted");
-    let journal = match WalJournal::create(wal_path) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("carp-service: cannot create changeset log {wal_path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let journal = create_journal(wal_path);
     let (wal_on, _) = run_load_journaled(&scenario, srp(&layout), opts.sim.clone(), cfg, journal);
     print_run(&wal_on);
 
@@ -637,30 +632,14 @@ fn run_recovery(opts: &Opts, cfg: ServiceConfig, wal_path: &str) -> ! {
         recovered: rec.report,
         primary: rec.primary_metrics,
     };
-    let conflicts = report.total_audit_conflicts();
-    let json = report.to_json();
-    match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("carp-service: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!("carp-service: wrote {path}");
-        }
-        None => println!("{json}"),
-    }
-    if conflicts > 0 {
-        eprintln!("carp-service: FAIL — {conflicts} audited collision(s)");
-        std::process::exit(1);
-    }
+    emit(opts, &report.to_json(), report.total_audit_conflicts());
     if !digests_match {
-        eprintln!(
-            "carp-service: FAIL — digests diverged: off {:#018x}, on {:#018x}, recovered {:#018x}",
+        fail(&format!(
+            "digests diverged: off {:#018x}, on {:#018x}, recovered {:#018x}",
             report.wal_off.routes_digest,
             report.wal_on.routes_digest,
             report.recovered.routes_digest,
-        );
-        std::process::exit(1);
+        ));
     }
     eprintln!("carp-service: recovery bench ok — three identical digests, no collisions");
     std::process::exit(0);
@@ -674,21 +653,8 @@ fn run_recovery(opts: &Opts, cfg: ServiceConfig, wal_path: &str) -> ! {
 /// post-takeover fence refused at least one stale-epoch append.
 #[cfg(unix)]
 fn run_replication(opts: &Opts, cfg: ServiceConfig, wal_path: &str) -> ! {
-    if opts.deadline_ms != 0 {
-        usage_error("--replication requires --deadline-ms 0 (digests must be deterministic)");
-    }
-    let layout = layout_for(&opts.preset);
-    let rate = opts.rates[0];
-    let scenario = LoadScenario::new(
-        format!("{}@{}x", opts.preset, rate),
-        layout.clone(),
-        opts.tasks,
-        opts.horizon,
-        rate,
-        opts.seed,
-    );
-    let last_arrival = scenario.tasks.last().map_or(0, |t| t.arrival);
-    let kill_at = (f64::from(last_arrival) * opts.kill_frac) as Time;
+    let (layout, scenario) = bench_scenario(opts, "--replication");
+    let kill_at = kill_point(opts, &scenario);
     eprintln!(
         "carp-service: replication bench {} — kill primary over TCP at t={kill_at} \
          ({}% of arrivals), {} mux thread(s)",
@@ -716,32 +682,15 @@ fn run_replication(opts: &Opts, cfg: ServiceConfig, wal_path: &str) -> ! {
         report.takeover_epoch,
         report.fenced_appends,
     );
-    let conflicts = report.total_audit_conflicts();
-    let json = report.to_json();
-    match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("carp-service: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!("carp-service: wrote {path}");
-        }
-        None => println!("{json}"),
-    }
-    if conflicts > 0 {
-        eprintln!("carp-service: FAIL — {conflicts} audited collision(s)");
-        std::process::exit(1);
-    }
+    emit(opts, &report.to_json(), report.total_audit_conflicts());
     if !report.digests_match {
-        eprintln!(
-            "carp-service: FAIL — failover digest {:#018x} diverged from baseline {:#018x}",
+        fail(&format!(
+            "failover digest {:#018x} diverged from baseline {:#018x}",
             report.replicated.routes_digest, report.baseline.routes_digest,
-        );
-        std::process::exit(1);
+        ));
     }
     if report.fenced_appends == 0 {
-        eprintln!("carp-service: FAIL — stale-epoch append was not refused (fence inactive)");
-        std::process::exit(1);
+        fail("stale-epoch append was not refused (fence inactive)");
     }
     eprintln!(
         "carp-service: replication bench ok — failover digest bit-identical, \
@@ -750,31 +699,13 @@ fn run_replication(opts: &Opts, cfg: ServiceConfig, wal_path: &str) -> ! {
     std::process::exit(0);
 }
 
-#[cfg(not(unix))]
-fn run_replication(_opts: &Opts, _cfg: ServiceConfig, _wal_path: &str) -> ! {
-    eprintln!("carp-service: --replication needs the event-loop front-end (unix-only)");
-    std::process::exit(2);
-}
-
 /// Open-socket ladder (`--connections`): the same day driven through the
 /// event-loop front-end under rising connection churn; emits
 /// `BENCH_service_mux.json` and fails unless every rung's digest matches
-/// the blocking path's and no rung audits a collision.
+/// the in-process run's and no rung audits a collision.
 #[cfg(unix)]
 fn run_ladder(opts: &Opts, cfg: ServiceConfig, connections: &[usize]) -> ! {
-    if opts.deadline_ms != 0 {
-        usage_error("--connections requires --deadline-ms 0 (digests must be deterministic)");
-    }
-    let layout = layout_for(&opts.preset);
-    let rate = opts.rates[0];
-    let scenario = LoadScenario::new(
-        format!("{}@{}x", opts.preset, rate),
-        layout.clone(),
-        opts.tasks,
-        opts.horizon,
-        rate,
-        opts.seed,
-    );
+    let (layout, scenario) = bench_scenario(opts, "--connections");
     eprintln!(
         "carp-service: connection ladder {} — {} mux thread(s), rungs {:?}",
         scenario.name, opts.mux_threads, connections
@@ -810,33 +741,16 @@ fn run_ladder(opts: &Opts, cfg: ServiceConfig, connections: &[usize]) -> ! {
     if let Some(ratio) = report.worst_driver_p99_ratio() {
         eprintln!("carp-service: worst driver ack p99 vs 1-connection baseline: {ratio:.2}x");
     }
-    let conflicts = report.total_audit_conflicts();
-    let json = report.to_json();
-    match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("carp-service: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!("carp-service: wrote {path}");
-        }
-        None => println!("{json}"),
-    }
-    if conflicts > 0 {
-        eprintln!("carp-service: FAIL — {conflicts} audited collision(s)");
-        std::process::exit(1);
-    }
+    emit(opts, &report.to_json(), report.total_audit_conflicts());
     if !report.digests_match {
-        eprintln!(
-            "carp-service: FAIL — a rung's digest diverged from the blocking path's \
-             {:#018x}",
+        fail(&format!(
+            "a rung's digest diverged from the in-process run's {:#018x}",
             report.baseline_digest
-        );
-        std::process::exit(1);
+        ));
     }
     eprintln!(
         "carp-service: connection ladder ok — every digest bit-identical to the \
-         blocking path, no collisions"
+         in-process run, no collisions"
     );
     std::process::exit(0);
 }
@@ -858,12 +772,6 @@ fn churn_ack_text(ack: &carp_service::LatencySummary) -> String {
             ack.count, ack.p50_us, ack.max_us
         )
     }
-}
-
-#[cfg(not(unix))]
-fn run_ladder(_opts: &Opts, _cfg: ServiceConfig, _connections: &[usize]) -> ! {
-    eprintln!("carp-service: --connections needs the event-loop front-end (unix-only)");
-    std::process::exit(2);
 }
 
 /// Multi-tenant load run, with the optional single-tenant conformance
@@ -917,8 +825,7 @@ fn run_multi(opts: &Opts, profiles: &[TenantDayProfile], cfg: ServiceConfig) -> 
             reports.push(solo);
         }
         if diverged {
-            eprintln!("carp-service: FAIL — multi-tenant digest diverged from single-tenant");
-            std::process::exit(1);
+            fail("multi-tenant digest diverged from single-tenant");
         }
     }
     reports
@@ -930,14 +837,7 @@ fn run_single(opts: &Opts, cfg: ServiceConfig) -> Vec<LoadReport> {
     let layout = layout_for(&opts.preset);
     let mut runs = Vec::with_capacity(opts.rates.len());
     for &rate in &opts.rates {
-        let scenario = LoadScenario::new(
-            format!("{}@{}x", opts.preset, rate),
-            layout.clone(),
-            opts.tasks,
-            opts.horizon,
-            rate,
-            opts.seed,
-        );
+        let scenario = preset_scenario(opts, &layout, rate);
         let planner = srp(&layout);
         eprintln!(
             "carp-service: running {} ({} tasks, seed {})...",
@@ -946,14 +846,7 @@ fn run_single(opts: &Opts, cfg: ServiceConfig) -> Vec<LoadReport> {
             opts.seed
         );
         let (report, _planner) = if let Some(path) = &opts.wal {
-            let path = format!("{path}.{rate}x");
-            let journal = match WalJournal::create(&path) {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!("carp-service: cannot create changeset log {path}: {e}");
-                    std::process::exit(2);
-                }
-            };
+            let journal = create_journal(&format!("{path}.{rate}x"));
             run_load_journaled(&scenario, planner, opts.sim.clone(), cfg, journal)
         } else {
             run_load(&scenario, planner, opts.sim.clone(), cfg)
@@ -975,7 +868,12 @@ fn main() {
         ..ServiceConfig::default()
     };
 
+    #[cfg(not(unix))]
+    if opts.listen.is_some() || opts.replication.is_some() || opts.connections.is_some() {
+        usage_error("--listen, --replication and --connections need the unix poll(2) event loop");
+    }
     let profiles = tenant_profiles(&opts);
+    #[cfg(unix)]
     if let Some(addr) = &opts.listen {
         let profiles = if profiles.is_empty() {
             vec![TenantDayProfile {
@@ -996,11 +894,13 @@ fn main() {
     if let Some(wal_path) = &opts.recovery {
         run_recovery(&opts, service_cfg, wal_path);
     }
+    #[cfg(unix)]
     if let Some(wal_path) = &opts.replication {
         run_replication(&opts, service_cfg, wal_path);
     }
-    if let Some(connections) = opts.connections.clone() {
-        run_ladder(&opts, service_cfg, &connections);
+    #[cfg(unix)]
+    if let Some(connections) = &opts.connections {
+        run_ladder(&opts, service_cfg, connections);
     }
     if opts.conformance && profiles.is_empty() {
         usage_error("--conformance requires --tenants (or sim-config tenants)");
@@ -1011,23 +911,6 @@ fn main() {
     } else {
         run_multi(&opts, &profiles, service_cfg)
     };
-
     let bench = ServiceBenchReport::new(runs);
-    let conflicts = bench.total_audit_conflicts();
-    let json = bench.to_json();
-    match &opts.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &json) {
-                eprintln!("carp-service: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!("carp-service: wrote {path}");
-        }
-        None => println!("{json}"),
-    }
-
-    if conflicts > 0 {
-        eprintln!("carp-service: FAIL — {conflicts} audited collision(s)");
-        std::process::exit(1);
-    }
+    emit(&opts, &bench.to_json(), bench.total_audit_conflicts());
 }

@@ -1,13 +1,15 @@
 //! The shared ingest front-end: decodes framed requests and runs each one
 //! on its tenant.
 //!
-//! One [`serve_connection`] call services one client connection over any
-//! `Read`/`Write` pair — the in-process [`duplex`] pipe in tests and
-//! loadgen, a TCP stream under [`serve_tcp`] — on the calling thread
-//! alone. It reads one frame, runs it to completion on the addressed
-//! tenant ([`dispatch`]: plan and commit, advance, cancel or metrics, under
-//! the tenant's lock), writes every reply that frame produced in one
-//! write, and only then reads the next frame. So:
+//! [`dispatch`] runs one inbound frame to completion on the addressed
+//! tenant (plan and commit, advance, cancel or metrics, under the tenant's
+//! lock). Two front-ends feed it: the event-loop server (`mux`), which
+//! serves every TCP connection, and [`serve_connection`], the in-process
+//! adapter that services one client over any `Read`/`Write` pair — the
+//! [`duplex`] pipe in tests and loadgen — on the calling thread alone.
+//! Either way a connection's frames are dispatched in arrival order and
+//! every reply a frame produced is written before the next frame is read.
+//! So:
 //!
 //! * per-connection **admission order** is frame order, which pins each
 //!   tenant's commit order (and committed route set) to the order its
@@ -17,9 +19,8 @@
 //! * a client that sends faster than its tenant plans is held back by the
 //!   transport — the connection reads nothing while it plans.
 //!
-//! The event-loop front-end (`mux`) runs the same [`dispatch`] on its
-//! reactor threads. Frame and byte counts are tallied on the addressed
-//! tenant's [`WireTally`](crate::tenant::WireTally).
+//! Frame and byte counts are tallied on the addressed tenant's
+//! [`WireTally`](crate::tenant::WireTally).
 
 use crate::service::SubmitError;
 use crate::tenant::{Tenant, TenantRegistry};
@@ -27,8 +28,6 @@ use crate::wire::frame::{frame_len, read_frame, write_frame, FrameKind, WireErro
 use crate::wire::schema::{self, AckStatus, ErrorCode};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -95,20 +94,9 @@ impl TokenBucket {
 /// transport error (`Err`). See the module docs for the thread model.
 pub fn serve_connection<R: Read, W: Write>(
     registry: &TenantRegistry,
-    reader: R,
-    writer: W,
-) -> Result<(), WireError> {
-    serve_connection_limited(registry, reader, writer, None)
-}
-
-/// [`serve_connection`] with an optional per-connection rate limit.
-pub fn serve_connection_limited<R: Read, W: Write>(
-    registry: &TenantRegistry,
     mut reader: R,
     mut writer: W,
-    limit: Option<RateLimit>,
 ) -> Result<(), WireError> {
-    let mut bucket = limit.map(TokenBucket::new);
     let mut out = Vec::new();
     loop {
         let Some((kind, payload)) = read_frame(&mut reader)? else {
@@ -122,7 +110,7 @@ pub fn serve_connection_limited<R: Read, W: Write>(
         // can interleave pushes with request/reply traffic without a
         // dedicated thread per subscriber. This path refuses the
         // subscription with a typed error and keeps serving requests.
-        if dispatch(registry, &mut bucket, kind, &payload, received, &mut send)?.is_some() {
+        if dispatch(registry, &mut None, kind, &payload, received, &mut send)?.is_some() {
             let reply = schema::encode_error_reply(
                 ErrorCode::UnexpectedFrame,
                 "log tailing requires the event-loop front-end",
@@ -257,74 +245,6 @@ pub(crate) fn dispatch(
         }
     }
     Ok(None)
-}
-
-/// Accept TCP connections forever, serving each on its own thread. Returns
-/// only when the listener itself fails; per-connection errors are printed
-/// to stderr and drop that connection only.
-pub fn serve_tcp(listener: TcpListener, registry: Arc<TenantRegistry>) -> std::io::Result<()> {
-    serve_tcp_graceful(listener, registry, Arc::new(AtomicBool::new(false)), None)
-}
-
-/// [`serve_tcp`] with graceful shutdown and optional per-connection rate
-/// limiting. The accept loop checks `shutdown` between accepts (the
-/// listener runs non-blocking; while no one connects, the loop waits in
-/// `poll(2)` on it with a timeout); once the flag is set it
-/// stops accepting and returns `Ok(())` so the caller can drain tenants
-/// ([`TenantRegistry::drain_all`](crate::tenant::TenantRegistry::drain_all)),
-/// seal the changeset log, and exit cleanly. Connections already accepted
-/// run to their own EOF on their own threads.
-pub fn serve_tcp_graceful(
-    listener: TcpListener,
-    registry: Arc<TenantRegistry>,
-    shutdown: Arc<AtomicBool>,
-    limit: Option<RateLimit>,
-) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let (stream, peer) = match listener.accept() {
-            Ok(accepted) => accepted,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                #[cfg(unix)]
-                crate::mux::wait_for_connection(&listener)?;
-                #[cfg(not(unix))]
-                std::thread::sleep(Duration::from_millis(25));
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        // Accepted sockets inherit non-blocking from the listener on some
-        // platforms; connection threads want blocking reads.
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_nodelay(true);
-        let registry = Arc::clone(&registry);
-        std::thread::Builder::new()
-            .name(format!("carp-ingest-{peer}"))
-            .spawn(move || {
-                let reader = match stream.try_clone() {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("carp-service: {peer}: clone failed: {e}");
-                        return;
-                    }
-                };
-                if let Err(e) = serve_connection_limited(&registry, reader, stream, limit) {
-                    eprintln!("carp-service: {peer}: {e}");
-                }
-            })
-            .expect("spawn ingest connection thread");
-    }
-}
-
-/// Serve one connection on a TCP stream (reader/writer halves via
-/// `try_clone`). Exposed for tests of the TCP path.
-pub fn serve_tcp_connection(registry: &TenantRegistry, stream: TcpStream) -> Result<(), WireError> {
-    let reader = stream.try_clone().map_err(WireError::from)?;
-    serve_connection(registry, reader, stream)
 }
 
 // ------------------------------------------------------ in-process duplex

@@ -9,7 +9,8 @@
 //! decodes framed requests of a length-prefixed binary wire protocol
 //! ([`wire`]) and runs each one to completion on its tenant — the
 //! canonical surface, spoken identically over an in-process duplex
-//! transport and TCP (`carp-service --listen`). A
+//! transport and over TCP, where the `poll(2)` event loop (`mux`, unix
+//! only) serves `carp-service --listen`. A
 //! deterministic load generator ([`loadgen`]) replays the paper's
 //! W-1/W-2/W-3 day profiles through the wire path — one tenant or several
 //! concurrently — and emits the per-tenant `BENCH_service.json` report
@@ -41,9 +42,7 @@ pub mod wal;
 pub mod wire;
 
 pub use histogram::{LatencyHistogram, LatencySummary};
-pub use ingest::{
-    duplex, serve_connection, serve_connection_limited, serve_tcp, serve_tcp_graceful, RateLimit,
-};
+pub use ingest::{duplex, serve_connection, RateLimit};
 #[cfg(unix)]
 pub use loadgen::{run_connection_ladder, run_load_replication};
 pub use loadgen::{

@@ -39,30 +39,38 @@
 //! close approximation for TWP/RP.
 
 use crate::histogram::LatencySummary;
-use crate::ingest::{duplex, serve_connection};
+use crate::ingest::{duplex, serve_connection, PipeReader, PipeWriter};
 #[cfg(unix)]
 use crate::mux::{serve_tcp_mux, MuxConfig, MuxMetrics};
 use crate::report::LoadReport;
 #[cfg(unix)]
 use crate::report::{
-    routes_digest, ConnLadderRung, MuxBenchReport, ReplicationBenchReport, BENCH_VERSION,
+    routes_digest, ConnLadderRung, MuxBenchReport, MuxCounters, ReplicationBenchReport,
+    BENCH_VERSION,
 };
 use crate::service::{PlanResponse, ServiceConfig, ServiceMetrics};
 use crate::tenant::{TenantRegistry, WireCounters};
-use crate::wal::{self, LogTail, WalJournal, WalStats};
-use crate::wire::{WireClient, WireSubmitError};
+#[cfg(unix)]
+use crate::wal::TenantJournal;
+use crate::wal::{self, ChangeRecord, LogTail, WalJournal, WalStats};
+use crate::wire::{WireClient, WireError, WireSubmitError};
 use carp_simenv::SimConfig;
 use carp_warehouse::collision::{validate_routes, IncrementalAuditor};
 use carp_warehouse::layout::Layout;
-use carp_warehouse::planner::{EngineMetrics, Planner, ReplayPlanner};
+use carp_warehouse::planner::{Planner, ReplayPlanner};
 use carp_warehouse::request::{QueryKind, Request, RequestId};
 use carp_warehouse::route::Route;
 use carp_warehouse::tasks::{generate_tasks, DayProfile, Task};
 use carp_warehouse::types::{Cell, Time};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io::Write as _;
+use std::io::{Read, Write};
+#[cfg(unix)]
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
+#[cfg(unix)]
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// A complete load scenario: the warehouse, the (already rate-compressed)
@@ -146,26 +154,18 @@ struct RobotState {
 }
 
 /// Raw outcome of one driven day, before it meets the metrics snapshot.
-struct RawRun {
-    final_routes: HashMap<RequestId, Route>,
-    completed: usize,
-    failed_requests: usize,
-    refused_requests: usize,
-    backpressure_retries: u64,
-    audit_conflicts: usize,
-    makespan: Time,
-    wall_secs: f64,
+pub(crate) struct RawRun {
+    pub(crate) final_routes: HashMap<RequestId, Route>,
+    pub(crate) completed: usize,
+    pub(crate) failed_requests: usize,
+    pub(crate) refused_requests: usize,
+    pub(crate) backpressure_retries: u64,
+    pub(crate) audit_conflicts: usize,
+    pub(crate) makespan: Time,
+    pub(crate) wall_secs: f64,
     /// Client-side submit → ack latency of every accepted submission
     /// (per successful attempt; backoff sleeps are not counted).
-    ack: LatencySummary,
-}
-
-/// Everything a driver thread brings home from one tenant's day.
-struct DriverOut {
-    scenario: LoadScenario,
-    raw: RawRun,
-    metrics: ServiceMetrics,
-    wire: WireCounters,
+    pub(crate) ack: LatencySummary,
 }
 
 /// Drive `planner` through a full load run of `scenario` on the planning
@@ -177,10 +177,8 @@ pub fn run_load<P: Planner + Send + 'static>(
     sim: SimConfig,
     service_cfg: ServiceConfig,
 ) -> (LoadReport, P) {
-    let registry = Arc::new(TenantRegistry::new());
-    registry.register(scenario.name.clone(), planner, service_cfg);
-    let out = drive_tenant(&registry, scenario.clone(), &sim);
-    recover::<P>(&registry, out)
+    let registry = registry_for(scenario, planner, service_cfg, None);
+    drive_in_process(&registry, scenario, &sim)
 }
 
 /// Like [`run_load`], with the registry journaling every
@@ -195,11 +193,8 @@ pub fn run_load_journaled<P: Planner + Send + 'static>(
     service_cfg: ServiceConfig,
     wal: Arc<WalJournal>,
 ) -> (LoadReport, P) {
-    let registry = Arc::new(TenantRegistry::new());
-    registry.attach_journal(wal);
-    registry.register(scenario.name.clone(), planner, service_cfg);
-    let out = drive_tenant(&registry, scenario.clone(), &sim);
-    recover::<P>(&registry, out)
+    let registry = registry_for(scenario, planner, service_cfg, Some(wal));
+    drive_in_process(&registry, scenario, &sim)
 }
 
 /// Outcome of a kill-primary / standby-takeover day.
@@ -229,19 +224,19 @@ pub struct RecoveryRun {
 ///
 /// The kill is deliberately graceless: the client connection is dropped
 /// and the primary's registry is abandoned without drain or seal, so the
-/// log ends wherever the commit pipeline last appended — exactly the disk
-/// image a crash leaves (minus OS buffers, which `fsync_every` bounds).
+/// log ends wherever the tenant last appended — exactly the disk image a
+/// crash leaves (minus OS buffers, which `fsync_every` bounds).
 /// With `torn_tail` set, a half-written record is appended on top to
 /// simulate dying mid-`write`; the standby must truncate it and recover.
 ///
-/// The standby replays the log through
-/// [`recover_planners`](crate::wal::recover_planners) into a fresh planner
-/// from `make_planner`, re-registers the tenant (appending a reopen
-/// `TenantOpen` to the same log), and drives the rest of the day. Because
-/// a paused [`DayDriver`] has no request in flight and every acked commit
-/// was journaled before its reply, the standby's planner state is exactly
-/// the primary's at the pause point — so with deadlines disabled the whole
-/// day's committed route set is bit-identical to an uninterrupted run's.
+/// The standby takes over through [`wal::take_over`] — strict audit, then
+/// planner replay into fresh planners from `make_planner` — re-registers
+/// the tenant (appending a reopen `TenantOpen` to the same log), and
+/// drives the rest of the day. Because a paused [`DayDriver`] has no
+/// request in flight and every acked commit was journaled before its
+/// reply, the standby's planner state is exactly the primary's at the
+/// pause point — so with deadlines disabled the whole day's committed
+/// route set is bit-identical to an uninterrupted run's.
 pub fn run_load_recovery<P, F>(
     scenario: &LoadScenario,
     mut make_planner: F,
@@ -257,36 +252,14 @@ where
 {
     // ---- phase 1: the primary, driven to the kill point ----
     let journal = WalJournal::create(wal_path).expect("create changeset log");
-    let primary = Arc::new(TenantRegistry::new());
-    primary.attach_journal(journal);
-    primary.register(scenario.name.clone(), make_planner(), service_cfg);
+    let primary = registry_for(scenario, make_planner(), service_cfg, Some(journal));
     let mut driver = DayDriver::new(scenario);
-
-    let ((client_read, client_write), (server_read, server_write)) = duplex();
-    let server_registry = Arc::clone(&primary);
-    let server = std::thread::Builder::new()
-        .name(format!("carp-primary-{}", scenario.name))
-        .spawn(move || serve_connection(&server_registry, server_read, server_write))
-        .expect("spawn primary ingest thread");
-    let mut client = WireClient::new(client_read, client_write);
-    let outcome = driver.drive(scenario, &mut client, &sim, Some(kill_at));
-    let killed_at = match outcome {
-        DriveOutcome::Paused { at } => at,
-        // Day shorter than the kill point: nothing left for the standby,
-        // but the takeover path below still runs (and must be a no-op).
-        DriveOutcome::Completed => kill_at,
-    };
-    let (primary_metrics, _) = client
-        .metrics(&scenario.name)
-        .expect("primary metrics before kill");
+    let mut conn = PipeConn::open(&primary, &scenario.name);
+    let (killed_at, primary_metrics) =
+        driver.drive_to_kill(scenario, &mut conn.client, &sim, kill_at);
     // The kill: hang up and abandon the registry — no drain, no close
-    // records, no seal. Worker threads exit as their channels die; the
-    // journal Arc dies with them without flushing anything extra.
-    drop(client);
-    server
-        .join()
-        .expect("primary ingest thread panicked")
-        .expect("primary connection errored");
+    // records, no seal.
+    conn.close();
     drop(primary);
 
     if torn_tail {
@@ -307,70 +280,20 @@ where
         LogTail::Torn { dropped_bytes, .. } => dropped_bytes,
         LogTail::Clean => 0,
     };
-    let records_replayed = records.len();
-    if let Err((tenant, conflict)) = wal::audit_log(&records) {
-        panic!("changeset log fails audit for tenant {tenant}: {conflict:?}");
-    }
-    let (mut planners, _state) = wal::recover_planners(&records, |_| make_planner());
-    let planner = planners
-        .remove(scenario.name.as_str())
-        .unwrap_or_else(&mut make_planner);
-
-    let standby = Arc::new(TenantRegistry::new());
-    standby.attach_journal(Arc::clone(&journal));
-    standby.register(scenario.name.clone(), planner, service_cfg);
-    let ((client_read, client_write), (server_read, server_write)) = duplex();
-    let server_registry = Arc::clone(&standby);
-    let server = std::thread::Builder::new()
-        .name(format!("carp-standby-{}", scenario.name))
-        .spawn(move || serve_connection(&server_registry, server_read, server_write))
-        .expect("spawn standby ingest thread");
-    let mut client = WireClient::new(client_read, client_write);
-    let outcome = driver.drive(scenario, &mut client, &sim, None);
-    debug_assert_eq!(outcome, DriveOutcome::Completed);
-    let (metrics, wire) = client
-        .metrics(&scenario.name)
-        .expect("standby metrics over the wire");
-    drop(client);
-    server
-        .join()
-        .expect("standby ingest thread panicked")
-        .expect("standby connection errored");
-
-    let planner = match standby
-        .remove(&scenario.name)
-        .expect("standby tenant registered")
-        .downcast::<P>()
-    {
-        Ok(planner) => *planner,
-        Err(_) => panic!("standby planner has the registered type"),
-    };
-    let wal_stats = journal.stats();
-    let engine: Option<EngineMetrics> = planner.engine_metrics();
-    let raw = driver.finish();
-    let report = LoadReport::build(
-        scenario,
-        scenario.name.clone(),
-        &raw.final_routes,
-        metrics,
-        wire,
-        engine,
-        raw.wall_secs,
-        raw.completed,
-        raw.failed_requests,
-        raw.refused_requests,
-        raw.backpressure_retries,
-        raw.audit_conflicts,
-        raw.makespan,
-    );
+    let planner = standby_planner(scenario, &records, &mut make_planner);
+    let standby = registry_for(scenario, planner, service_cfg, Some(Arc::clone(&journal)));
+    let mut conn = PipeConn::open(&standby, &scenario.name);
+    let metrics = driver.finish_day(scenario, &mut conn.client, &sim);
+    conn.close();
+    let (report, planner) = report_run(&standby, scenario, driver.finish(), metrics);
     (
         RecoveryRun {
             report,
             killed_at,
-            records_replayed,
+            records_replayed: records.len(),
             torn_tail_dropped,
             primary_metrics,
-            wal_stats,
+            wal_stats: journal.stats(),
         },
         planner,
     )
@@ -387,13 +310,13 @@ where
 /// * **baseline** — the same day uninterrupted, in-process; its digest is
 ///   the conformance reference.
 /// * **replicated** — the primary serves over [`serve_tcp_mux`] journaling
-///   to `wal_path`; a standby connects over TCP, subscribes with
-///   `TailLog(1)`, and mirrors every shipped record into its own journal
-///   (`<wal_path>.standby`) as it arrives. At the kill the standby holds a
-///   shipped copy of the log, *received entirely over the wire* — the
-///   on-disk file is never shared. Takeover: strict audit of the shipped
-///   records, epoch bump (fencing any resurrected-primary handle), planner
-///   replay, re-listen, and the paused [`DayDriver`] resumes against it.
+///   to `wal_path`; a standby mirrors the log over TCP through
+///   [`wal::follow`] into its own journal (`<wal_path>.standby`) as it
+///   arrives. At the kill the standby holds a shipped copy of the log,
+///   *received entirely over the wire* — the on-disk file is never shared.
+///   Takeover: epoch bump (fencing any resurrected-primary handle),
+///   [`wal::take_over`] on the shipped records, re-listen, and the paused
+///   [`DayDriver`] resumes against it.
 ///
 /// The kill is graceful-enough rather than graceless: the reactor's drain
 /// flushes the shipping connection, so the standby's copy is the complete
@@ -422,118 +345,57 @@ where
     P: ReplayPlanner + Send + 'static,
     F: FnMut() -> P,
 {
-    use crate::wal::record::ChangeRecord;
-    use crate::wal::TenantJournal;
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
     // ---- leg 1: the uninterrupted baseline, in-process ----
     let (baseline, _planner) = run_load(scenario, make_planner(), sim.clone(), service_cfg);
 
     // ---- leg 2, phase 1: the primary over TCP, with a live standby ----
     let journal = WalJournal::create(wal_path).expect("create changeset log");
-    let registry = Arc::new(TenantRegistry::new());
-    registry.attach_journal(Arc::clone(&journal));
-    registry.register(scenario.name.clone(), make_planner(), service_cfg);
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let mux_metrics = Arc::new(MuxMetrics::default());
-    let server = {
-        let registry = Arc::clone(&registry);
-        let shutdown = Arc::clone(&shutdown);
-        let metrics = Arc::clone(&mux_metrics);
-        let config = MuxConfig {
-            threads: mux_threads,
-            ..MuxConfig::default()
-        };
-        std::thread::Builder::new()
-            .name("carp-repl-primary".into())
-            .spawn(move || serve_tcp_mux(listener, registry, shutdown, config, metrics))
-            .expect("spawn primary mux server")
-    };
+    let journaling = Some(Arc::clone(&journal));
+    let registry = registry_for(scenario, make_planner(), service_cfg, journaling);
+    let primary = MuxServer::start(&registry, mux_threads);
 
-    // The standby: its own TCP connection, its own journal file. It applies
-    // chunks as they arrive and publishes the highest sequence applied, so
-    // the kill point can measure shipping lag.
+    // The standby: its own TCP connection, its own journal file. Its
+    // journal's last sequence is the highest one shipped, so the kill
+    // point can measure shipping lag.
     let standby_path = {
         let mut os = wal_path.as_os_str().to_os_string();
         os.push(".standby");
         std::path::PathBuf::from(os)
     };
     let standby_journal = WalJournal::create(&standby_path).expect("create standby log");
-    let shipped_seq = Arc::new(AtomicU64::new(0));
     let tailer = {
         let journal = Arc::clone(&standby_journal);
-        let shipped_seq = Arc::clone(&shipped_seq);
+        let addr = primary.addr;
         std::thread::Builder::new()
             .name("carp-repl-standby".into())
-            .spawn(move || -> Vec<ChangeRecord> {
-                let stream = TcpStream::connect(addr).expect("standby connects");
-                stream.set_nodelay(true).expect("standby nodelay");
-                let reader = stream.try_clone().expect("clone standby socket");
-                let mut client = WireClient::new(reader, stream);
-                client.tail_log(1).expect("subscribe to the changeset log");
+            .spawn(move || {
                 let mut shipped = Vec::new();
-                loop {
-                    match client.next_log_chunk() {
-                        Ok(Some((_epoch, records))) => {
-                            for rec in records {
-                                if journal.append_record(&rec) {
-                                    shipped_seq.store(rec.seq, Ordering::SeqCst);
-                                    shipped.push(rec);
-                                }
-                            }
-                        }
-                        // Clean EOF: the primary is gone. Takeover time.
-                        Ok(None) => return shipped,
-                        Err(e) => panic!("standby log tail failed: {e}"),
-                    }
-                }
+                wal::follow(addr, &journal, &mut shipped).expect("standby log tail");
+                shipped
             })
             .expect("spawn standby tail thread")
     };
 
     // Drive the day over TCP until the kill point.
-    let stream = TcpStream::connect(addr).expect("driver connects");
-    stream.set_nodelay(true).expect("driver nodelay");
-    let reader = stream.try_clone().expect("clone driver socket");
-    let mut client = WireClient::new(reader, stream);
+    let mut client = primary.connect();
     let mut driver = DayDriver::new(scenario);
-    let outcome = driver.drive(scenario, &mut client, &sim, Some(kill_at));
-    let killed_at = match outcome {
-        DriveOutcome::Paused { at } => at,
-        // Day shorter than the kill point: the takeover below still runs
-        // (and must be a no-op hand-off).
-        DriveOutcome::Completed => kill_at,
-    };
-    let (primary_metrics, _) = client
-        .metrics(&scenario.name)
-        .expect("primary metrics before kill");
+    let (killed_at, primary_metrics) = driver.drive_to_kill(scenario, &mut client, &sim, kill_at);
 
     // ---- the kill ----
     // Shipping lag is judged at the kill signal, before the drain flushes
     // anything further.
     let staleness_records = journal
         .last_seq()
-        .saturating_sub(shipped_seq.load(Ordering::SeqCst));
+        .saturating_sub(standby_journal.last_seq());
     let kill_instant = Instant::now();
     drop(client);
-    shutdown.store(true, Ordering::SeqCst);
-    server
-        .join()
-        .expect("primary mux server panicked")
-        .expect("primary mux server exits clean");
+    primary.stop();
     let shipped = tailer.join().expect("standby tail thread panicked");
     // Abandon the primary registry without drain or seal — no close
     // records.
     drop(registry);
 
     // ---- leg 2, phase 2: takeover on the shipped copy alone ----
-    if let Err((tenant, conflict)) = wal::audit_log(&shipped) {
-        panic!("shipped changeset log fails audit for tenant {tenant}: {conflict:?}");
-    }
-    let records_shipped = shipped.len();
     // A handle under the primary's epoch, as a resurrected primary would
     // still hold...
     let stale_handle = TenantJournal::new(Arc::clone(&standby_journal), &scenario.name);
@@ -541,80 +403,25 @@ where
     // ...is fenced the moment the standby bumps: refused and counted,
     // never written.
     stale_handle.advance(killed_at, &[]);
-    let (mut planners, _state) = wal::recover_planners(&shipped, |_| make_planner());
-    let planner = planners
-        .remove(scenario.name.as_str())
-        .unwrap_or_else(&mut make_planner);
-    let standby_registry = Arc::new(TenantRegistry::new());
-    standby_registry.attach_journal(Arc::clone(&standby_journal));
-    standby_registry.register(scenario.name.clone(), planner, service_cfg);
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind standby loopback");
-    let standby_addr = listener.local_addr().expect("standby local addr");
-    let standby_shutdown = Arc::new(AtomicBool::new(false));
-    let standby_server = {
-        let registry = Arc::clone(&standby_registry);
-        let shutdown = Arc::clone(&standby_shutdown);
-        let metrics = Arc::clone(&mux_metrics);
-        let config = MuxConfig {
-            threads: mux_threads,
-            ..MuxConfig::default()
-        };
-        std::thread::Builder::new()
-            .name("carp-repl-takeover".into())
-            .spawn(move || serve_tcp_mux(listener, registry, shutdown, config, metrics))
-            .expect("spawn standby mux server")
-    };
+    let planner = standby_planner(scenario, &shipped, &mut make_planner);
+    let journaling = Some(Arc::clone(&standby_journal));
+    let standby = registry_for(scenario, planner, service_cfg, journaling);
+    let server = MuxServer::start(&standby, mux_threads);
     let takeover_ms = kill_instant.elapsed().as_secs_f64() * 1e3;
 
     // The paused driver resumes against the standby daemon.
-    let stream = TcpStream::connect(standby_addr).expect("driver reconnects");
-    stream.set_nodelay(true).expect("driver nodelay");
-    let reader = stream.try_clone().expect("clone driver socket");
-    let mut client = WireClient::new(reader, stream);
-    let outcome = driver.drive(scenario, &mut client, &sim, None);
-    debug_assert_eq!(outcome, DriveOutcome::Completed);
-    let (metrics, wire) = client
-        .metrics(&scenario.name)
-        .expect("standby metrics over the wire");
+    let mut client = server.connect();
+    let metrics = driver.finish_day(scenario, &mut client, &sim);
     drop(client);
-    standby_shutdown.store(true, Ordering::SeqCst);
-    standby_server
-        .join()
-        .expect("standby mux server panicked")
-        .expect("standby mux server exits clean");
-
-    let planner = match standby_registry
-        .remove(&scenario.name)
-        .expect("standby tenant registered")
-        .downcast::<P>()
-    {
-        Ok(planner) => *planner,
-        Err(_) => panic!("standby planner has the registered type"),
-    };
+    server.stop();
+    let (replicated, _planner) = report_run::<P>(&standby, scenario, driver.finish(), metrics);
     let wal_stats = standby_journal.stats();
-    let engine: Option<EngineMetrics> = planner.engine_metrics();
-    let raw = driver.finish();
-    let replicated = LoadReport::build(
-        scenario,
-        scenario.name.clone(),
-        &raw.final_routes,
-        metrics,
-        wire,
-        engine,
-        raw.wall_secs,
-        raw.completed,
-        raw.failed_requests,
-        raw.refused_requests,
-        raw.backpressure_retries,
-        raw.audit_conflicts,
-        raw.makespan,
-    );
     let digests_match = replicated.routes_digest == baseline.routes_digest;
     ReplicationBenchReport {
         version: BENCH_VERSION,
         scenario: scenario.name.clone(),
         killed_at,
-        records_shipped,
+        records_shipped: shipped.len(),
         staleness_records,
         takeover_ms,
         takeover_epoch,
@@ -635,11 +442,13 @@ pub fn run_load_multi<P: Planner + Send + 'static>(
     sim: SimConfig,
 ) -> Vec<(LoadReport, P)> {
     let registry = Arc::new(TenantRegistry::new());
-    let mut scenarios = Vec::with_capacity(tenants.len());
-    for t in tenants {
-        registry.register(t.scenario.name.clone(), t.planner, t.service_cfg);
-        scenarios.push(t.scenario);
-    }
+    let scenarios: Vec<LoadScenario> = tenants
+        .into_iter()
+        .map(|t| {
+            registry.register(t.scenario.name.clone(), t.planner, t.service_cfg);
+            t.scenario
+        })
+        .collect();
     let handles: Vec<_> = scenarios
         .into_iter()
         .map(|scenario| {
@@ -647,80 +456,167 @@ pub fn run_load_multi<P: Planner + Send + 'static>(
             let sim = sim.clone();
             std::thread::Builder::new()
                 .name(format!("carp-load-{}", scenario.name))
-                .spawn(move || drive_tenant(&registry, scenario, &sim))
+                .spawn(move || drive_in_process::<P>(&registry, &scenario, &sim))
                 .expect("spawn tenant driver")
         })
         .collect();
     handles
         .into_iter()
-        .map(|h| {
-            let out = h.join().expect("tenant driver panicked");
-            recover::<P>(&registry, out)
-        })
+        .map(|h| h.join().expect("tenant driver panicked"))
         .collect()
 }
 
-/// Open one wire connection to the daemon and drive one tenant's whole day
-/// over it; fetch the final metrics through the wire before hanging up.
-fn drive_tenant(
-    registry: &Arc<TenantRegistry>,
-    scenario: LoadScenario,
-    sim: &SimConfig,
-) -> DriverOut {
-    let ((client_read, client_write), (server_read, server_write)) = duplex();
-    let server_registry = Arc::clone(registry);
-    let server = std::thread::Builder::new()
-        .name(format!("carp-ingest-{}", scenario.name))
-        .spawn(move || serve_connection(&server_registry, server_read, server_write))
-        .expect("spawn ingest thread");
-    let mut client = WireClient::new(client_read, client_write);
-    let raw = drive_wire(&scenario, &mut client, sim);
-    let (metrics, wire) = client
-        .metrics(&scenario.name)
-        .expect("metrics query over the wire");
-    drop(client); // closes the pipes: the ingest reader sees clean EOF
-    server
-        .join()
-        .expect("ingest thread panicked")
-        .expect("connection ended with a protocol error");
-    DriverOut {
-        scenario,
-        raw,
-        metrics,
-        wire,
+/// One in-process wire connection to a registry, served by
+/// [`serve_connection`] on its own thread.
+struct PipeConn {
+    client: WireClient<PipeReader, PipeWriter>,
+    server: JoinHandle<Result<(), WireError>>,
+}
+
+impl PipeConn {
+    fn open(registry: &Arc<TenantRegistry>, tenant: &str) -> Self {
+        let ((client_read, client_write), (server_read, server_write)) = duplex();
+        let registry = Arc::clone(registry);
+        let server = std::thread::Builder::new()
+            .name(format!("carp-ingest-{tenant}"))
+            .spawn(move || serve_connection(&registry, server_read, server_write))
+            .expect("spawn ingest thread");
+        PipeConn {
+            client: WireClient::new(client_read, client_write),
+            server,
+        }
+    }
+
+    /// Hang up: the ingest thread reads a clean EOF and ends.
+    fn close(self) {
+        drop(self.client);
+        self.server
+            .join()
+            .expect("ingest thread panicked")
+            .expect("connection ended with a protocol error");
     }
 }
 
-/// Shut the tenant down, recover the concrete planner from the registry,
-/// and assemble its report.
-fn recover<P: Planner + Send + 'static>(
+/// The event-loop front-end serving a registry on an ephemeral loopback
+/// port, on its own acceptor thread.
+#[cfg(unix)]
+struct MuxServer {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    metrics: Arc<MuxMetrics>,
+    thread: JoinHandle<std::io::Result<()>>,
+}
+
+#[cfg(unix)]
+impl MuxServer {
+    fn start(registry: &Arc<TenantRegistry>, threads: usize) -> Self {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr");
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let metrics = Arc::new(MuxMetrics::default());
+        let config = MuxConfig {
+            threads,
+            ..MuxConfig::default()
+        };
+        let (registry, flag, counters) = (
+            Arc::clone(registry),
+            Arc::clone(&shutdown),
+            Arc::clone(&metrics),
+        );
+        let thread = std::thread::Builder::new()
+            .name("carp-mux-accept".into())
+            .spawn(move || serve_tcp_mux(listener, registry, flag, config, counters))
+            .expect("spawn mux server");
+        MuxServer {
+            addr,
+            shutdown,
+            metrics,
+            thread,
+        }
+    }
+
+    fn connect(&self) -> WireClient<TcpStream, TcpStream> {
+        WireClient::connect(self.addr).expect("connect to the mux server")
+    }
+
+    /// Stop accepting, let the reactors drain, join the server, and return
+    /// its reactor counters.
+    fn stop(self) -> MuxCounters {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.thread
+            .join()
+            .expect("mux server panicked")
+            .expect("mux server exits clean");
+        self.metrics.snapshot()
+    }
+}
+
+/// Drive one tenant's whole day over an in-process connection to
+/// `registry`, then take the tenant down and report.
+fn drive_in_process<P: Planner + Send + 'static>(
+    registry: &Arc<TenantRegistry>,
+    scenario: &LoadScenario,
+    sim: &SimConfig,
+) -> (LoadReport, P) {
+    let mut driver = DayDriver::new(scenario);
+    let mut conn = PipeConn::open(registry, &scenario.name);
+    let metrics = driver.finish_day(scenario, &mut conn.client, sim);
+    conn.close();
+    report_run(registry, scenario, driver.finish(), metrics)
+}
+
+/// A registry, journaling into `journal` when given, whose one tenant is
+/// the scenario's, served by `planner`.
+fn registry_for<P: Planner + Send + 'static>(
+    scenario: &LoadScenario,
+    planner: P,
+    service_cfg: ServiceConfig,
+    journal: Option<Arc<WalJournal>>,
+) -> Arc<TenantRegistry> {
+    let registry = Arc::new(TenantRegistry::new());
+    if let Some(journal) = journal {
+        registry.attach_journal(journal);
+    }
+    registry.register(scenario.name.clone(), planner, service_cfg);
+    registry
+}
+
+/// The standby's planner for the scenario's tenant: `records` audited and
+/// replayed by [`wal::take_over`], or an empty one from `make_planner`
+/// when the log never opened the tenant. Panics when the log fails its
+/// audit.
+fn standby_planner<P: ReplayPlanner>(
+    scenario: &LoadScenario,
+    records: &[ChangeRecord],
+    make_planner: &mut impl FnMut() -> P,
+) -> P {
+    let (mut planners, _state) =
+        wal::take_over(records, |_| make_planner()).unwrap_or_else(|(tenant, conflict)| {
+            panic!("changeset log fails audit for tenant {tenant}: {conflict:?}")
+        });
+    planners
+        .remove(scenario.name.as_str())
+        .unwrap_or_else(make_planner)
+}
+
+/// Shut the scenario's tenant down, recover its concrete planner from the
+/// registry, and assemble the day's report from `raw` and the tenant's
+/// final metrics.
+fn report_run<P: Planner + 'static>(
     registry: &TenantRegistry,
-    out: DriverOut,
+    scenario: &LoadScenario,
+    raw: RawRun,
+    (metrics, wire): (ServiceMetrics, WireCounters),
 ) -> (LoadReport, P) {
     let planner = match registry
-        .remove(&out.scenario.name)
+        .remove(&scenario.name)
         .expect("tenant registered by this run")
         .downcast::<P>()
     {
         Ok(planner) => *planner,
         Err(_) => panic!("tenant planner has the registered type"),
     };
-    let engine: Option<EngineMetrics> = planner.engine_metrics();
-    let report = LoadReport::build(
-        &out.scenario,
-        out.scenario.name.clone(),
-        &out.raw.final_routes,
-        out.metrics,
-        out.wire,
-        engine,
-        out.raw.wall_secs,
-        out.raw.completed,
-        out.raw.failed_requests,
-        out.raw.refused_requests,
-        out.raw.backpressure_retries,
-        out.raw.audit_conflicts,
-        out.raw.makespan,
-    );
+    let report = LoadReport::build(scenario, &raw, metrics, wire, planner.engine_metrics());
     (report, planner)
 }
 
@@ -808,12 +704,66 @@ impl DayDriver {
         self.seq += 1;
     }
 
+    /// Give `task` the nearest free robot and schedule its pickup leg at
+    /// `now`; `false` when every robot is busy.
+    fn assign(&mut self, scenario: &LoadScenario, task: usize, now: Time) -> bool {
+        let Some(robot) = nearest_free_robot(&self.robots, scenario.tasks[task].rack) else {
+            return false;
+        };
+        self.robots[robot].busy = true;
+        let leg = Event::Leg {
+            task,
+            robot,
+            kind: QueryKind::Pickup,
+            attempt: 0,
+        };
+        self.push(now, leg);
+        true
+    }
+
+    /// Drive the rest of the day through `client`, then read the tenant's
+    /// final metrics over the wire.
+    fn finish_day<R: Read, W: Write>(
+        &mut self,
+        scenario: &LoadScenario,
+        client: &mut WireClient<R, W>,
+        sim: &SimConfig,
+    ) -> (ServiceMetrics, WireCounters) {
+        let outcome = self.drive(scenario, client, sim, None);
+        debug_assert_eq!(outcome, DriveOutcome::Completed);
+        client
+            .metrics(&scenario.name)
+            .expect("metrics over the wire")
+    }
+
+    /// Drive up to the first burst at or after `kill_at`, then scrape the
+    /// primary's metrics just before the kill. Returns the sim time the
+    /// standby resumes from, and those metrics.
+    fn drive_to_kill<R: Read, W: Write>(
+        &mut self,
+        scenario: &LoadScenario,
+        client: &mut WireClient<R, W>,
+        sim: &SimConfig,
+        kill_at: Time,
+    ) -> (Time, ServiceMetrics) {
+        let killed_at = match self.drive(scenario, client, sim, Some(kill_at)) {
+            DriveOutcome::Paused { at } => at,
+            // Day shorter than the kill point: nothing left for the
+            // standby, but the takeover still runs (and must be a no-op).
+            DriveOutcome::Completed => kill_at,
+        };
+        let (metrics, _) = client
+            .metrics(&scenario.name)
+            .expect("primary metrics before kill");
+        (killed_at, metrics)
+    }
+
     /// Drive bursts through `client` until the heap drains or the next
     /// burst's sim time reaches `stop`. Stopping happens *between* bursts,
     /// so a paused driver has no request in flight: every submission has
     /// been acked and its plan reply collected, which is exactly the
     /// prefix a standby can reconstruct from the changeset log.
-    fn drive<R: std::io::Read, W: std::io::Write>(
+    fn drive<R: Read, W: Write>(
         &mut self,
         scenario: &LoadScenario,
         client: &mut WireClient<R, W>,
@@ -859,40 +809,15 @@ impl DayDriver {
                 let event = self.payloads.remove(&id).expect("payload");
                 match event {
                     Event::Arrive { task } => {
-                        match nearest_free_robot(&self.robots, scenario.tasks[task].rack) {
-                            Some(r) => {
-                                self.robots[r].busy = true;
-                                self.push(
-                                    now,
-                                    Event::Leg {
-                                        task,
-                                        robot: r,
-                                        kind: QueryKind::Pickup,
-                                        attempt: 0,
-                                    },
-                                );
-                            }
-                            None => self.waiting.push_back(task),
+                        if !self.assign(scenario, task, now) {
+                            self.waiting.push_back(task);
                         }
                     }
                     Event::Complete { robot } => {
                         self.robots[robot].busy = false;
                         self.completed += 1;
                         if let Some(next_task) = self.waiting.pop_front() {
-                            if let Some(r) =
-                                nearest_free_robot(&self.robots, scenario.tasks[next_task].rack)
-                            {
-                                self.robots[r].busy = true;
-                                self.push(
-                                    now,
-                                    Event::Leg {
-                                        task: next_task,
-                                        robot: r,
-                                        kind: QueryKind::Pickup,
-                                        attempt: 0,
-                                    },
-                                );
-                            } else {
+                            if !self.assign(scenario, next_task, now) {
                                 self.waiting.push_front(next_task);
                             }
                         }
@@ -947,35 +872,24 @@ impl DayDriver {
                             self.online_conflicts += 1;
                         }
                         self.final_routes.insert(rid, route);
-                        match kind {
-                            QueryKind::Pickup => {
-                                self.robots[robot].pos = scenario.tasks[task].rack;
-                                self.push(
-                                    end + sim.service_time,
-                                    Event::Leg {
-                                        task,
-                                        robot,
-                                        kind: QueryKind::Transmission,
-                                        attempt: 0,
-                                    },
-                                );
+                        let t = scenario.tasks[task];
+                        let (pos, next) = match kind {
+                            QueryKind::Pickup => (t.rack, Some(QueryKind::Transmission)),
+                            QueryKind::Transmission => (t.picker, Some(QueryKind::Return)),
+                            QueryKind::Return => (t.rack, None),
+                        };
+                        self.robots[robot].pos = pos;
+                        match next {
+                            Some(kind) => {
+                                let leg = Event::Leg {
+                                    task,
+                                    robot,
+                                    kind,
+                                    attempt: 0,
+                                };
+                                self.push(end + sim.service_time, leg);
                             }
-                            QueryKind::Transmission => {
-                                self.robots[robot].pos = scenario.tasks[task].picker;
-                                self.push(
-                                    end + sim.service_time,
-                                    Event::Leg {
-                                        task,
-                                        robot,
-                                        kind: QueryKind::Return,
-                                        attempt: 0,
-                                    },
-                                );
-                            }
-                            QueryKind::Return => {
-                                self.robots[robot].pos = scenario.tasks[task].rack;
-                                self.push(end, Event::Complete { robot });
-                            }
+                            None => self.push(end, Event::Complete { robot }),
                         }
                     }
                     PlanResponse::ServiceDied => {
@@ -1035,18 +949,6 @@ impl DayDriver {
     }
 }
 
-/// The shared day-replay event loop, speaking frames through `client`.
-fn drive_wire<R: std::io::Read, W: std::io::Write>(
-    scenario: &LoadScenario,
-    client: &mut WireClient<R, W>,
-    sim: &SimConfig,
-) -> RawRun {
-    let mut driver = DayDriver::new(scenario);
-    let outcome = driver.drive(scenario, client, sim, None);
-    debug_assert_eq!(outcome, DriveOutcome::Completed);
-    driver.finish()
-}
-
 fn nearest_free_robot(robots: &[RobotState], target: Cell) -> Option<usize> {
     robots
         .iter()
@@ -1080,8 +982,8 @@ fn nearest_free_robot(robots: &[RobotState], target: Cell) -> Option<usize> {
 ///   the day starts and held open until it ends.
 ///
 /// The conformance gate: the measured tenant's committed route set must be
-/// bit-identical to the same day driven through the blocking
-/// thread-per-connection path ([`run_load`]), at every rung —
+/// bit-identical to the same day driven in-process ([`run_load`]), at
+/// every rung —
 /// per-tenant isolation plus per-connection admission order make fan-in
 /// invisible to the digest. `digests_match` reports the conjunction.
 #[cfg(unix)]
@@ -1097,8 +999,7 @@ where
     P: Planner + Send + 'static,
     F: FnMut() -> P,
 {
-    // The conformance reference: the identical day over the blocking
-    // path, in-process.
+    // The conformance reference: the identical day, in-process.
     let (baseline, _planner) = run_load(scenario, make_planner(), sim.clone(), service_cfg);
     let baseline_digest = baseline.routes_digest;
 
@@ -1156,8 +1057,6 @@ where
     P: Planner + Send + 'static,
     F: FnMut() -> P,
 {
-    use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Barrier;
 
     let churn_conns = total_conns.saturating_sub(1);
@@ -1168,24 +1067,8 @@ where
     if churn_conns > 0 {
         registry.register(churn_id.clone(), make_planner(), *service_cfg);
     }
-
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let addr = listener.local_addr().expect("local addr");
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let metrics = Arc::new(MuxMetrics::default());
-    let server = {
-        let registry = Arc::clone(&registry);
-        let shutdown = Arc::clone(&shutdown);
-        let metrics = Arc::clone(&metrics);
-        let config = MuxConfig {
-            threads: mux_threads,
-            ..MuxConfig::default()
-        };
-        std::thread::Builder::new()
-            .name("carp-mux-ladder".into())
-            .spawn(move || serve_tcp_mux(listener, registry, shutdown, config, metrics))
-            .expect("spawn mux server")
-    };
+    let server = MuxServer::start(&registry, mux_threads);
+    let addr = server.addr;
 
     // Churn fan-in: a handful of client threads, each owning a slice of the
     // open sockets. The barrier guarantees every churn socket is connected
@@ -1214,10 +1097,7 @@ where
     ready.wait();
 
     // The measured tenant's whole day, over one connection.
-    let stream = TcpStream::connect(addr).expect("driver connects");
-    stream.set_nodelay(true).expect("driver nodelay");
-    let reader = stream.try_clone().expect("clone driver socket");
-    let mut client = WireClient::new(reader, stream);
+    let mut client = server.connect();
     let mut driver = DayDriver::new(scenario);
     let outcome = driver.drive(scenario, &mut client, sim, None);
     debug_assert_eq!(outcome, DriveOutcome::Completed);
@@ -1232,11 +1112,7 @@ where
     let churn_requests = churn_us.len() as u64;
     let churn_ack = LatencySummary::from_samples_us(&mut churn_us);
 
-    shutdown.store(true, Ordering::SeqCst);
-    server
-        .join()
-        .expect("mux server thread panicked")
-        .expect("mux server exits clean");
+    let mux = server.stop();
     registry.drain_all();
 
     ConnLadderRung {
@@ -1248,7 +1124,7 @@ where
         routes_digest: routes_digest(&raw.final_routes),
         audit_conflicts: raw.audit_conflicts,
         wall_secs: raw.wall_secs,
-        mux: metrics.snapshot(),
+        mux,
     }
 }
 
@@ -1277,23 +1153,15 @@ fn churn_targets(scenario: &LoadScenario) -> Vec<(Cell, Cell)> {
 /// ack samples, in microseconds, one per accepted submission.
 #[cfg(unix)]
 fn churn_worker(
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     tenant: &str,
     targets: &[(Cell, Cell)],
     conns: std::ops::Range<usize>,
-    stop: &std::sync::atomic::AtomicBool,
+    stop: &AtomicBool,
     ready: &std::sync::Barrier,
 ) -> Vec<u64> {
-    use std::net::TcpStream;
-    use std::sync::atomic::Ordering;
-
     let mut clients: Vec<(usize, WireClient<TcpStream, TcpStream>, u64)> = conns
-        .map(|idx| {
-            let stream = TcpStream::connect(addr).expect("churn connect");
-            stream.set_nodelay(true).expect("churn nodelay");
-            let reader = stream.try_clone().expect("clone churn socket");
-            (idx, WireClient::new(reader, stream), 0u64)
-        })
+        .map(|idx| (idx, WireClient::connect(addr).expect("churn connect"), 0u64))
         .collect();
     ready.wait();
 

@@ -1,5 +1,5 @@
-//! Readiness-driven event-loop front-end: the multiplexed counterpart of
-//! the thread-per-connection ingest path (DESIGN.md §16).
+//! Readiness-driven event-loop front-end: the daemon's only TCP server
+//! (DESIGN.md §16).
 //!
 //! ```text
 //!                    ┌─ reactor 0 ─ poll(2) over { self-pipe, conns… } ─┐
@@ -7,15 +7,14 @@
 //!  (round-robin)     └─ reactor N    write buffers ← replies, in order ─┘   (inline, tenant lock)
 //! ```
 //!
-//! The thread-per-connection path ([`crate::ingest::serve_connection`])
-//! spends one OS thread per connection; the wall for the daemon then is
-//! connection *count*, not planning throughput. This module keeps every
-//! protocol invariant of that path while serving all sockets from a small
-//! fixed pool of reactor threads:
+//! A thread per connection would make connection *count*, not planning
+//! throughput, the daemon's wall. This module keeps every protocol
+//! invariant of the in-process adapter ([`crate::ingest::serve_connection`])
+//! while serving all sockets from a small fixed pool of reactor threads:
 //!
 //! * **Run to completion** — a reactor decodes each connection's frames
 //!   strictly in arrival order and runs every one through
-//!   [`crate::ingest::dispatch`], the same code the blocking path runs:
+//!   [`crate::ingest::dispatch`], the same code the in-process adapter runs:
 //!   a submit is planned, committed and journaled on the reactor under its
 //!   tenant's lock, and its `SubmitAck` and `PlanReply` land in the
 //!   connection's write buffer back to back. Per-connection admission
@@ -29,12 +28,11 @@
 //!   reactor. A planner panic does not: it is caught at the tenant, which
 //!   answers `ServiceDied` from then on, and the reactor keeps serving.
 //! * **Rate limiting and drain** — the per-connection token bucket runs
-//!   per inbound frame before any tenant lookup, exactly as in
-//!   [`crate::ingest`]; on shutdown the acceptor stops, reactors stop
-//!   reading, flush what they already wrote into buffers (bounded by
+//!   per inbound frame before any tenant lookup, inside
+//!   [`crate::ingest::dispatch`]; on shutdown the acceptor stops, reactors
+//!   stop reading, flush what they already wrote into buffers (bounded by
 //!   [`MuxConfig::drain_grace`]), and [`serve_tcp_mux`] returns so the
-//!   caller can [`TenantRegistry::drain_all`] and seal the WAL — the same
-//!   drain contract as [`crate::ingest::serve_tcp_graceful`].
+//!   caller can [`TenantRegistry::drain_all`] and seal the WAL.
 //!
 //! The self-pipe wakes a reactor for two things only: a connection handed
 //! over by the acceptor, and a record shipped to a log-tail subscriber.
@@ -130,7 +128,7 @@ const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 /// Block in `poll(2)` until `listener` has a connection to accept, or until
 /// [`POLL_TIMEOUT`] passes so the caller can re-check its shutdown flag. A
 /// socket that connects while the acceptor waits is accepted at once.
-pub(crate) fn wait_for_connection(listener: &TcpListener) -> std::io::Result<()> {
+fn wait_for_connection(listener: &TcpListener) -> std::io::Result<()> {
     let mut fds = [sys::PollFd {
         fd: listener.as_raw_fd(),
         events: sys::POLLIN,
@@ -158,8 +156,8 @@ pub struct MuxConfig {
     /// Reactor threads sharing the connections (the fixed thread pool);
     /// normalized up to 1.
     pub threads: usize,
-    /// Optional per-connection token-bucket rate limit — same semantics as
-    /// [`crate::ingest::serve_connection_limited`].
+    /// Optional per-connection token-bucket rate limit
+    /// ([`RateLimit`]).
     pub rate_limit: Option<RateLimit>,
     /// On shutdown, how long reactors keep flushing replies already
     /// written into connection buffers before closing the remaining
@@ -646,12 +644,10 @@ impl Reactor {
 }
 
 /// Accept TCP connections and serve them all from `config.threads` reactor
-/// threads until `shutdown` is set — the multiplexed counterpart of
-/// [`crate::ingest::serve_tcp_graceful`], with the same drain contract:
-/// once the flag is set the listener stops accepting, reactors flush what
-/// connected clients are still owed (bounded by [`MuxConfig::drain_grace`])
-/// and `serve_tcp_mux` returns `Ok(())` so the caller can drain tenants and
-/// seal the changeset log. `metrics` is shared so callers can snapshot
+/// threads until `shutdown` is set. Once the flag is set the listener
+/// stops accepting, reactors flush what connected clients are still owed
+/// (bounded by [`MuxConfig::drain_grace`]) and `serve_tcp_mux` returns
+/// `Ok(())` so the caller can drain tenants and seal the changeset log. `metrics` is shared so callers can snapshot
 /// reactor counters while the daemon serves.
 pub fn serve_tcp_mux(
     listener: TcpListener,
@@ -811,9 +807,7 @@ mod tests {
     #[test]
     fn full_protocol_round_trip_over_the_reactor() {
         let (addr, shutdown, metrics, srv, _registry) = start(MuxConfig::default());
-        let stream = TcpStream::connect(addr).expect("connect");
-        let reader = stream.try_clone().expect("clone");
-        let mut client = WireClient::new(reader, stream);
+        let mut client = WireClient::connect(addr).expect("connect");
         for id in 0..8u64 {
             client.submit("W-test", &req(id)).expect("submit acked");
         }
@@ -856,13 +850,13 @@ mod tests {
     /// 30 ms and at phases 2.5 ms apart, and time each connection's first
     /// `Metrics` reply. An acceptor that naps 25 ms whenever `accept` would
     /// block answers about one connection in five 20 ms late or worse.
-    fn assert_idle_acceptor_answers_at_once(addr: std::net::SocketAddr) {
+    #[test]
+    fn idle_mux_acceptor_answers_a_new_connection_at_once() {
+        let (addr, shutdown, _metrics, srv, _registry) = start(MuxConfig::default());
         for k in 0..10u64 {
             std::thread::sleep(Duration::from_micros(30_000 + 2_500 * k));
             let started = Instant::now();
-            let stream = TcpStream::connect(addr).expect("connect");
-            let reader = stream.try_clone().expect("clone");
-            let mut client = WireClient::new(reader, stream);
+            let mut client = WireClient::connect(addr).expect("connect");
             client.metrics("W-test").expect("metrics");
             let took = started.elapsed();
             assert!(
@@ -870,28 +864,6 @@ mod tests {
                 "connection {k}: first reply after {took:?}"
             );
         }
-    }
-
-    #[test]
-    fn idle_mux_acceptor_answers_a_new_connection_at_once() {
-        let (addr, shutdown, _metrics, srv, _registry) = start(MuxConfig::default());
-        assert_idle_acceptor_answers_at_once(addr);
-        shutdown.store(true, Ordering::SeqCst);
-        srv.join().expect("server thread").expect("serve ok");
-    }
-
-    #[test]
-    fn idle_thread_acceptor_answers_a_new_connection_at_once() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("local addr");
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let srv = {
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                crate::ingest::serve_tcp_graceful(listener, registry(), shutdown, None)
-            })
-        };
-        assert_idle_acceptor_answers_at_once(addr);
         shutdown.store(true, Ordering::SeqCst);
         srv.join().expect("server thread").expect("serve ok");
     }
@@ -902,9 +874,7 @@ mod tests {
             drain_grace: Duration::from_millis(200),
             ..MuxConfig::default()
         });
-        let stream = TcpStream::connect(addr).expect("connect");
-        let reader = stream.try_clone().expect("clone");
-        let mut client = WireClient::new(reader, stream);
+        let mut client = WireClient::connect(addr).expect("connect");
         client.submit("W-test", &req(0)).expect("submit acked");
         assert!(client.wait_plan(0).expect("plan reply").route().is_some());
         // Client keeps the socket open across shutdown: the reactor must
@@ -973,11 +943,7 @@ mod tests {
             },
             registry,
         );
-        let connect = || {
-            let stream = TcpStream::connect(addr).expect("connect");
-            let reader = stream.try_clone().expect("clone");
-            WireClient::new(reader, stream)
-        };
+        let connect = || WireClient::connect(addr).expect("connect");
         let mut doomed = connect();
         let mut healthy = connect();
         for id in 0..2u64 {

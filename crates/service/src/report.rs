@@ -4,7 +4,7 @@
 //! bundles the runs of one invocation. The schema is versioned so the CI
 //! artifact trail stays parseable as fields accrue.
 
-use crate::loadgen::LoadScenario;
+use crate::loadgen::{LoadScenario, RawRun};
 use crate::service::ServiceMetrics;
 use crate::tenant::WireCounters;
 use carp_warehouse::planner::EngineMetrics;
@@ -91,48 +91,40 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Assemble a report from a finished run's raw pieces. `engine` is the
-    /// planner's post-shutdown view; it replaces the last mid-run one the
-    /// service snapshot carries.
-    #[allow(clippy::too_many_arguments)]
+    /// Assemble a report from a finished run's raw outcome and the
+    /// tenant's metrics, fetched over the wire. `engine` is the planner's
+    /// post-shutdown view; it replaces the last mid-run one the service
+    /// snapshot carries.
     pub(crate) fn build(
         scenario: &LoadScenario,
-        tenant: String,
-        final_routes: &HashMap<RequestId, Route>,
+        raw: &RawRun,
         mut service: ServiceMetrics,
         wire: WireCounters,
         engine: Option<EngineMetrics>,
-        wall_secs: f64,
-        completed: usize,
-        failed_requests: usize,
-        refused_requests: usize,
-        backpressure_retries: u64,
-        audit_conflicts: usize,
-        makespan: Time,
     ) -> Self {
         service.engine = engine;
-        let throughput_rps = if wall_secs > 0.0 {
-            service.planned as f64 / wall_secs
+        let throughput_rps = if raw.wall_secs > 0.0 {
+            service.planned as f64 / raw.wall_secs
         } else {
             0.0
         };
         LoadReport {
             scenario: scenario.name.clone(),
-            tenant,
+            tenant: scenario.name.clone(),
             rate_multiplier: scenario.rate_multiplier,
             seed: scenario.seed,
             tasks: scenario.tasks.len(),
-            completed,
+            completed: raw.completed,
             requests: service.submitted as usize,
-            failed_requests,
-            refused_requests,
-            backpressure_retries,
+            failed_requests: raw.failed_requests,
+            refused_requests: raw.refused_requests,
+            backpressure_retries: raw.backpressure_retries,
             refusal_rate: service.refusal_rate(),
-            audit_conflicts,
-            makespan,
-            wall_secs,
+            audit_conflicts: raw.audit_conflicts,
+            makespan: raw.makespan,
+            wall_secs: raw.wall_secs,
             throughput_rps,
-            routes_digest: routes_digest(final_routes),
+            routes_digest: routes_digest(&raw.final_routes),
             service,
             wire,
         }
@@ -345,8 +337,8 @@ pub struct ConnLadderRung {
 }
 
 /// The `BENCH_service_mux.json` document: a connection-count ladder over
-/// the event-loop front-end, digest-gated against the legacy
-/// thread-per-connection path.
+/// the event-loop front-end, digest-gated against the same day driven
+/// in-process.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MuxBenchReport {
     /// Schema version (shares [`BENCH_VERSION`]).
@@ -355,8 +347,8 @@ pub struct MuxBenchReport {
     pub scenario: String,
     /// Reactor threads serving every rung.
     pub mux_threads: usize,
-    /// Digest of the same day driven through the legacy blocking
-    /// thread-per-connection path — the conformance reference.
+    /// Digest of the same day driven in-process through
+    /// [`crate::ingest::serve_connection`] — the conformance reference.
     pub baseline_digest: u64,
     /// Every rung's digest equals `baseline_digest` (the CI gate).
     pub digests_match: bool,

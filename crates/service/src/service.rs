@@ -1,8 +1,8 @@
 //! The service's vocabulary: tuning, per-request answers and metrics.
 //!
 //! There is no service thread. Each request runs to completion on the
-//! thread that decoded its frame (a connection thread in
-//! [`crate::ingest`], a reactor in `mux`), under its tenant's lock:
+//! thread that decoded its frame (a reactor in `mux`, or the in-process
+//! adapter's thread in [`crate::ingest`]), under its tenant's lock:
 //!
 //! ```text
 //!  frame decoded ──▶ tenant lock ──▶ deadline check, planner.plan(),

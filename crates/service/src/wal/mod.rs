@@ -31,13 +31,18 @@
 //!   planner recovery ([`replay::recover_planners`]), the log-level
 //!   strict audit ([`replay::audit_log`]), and `ReproBundle` derivation
 //!   ([`replay::bundle_from_log`]).
+//! * [`standby`] — the takeover path: [`standby::follow`] mirrors a
+//!   primary's log over the wire, [`standby::take_over`] audits a log and
+//!   then rebuilds its planners.
 
 pub mod log;
 pub mod record;
 pub mod replay;
+pub mod standby;
 
 pub use self::log::{read_log, LogSubscription, TenantJournal, WalConfig, WalJournal, WalStats};
 pub use self::record::{ChangeOp, ChangeRecord, LogTail, TenantSnapshot, WalSnapshot};
 pub use self::replay::{
     audit_log, bundle_from_log, recover_planners, requests_in_log, ReplayState,
 };
+pub use self::standby::{follow, take_over};

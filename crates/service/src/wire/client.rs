@@ -17,6 +17,7 @@ use carp_warehouse::route::Route;
 use carp_warehouse::types::Time;
 use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// Why a wire submission did not enter a tenant's queue.
@@ -71,6 +72,16 @@ pub struct WireClient<R: Read, W: Write> {
     writer: W,
     /// Plan replies that arrived while awaiting something else, by id.
     pending: HashMap<RequestId, PlanResponse>,
+}
+
+impl WireClient<TcpStream, TcpStream> {
+    /// Connect to a daemon over TCP, with Nagle off: every frame is a
+    /// small request that the client then waits on.
+    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(WireClient::new(stream.try_clone()?, stream))
+    }
 }
 
 impl<R: Read, W: Write> WireClient<R, W> {

@@ -7,10 +7,10 @@
 //! interference can change wall-clock numbers but never a route. Checked
 //! with zero audited collisions throughout.
 //!
-//! A TCP smoke rides along: the same frames over a real socket, proving
-//! the `--listen` path is the in-process path.
+//! A TCP smoke rides along: the same frames over a real socket, served
+//! by the event-loop front-end behind `--listen`, proving that path speaks
+//! the in-process protocol.
 
-use carp_service::ingest::serve_tcp_connection;
 use carp_service::loadgen::{run_load, run_load_multi, LoadScenario, TenantLoad};
 use carp_service::service::{PlanResponse, ServiceConfig};
 use carp_service::tenant::TenantRegistry;
@@ -93,23 +93,30 @@ fn two_tenant_digests_match_single_tenant_runs() {
 
 /// The same protocol over a real TCP socket: submit a few requests, plan
 /// them, read metrics, and reject an unknown tenant — all through
-/// `serve_tcp_connection`.
+/// `serve_tcp_mux`, the daemon's TCP server.
+#[cfg(unix)]
 #[test]
 fn tcp_transport_speaks_the_same_protocol() {
+    use carp_service::{serve_tcp_mux, MuxConfig, MuxMetrics};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
     let layout = LayoutConfig::small().generate();
     let registry = Arc::new(TenantRegistry::new());
     registry.register("small", srp(&layout), cfg());
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr");
-    let server_registry = Arc::clone(&registry);
-    let server = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().expect("accept");
-        serve_tcp_connection(&server_registry, stream)
-    });
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let server = {
+        let registry = Arc::clone(&registry);
+        let shutdown = Arc::clone(&shutdown);
+        let metrics = Arc::new(MuxMetrics::default());
+        std::thread::spawn(move || {
+            serve_tcp_mux(listener, registry, shutdown, MuxConfig::default(), metrics)
+        })
+    };
 
-    let stream = std::net::TcpStream::connect(addr).expect("connect");
-    let mut client = WireClient::new(stream.try_clone().expect("clone stream"), stream);
+    let mut client = WireClient::connect(addr).expect("connect");
 
     let requests = generate_requests(&layout, 3, 1.0, 42);
     for request in &requests {
@@ -133,10 +140,11 @@ fn tcp_transport_speaks_the_same_protocol() {
     assert!(wire.frames_received >= requests.len() as u64);
     assert!(wire.frames_sent >= requests.len() as u64);
 
-    drop(client); // close both socket halves: server sees EOF
+    drop(client);
+    shutdown.store(true, Ordering::SeqCst);
     server
         .join()
         .expect("server thread")
-        .expect("clean connection shutdown");
+        .expect("mux exits clean");
     registry.remove("small").expect("tenant still registered");
 }

@@ -6,15 +6,15 @@
 //! set an uninterrupted run commits — with zero audited collisions — even
 //! when the log ends in a torn half-written record.
 
-use carp_service::ingest::{duplex, serve_connection_limited, RateLimit};
+use carp_service::ingest::RateLimit;
 use carp_service::loadgen::{run_load, run_load_recovery, LoadScenario};
 use carp_service::service::ServiceConfig;
 use carp_service::tenant::TenantRegistry;
-use carp_service::wal::{self, read_log, ChangeOp, LogTail, ReplayState, WalJournal};
+use carp_service::wal::{self, read_log, ChangeOp, ChangeRecord, LogTail, ReplayState, WalJournal};
 use carp_service::wire::{WireClient, WireError, WireSubmitError};
 use carp_simenv::audit::ReproBundle;
 use carp_simenv::SimConfig;
-use carp_warehouse::collision::IncrementalAuditor;
+use carp_warehouse::collision::{ConflictKind, IncrementalAuditor};
 use carp_warehouse::layout::LayoutConfig;
 use carp_warehouse::planner::{PlanOutcome, Planner, ReplayPlanner};
 use carp_warehouse::request::{QueryKind, Request, RequestId};
@@ -206,12 +206,47 @@ fn revisions_are_journaled_and_replayed() {
         assert_eq!(t.active[&id].1.start, 2, "request {id} not revised");
     }
 
-    let (planners, _) = wal::recover_planners(&open_slice, |_| RevisingPlanner::default());
+    let (planners, _) = wal::take_over(&open_slice, |_| RevisingPlanner::default())
+        .expect("journaled history passes the takeover audit");
     let recovered = &planners["rev"];
     assert_eq!(recovered.active.len(), 6);
     for id in 0..4u64 {
         assert_eq!(recovered.active[&id].start, 2);
     }
+}
+
+/// The standby's takeover refuses a log that certifies a collision: two
+/// commits that hold the same cell at the same tick fail the audit, and
+/// no planner is rebuilt from the log.
+#[test]
+fn takeover_refuses_a_log_whose_audit_fails_and_rebuilds_nothing() {
+    let record = |seq: u64, op: ChangeOp| ChangeRecord {
+        seq,
+        tenant: "w".to_string(),
+        op,
+    };
+    let commit = |id: RequestId| ChangeOp::Commit {
+        request: Request::new(id, 0, Cell::new(3, 3), Cell::new(3, 3), QueryKind::Pickup),
+        route: Route::new(0, vec![Cell::new(3, 3); 4]),
+    };
+    let records = vec![
+        record(1, ChangeOp::TenantOpen),
+        record(2, commit(1)),
+        record(3, commit(2)),
+    ];
+    let mut built = 0;
+    let refused = wal::take_over(&records, |_| {
+        built += 1;
+        RevisingPlanner::default()
+    });
+    let Err((tenant, conflict)) = refused else {
+        panic!("a colliding log must fail the takeover audit");
+    };
+    assert_eq!(tenant, "w");
+    assert_eq!(conflict.kind, ConflictKind::Vertex);
+    assert_eq!(conflict.cell, Cell::new(3, 3));
+    assert_eq!((conflict.existing, conflict.incoming), (1, 2));
+    assert_eq!(built, 0, "no planner may be rebuilt from a refused log");
 }
 
 /// Graceful drain: every tenant shut down in order, open/close bracketed
@@ -258,67 +293,10 @@ fn drain_all_closes_tenants_and_seals_the_log() {
     assert!(ReplayState::from_records(&records).tenants.is_empty());
 }
 
-/// Rate limiting: the bucket refuses the frame *with a typed verdict* —
-/// Throttled ack for submits, Throttled error reply for control frames —
-/// and recovers once tokens refill.
-#[test]
-fn rate_limited_connection_gets_typed_refusals_then_recovers() {
-    let registry = Arc::new(TenantRegistry::new());
-    registry.register(
-        "rl".to_string(),
-        RevisingPlanner::default(),
-        ServiceConfig::default(),
-    );
-    let ((client_read, client_write), (server_read, server_write)) = duplex();
-    let server_registry = Arc::clone(&registry);
-    let server = std::thread::spawn(move || {
-        serve_connection_limited(
-            &server_registry,
-            server_read,
-            server_write,
-            Some(RateLimit {
-                burst: 1,
-                per_sec: 40.0,
-            }),
-        )
-    });
-    let mut client = WireClient::new(client_read, client_write);
-
-    let req = |id: u64| Request::new(id, 0, Cell::new(0, 0), Cell::new(1, 1), QueryKind::Pickup);
-    // Token 1: accepted.
-    client
-        .submit("rl", &req(1))
-        .expect("first submit fits the burst");
-    // Bucket empty: a submit gets a Throttled *ack* with a retry hint.
-    let retry_after = match client.submit("rl", &req(2)) {
-        Err(WireSubmitError::Throttled { retry_after }) => retry_after,
-        other => panic!("expected Throttled, got {other:?}"),
-    };
-    // Never zero or sub-clamp: a zero hint turns a well-behaved client
-    // into a hot spin against a daemon that is actively throttling it.
-    assert!(retry_after >= RateLimit::MIN_RETRY_AFTER);
-    // A control frame while throttled gets the typed error reply.
-    match client.advance("rl", 1) {
-        Err(WireError::Throttled) => {}
-        other => panic!("expected WireError::Throttled, got {other:?}"),
-    }
-    // Refill (25 ms/token at 40/s, plus slack) and the connection works
-    // again — throttling never kills the session.
-    std::thread::sleep(retry_after + std::time::Duration::from_millis(100));
-    client.submit("rl", &req(2)).expect("submit after refill");
-    client.wait_plan(1).expect("reply for request 1");
-    client.wait_plan(2).expect("reply for request 2");
-    drop(client);
-    server
-        .join()
-        .expect("server thread")
-        .expect("clean connection end");
-}
-
-/// The same typed throttling contract holds on the event-loop front-end:
-/// a saturated connection served by the reactor gets a Throttled *ack*
-/// with a retry hint (and a Throttled error reply for control frames),
-/// and the session survives to work again once the bucket refills.
+/// Rate limiting on the event-loop front-end: the bucket refuses the
+/// frame *with a typed verdict* — a Throttled *ack* with a retry hint for
+/// submits, a Throttled error reply for control frames — and the session
+/// survives to work again once the bucket refills.
 #[cfg(unix)]
 #[test]
 fn mux_rate_limited_connection_gets_typed_refusals_then_recovers() {
@@ -355,9 +333,7 @@ fn mux_rate_limited_connection_gets_typed_refusals_then_recovers() {
             )
         })
     };
-    let stream = std::net::TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut client = WireClient::new(stream.try_clone().expect("clone read half"), stream);
+    let mut client = WireClient::connect(addr).expect("connect");
 
     let req = |id: u64| Request::new(id, 0, Cell::new(0, 0), Cell::new(1, 1), QueryKind::Pickup);
     client
@@ -446,11 +422,7 @@ fn sigterm_mid_churn_drains_every_tenant_and_seals_the_wal() {
         })
         .collect();
 
-    let connect_client = || {
-        let stream = std::net::TcpStream::connect(addr).expect("connect to daemon");
-        stream.set_nodelay(true).expect("nodelay");
-        WireClient::new(stream.try_clone().expect("clone read half"), stream)
-    };
+    let connect_client = || WireClient::connect(addr).expect("connect to daemon");
     // Guarantee journaled commits before the signal fires.
     let mut warm = connect_client();
     for id in 0..3u64 {
