@@ -121,7 +121,8 @@ const USAGE: &str = "usage: carp-service [options]
                       record into the --wal journal; when the primary's
                       stream ends, strict-audit the shipped copy, bump the
                       leadership epoch (fencing the old primary), rebuild
-                      each tenant's planner, and serve on --listen
+                      each tenant's planner, and serve on --listen; if no
+                      record ships within a few seconds, exit 1 instead
   --rate-limit N      per-connection token bucket: burst N frames, refill
                       N frames/s; excess gets a typed Throttled refusal
   --recovery PATH     crash-recovery bench: drive the day three ways (WAL
@@ -440,6 +441,12 @@ fn run_daemon(addr: &str, profiles: &[TenantDayProfile], cfg: ServiceConfig, opt
         let mut records = Vec::new();
         match wal::follow(primary.as_str(), &journal, &mut records) {
             Ok(()) => eprintln!("carp-service: standby: primary closed the stream"),
+            // Nothing shipped: this standby never subscribed, and serving
+            // now would make a second, empty primary.
+            Err(e) if records.is_empty() => {
+                eprintln!("carp-service: standby: no log shipped from {primary} ({e}); exiting");
+                std::process::exit(1);
+            }
             Err(e) => eprintln!("carp-service: standby: log tail from {primary} failed: {e}"),
         }
         (Some(journal), Some(records))
@@ -469,7 +476,7 @@ fn run_daemon(addr: &str, profiles: &[TenantDayProfile], cfg: ServiceConfig, opt
 
     let mut recovered: HashMap<String, SrpPlanner> = HashMap::new();
     if let (Some(journal), Some(records)) = (&journal, takeover) {
-        let (planners, state) = wal::take_over(&records, |id| {
+        let planners = wal::take_over(&records, |id| {
             let Some(layout) = layouts.get(id) else {
                 eprintln!("carp-service: standby: log names tenant {id} not in --tenants");
                 std::process::exit(2);
@@ -480,6 +487,7 @@ fn run_daemon(addr: &str, profiles: &[TenantDayProfile], cfg: ServiceConfig, opt
             eprintln!("carp-service: standby: log fails audit for {tenant}: {conflict:?}");
             std::process::exit(1);
         });
+        let last_seq = records.last().map_or(0, |r| r.seq);
         if opts.follow.is_some() {
             // The epoch bump fences the old primary's handles.
             let epoch = journal.bump_epoch();
@@ -487,14 +495,14 @@ fn run_daemon(addr: &str, profiles: &[TenantDayProfile], cfg: ServiceConfig, opt
                 "carp-service: standby: taking over at epoch {epoch} — {} shipped records \
                  (seq {}) for {} tenant(s)",
                 records.len(),
-                state.last_seq,
+                last_seq,
                 planners.len()
             );
         } else {
             eprintln!(
                 "carp-service: standby: replayed {} records (seq {}) for {} tenant(s) from {}",
                 records.len(),
-                state.last_seq,
+                last_seq,
                 planners.len(),
                 journal.path().display()
             );

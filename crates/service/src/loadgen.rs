@@ -590,7 +590,7 @@ fn standby_planner<P: ReplayPlanner>(
     records: &[ChangeRecord],
     make_planner: &mut impl FnMut() -> P,
 ) -> P {
-    let (mut planners, _state) =
+    let mut planners =
         wal::take_over(records, |_| make_planner()).unwrap_or_else(|(tenant, conflict)| {
             panic!("changeset log fails audit for tenant {tenant}: {conflict:?}")
         });

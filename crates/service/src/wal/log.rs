@@ -1,5 +1,4 @@
-//! The file-backed journal: append, fsync discipline, torn-tail repair,
-//! and snapshot compaction.
+//! The file-backed journal: append, fsync discipline and torn-tail repair.
 //!
 //! One [`WalJournal`] serves the whole daemon — all tenants share a single
 //! append-only file and one monotonic sequence, which is what gives the
@@ -16,34 +15,33 @@
 //! does, in group-commit fashion:
 //!
 //! * **Trigger.** An append that leaves at least half of
-//!   [`WalConfig::fsync_every`] records unsynced wakes the syncer, unless
+//!   [`FSYNC_EVERY`] records unsynced wakes the syncer, unless
 //!   a sync is already running. The syncer captures the last written
 //!   record and syncs without holding the append lock; on success the
 //!   watermark moves to the captured record, and the syncer goes again at
 //!   once if half a cadence is unsynced by then.
 //! * **Bound.** An append returns only once its own record is fewer than
-//!   `fsync_every` records past the watermark; until then it waits for
+//!   `FSYNC_EVERY` records past the watermark; until then it waits for
 //!   the syncer, *after* releasing the append lock, so other tenants'
 //!   appends, [`WalJournal::tail`] and [`WalJournal::last_seq`] never
 //!   queue behind one `fdatasync`. So, as with an inline `fsync` every
-//!   `fsync_every` appends, at most `fsync_every − 1` records of returned
+//!   `FSYNC_EVERY` appends, at most `FSYNC_EVERY − 1` records of returned
 //!   appends are ever exposed to an OS crash ([`WalStats::max_unsynced`]
 //!   records the worst gap an append returned with).
 //! * **Synchronous paths.** [`WalJournal::sync`], [`WalJournal::seal`],
-//!   [`WalJournal::bump_epoch`] (fencing must be durable) and compaction
-//!   sync inline and advance the watermark themselves.
+//!   and [`WalJournal::bump_epoch`] (fencing must be durable) sync inline
+//!   and advance the watermark themselves.
 //! * **Failures.** A failed `fdatasync` is counted in
 //!   [`WalStats::append_errors`] and leaves the watermark where it was;
 //!   the next trigger retries. An append waiting on the bound is released
 //!   by the failure rather than hanging the pipeline, so a failing disk
-//!   shows up as `max_unsynced ≥ fsync_every`, never as a silently reset
+//!   shows up as `max_unsynced ≥ FSYNC_EVERY`, never as a silently reset
 //!   counter.
 //!
 //! A torn final record — the crash-mid-append case — is repaired on
 //! [`WalJournal::open_append`] by truncating to the last intact record.
 
 use super::record::{decode_records, encode_record, ChangeOp, ChangeRecord, LogTail};
-use super::replay::ReplayState;
 use crate::wire::WireError;
 use carp_warehouse::request::{Request, RequestId};
 use carp_warehouse::route::Route;
@@ -59,11 +57,10 @@ use std::thread::JoinHandle;
 /// Durability invariant: a log file's *existence* is only durable once its
 /// parent directory has been fsynced. `sync_all` on the file descriptor
 /// persists the file's contents and inode, but the directory entry naming
-/// it lives in the directory's own blocks — a crash right after creation,
-/// truncation-repair, or a compaction rename can otherwise resurrect the
-/// old name or lose the file entirely. Every point that creates, replaces,
-/// or shrinks the log file calls this on the parent before declaring the
-/// operation durable.
+/// it lives in the directory's own blocks — a crash right after creation
+/// or truncation-repair can otherwise resurrect the old file or lose it
+/// entirely. Every point that creates or shrinks the log file calls this
+/// on the parent before declaring the operation durable.
 fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     let dir = match path.parent() {
         Some(d) if !d.as_os_str().is_empty() => d,
@@ -72,28 +69,14 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// Journal tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct WalConfig {
-    /// The durability bound: no append returns with this many or more
-    /// written-but-unsynced records. The background syncer starts at
-    /// half of it; `seal`, `sync`, `bump_epoch` and compaction always
-    /// sync. `0` behaves as `1`.
-    pub fsync_every: u64,
-    /// Rewrite the log as one snapshot record every this many appends;
-    /// `None` (the default) compacts only on explicit
-    /// [`WalJournal::compact`] calls.
-    pub snapshot_every: Option<u64>,
-}
+/// The durability bound: no append returns with this many or more
+/// written-but-unsynced records. `seal`, `sync` and `bump_epoch` always
+/// sync.
+pub const FSYNC_EVERY: u64 = 64;
 
-impl Default for WalConfig {
-    fn default() -> Self {
-        WalConfig {
-            fsync_every: 64,
-            snapshot_every: None,
-        }
-    }
-}
+/// Unsynced records at which an append wakes the syncer: half the bound,
+/// so a sync usually lands before any append has to wait.
+const SYNC_TRIGGER: u64 = FSYNC_EVERY / 2;
 
 /// Counters describing the journal's life so far (all monotonic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -104,8 +87,6 @@ pub struct WalStats {
     pub bytes: u64,
     /// Successful `fsync` calls, background and synchronous together.
     pub fsyncs: u64,
-    /// Compaction rewrites performed.
-    pub compactions: u64,
     /// Appends or syncs that failed at the I/O layer (the daemon keeps
     /// planning; durability is degraded and the operator must act).
     pub append_errors: u64,
@@ -116,8 +97,8 @@ pub struct WalStats {
     /// successful `fsync` (0 = none yet).
     pub durable_seq: u64,
     /// The largest gap between an append's own record and the watermark
-    /// when the append returned. Below [`WalConfig::fsync_every`] unless a
-    /// sync failed.
+    /// when the append returned. Below [`FSYNC_EVERY`] unless a sync
+    /// failed.
     pub max_unsynced: u64,
 }
 
@@ -125,7 +106,9 @@ struct Inner {
     /// Shared with the syncer, which only ever calls `sync_data` on it.
     file: Arc<File>,
     next_seq: u64,
-    state: ReplayState,
+    /// The leadership epoch: the largest [`ChangeOp::Epoch`] written so
+    /// far, 1 before the first.
+    epoch: u64,
 }
 
 /// What the append path and the syncer share. Lock order: the journal's
@@ -142,8 +125,6 @@ struct Durability {
 }
 
 struct SyncState {
-    /// The live log file, swapped by compaction.
-    file: Arc<File>,
     /// Records written so far, and the sequence number of the last one.
     written: u64,
     written_seq: u64,
@@ -167,10 +148,9 @@ impl SyncState {
 }
 
 impl Durability {
-    fn new(file: Arc<File>, durable_seq: u64) -> Self {
+    fn new(durable_seq: u64) -> Self {
         Durability {
             state: Mutex::new(SyncState {
-                file,
                 written: 0,
                 written_seq: durable_seq,
                 durable: 0,
@@ -202,9 +182,8 @@ impl Durability {
     }
 
     /// Fold the outcome of a sync that covered `(written, written_seq)`
-    /// into the watermark. Both fields only ever grow: a sync of the
-    /// pre-compaction file may finish after compaction already moved
-    /// them further.
+    /// into the watermark. Both fields only ever grow: a background sync
+    /// may finish after an inline one that covered more.
     fn settle(&self, st: &mut SyncState, covered: (u64, u64), res: std::io::Result<()>) {
         match res {
             Ok(()) => {
@@ -224,7 +203,7 @@ impl Durability {
     /// The syncer thread: sleep until asked, sync the file as it stands
     /// without any journal lock, advance the watermark, and go again at
     /// once while half a cadence is unsynced.
-    fn run(&self, trigger: u64) {
+    fn run(&self, file: &File) {
         let mut st = self.lock();
         loop {
             while !st.requested && !st.shutdown {
@@ -235,7 +214,6 @@ impl Durability {
             }
             st.requested = false;
             st.running = true;
-            let file = Arc::clone(&st.file);
             let covered = (st.written, st.written_seq);
             drop(st);
             let res = file.sync_data();
@@ -243,7 +221,7 @@ impl Durability {
             st.running = false;
             let ok = res.is_ok();
             self.settle(&mut st, covered, res);
-            if ok && st.unsynced() >= trigger {
+            if ok && st.unsynced() >= SYNC_TRIGGER {
                 st.requested = true;
             }
         }
@@ -291,7 +269,6 @@ impl LogSubscription {
 /// The shared append-only changeset log.
 pub struct WalJournal {
     path: PathBuf,
-    config: WalConfig,
     inner: Mutex<Inner>,
     /// Live tail subscribers. Lock order: `inner` before `subs`, always.
     subs: Mutex<Vec<TailEntry>>,
@@ -299,7 +276,6 @@ pub struct WalJournal {
     syncer: Option<JoinHandle<()>>,
     appends: AtomicU64,
     bytes: AtomicU64,
-    compactions: AtomicU64,
     fenced_appends: AtomicU64,
 }
 
@@ -337,14 +313,6 @@ impl std::fmt::Debug for WalJournal {
 impl WalJournal {
     /// Create a fresh (truncated) journal at `path`.
     pub fn create(path: impl Into<PathBuf>) -> std::io::Result<Arc<WalJournal>> {
-        Self::create_with(path, WalConfig::default())
-    }
-
-    /// Create a fresh journal with explicit tuning.
-    pub fn create_with(
-        path: impl Into<PathBuf>,
-        config: WalConfig,
-    ) -> std::io::Result<Arc<WalJournal>> {
         let path = path.into();
         let file = OpenOptions::new()
             .create(true)
@@ -355,55 +323,40 @@ impl WalJournal {
         // directory entry (or the truncation of a prior incarnation) must
         // survive a crash before any append is trusted to.
         sync_parent_dir(&path)?;
-        Self::start(path, config, file, 1, ReplayState::default())
+        Self::start(path, file, 1, 1)
     }
 
     /// Wrap an open log file whose records up to `next_seq − 1` are
     /// already durable, and start its syncer.
     fn start(
         path: PathBuf,
-        config: WalConfig,
         file: File,
         next_seq: u64,
-        state: ReplayState,
+        epoch: u64,
     ) -> std::io::Result<Arc<WalJournal>> {
         let file = Arc::new(file);
-        let durability = Arc::new(Durability::new(Arc::clone(&file), next_seq - 1));
+        let durability = Arc::new(Durability::new(next_seq - 1));
         let syncer = {
             let durability = Arc::clone(&durability);
-            let trigger = Self::trigger(&config);
+            let file = Arc::clone(&file);
             std::thread::Builder::new()
                 .name("wal-syncer".into())
-                .spawn(move || durability.run(trigger))?
+                .spawn(move || durability.run(&file))?
         };
         Ok(Arc::new(WalJournal {
             path,
-            config,
             inner: Mutex::new(Inner {
                 file,
                 next_seq,
-                state,
+                epoch,
             }),
             subs: Mutex::new(Vec::new()),
             durability,
             syncer: Some(syncer),
             appends: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
             fenced_appends: AtomicU64::new(0),
         }))
-    }
-
-    /// The durability bound: appends never return with this many
-    /// unsynced records.
-    fn bound(config: &WalConfig) -> u64 {
-        config.fsync_every.max(1)
-    }
-
-    /// Unsynced records at which an append wakes the syncer: half the
-    /// bound, so a sync usually lands before any append has to wait.
-    fn trigger(config: &WalConfig) -> u64 {
-        (Self::bound(config) / 2).max(1)
     }
 
     /// Open an existing journal for appending: decode its intact prefix,
@@ -412,14 +365,6 @@ impl WalJournal {
     /// the tail looked before repair.
     pub fn open_append(
         path: impl Into<PathBuf>,
-    ) -> std::io::Result<(Arc<WalJournal>, Vec<ChangeRecord>, LogTail)> {
-        Self::open_append_with(path, WalConfig::default())
-    }
-
-    /// [`WalJournal::open_append`] with explicit tuning.
-    pub fn open_append_with(
-        path: impl Into<PathBuf>,
-        config: WalConfig,
     ) -> std::io::Result<(Arc<WalJournal>, Vec<ChangeRecord>, LogTail)> {
         let path = path.into();
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
@@ -438,9 +383,15 @@ impl WalJournal {
             file.sync_data()?;
         }
         file.seek(SeekFrom::End(0))?;
-        let state = ReplayState::from_records(&records);
         let next_seq = records.last().map_or(1, |r| r.seq + 1);
-        let journal = Self::start(path, config, file, next_seq, state)?;
+        let epoch = records
+            .iter()
+            .filter_map(|r| match r.op {
+                ChangeOp::Epoch(epoch) => Some(epoch),
+                _ => None,
+            })
+            .fold(1, u64::max);
+        let journal = Self::start(path, file, next_seq, epoch)?;
         Ok((journal, records, tail))
     }
 
@@ -466,7 +417,7 @@ impl WalJournal {
     /// rejected instead of corrupting the journal.
     pub fn append_at(&self, epoch: u64, tenant: &str, op: ChangeOp) -> Result<u64, WireError> {
         let mut inner = self.inner.lock().expect("wal lock poisoned");
-        let current = inner.state.epoch;
+        let current = inner.epoch;
         if epoch < current {
             self.fenced_appends.fetch_add(1, Ordering::Relaxed);
             return Err(WireError::Fenced {
@@ -482,7 +433,7 @@ impl WalJournal {
 
     /// The journal's current leadership epoch (1 until the first bump).
     pub fn epoch(&self) -> u64 {
-        self.inner.lock().expect("wal lock poisoned").state.epoch
+        self.inner.lock().expect("wal lock poisoned").epoch
     }
 
     /// Bump the leadership epoch by one: journal an [`ChangeOp::Epoch`]
@@ -492,7 +443,7 @@ impl WalJournal {
     /// off from then on.
     pub fn bump_epoch(&self) -> u64 {
         let mut inner = self.inner.lock().expect("wal lock poisoned");
-        let next = inner.state.epoch + 1;
+        let next = inner.epoch + 1;
         // The inline sync covers the bump, so there is no bound to wait on.
         self.append_locked(&mut inner, "", ChangeOp::Epoch(next));
         self.sync_locked(&inner);
@@ -503,16 +454,14 @@ impl WalJournal {
     /// log-wide sequence number (the standby's side of live shipping).
     /// Returns `false` when `rec.seq` is not past the journal's last
     /// sequence — duplicate delivery after a tail reconnect is skipped,
-    /// not an error.
+    /// not an error. A shipped [`ChangeOp::Epoch`] raises the journal's
+    /// epoch, so a standby fences what its primary fenced.
     pub fn append_record(&self, rec: &ChangeRecord) -> bool {
         let mut inner = self.inner.lock().expect("wal lock poisoned");
         if rec.seq < inner.next_seq {
             return false;
         }
-        inner.next_seq = rec.seq + 1;
-        inner.state.apply(rec);
-        let written = self.write_locked(&inner, rec);
-        self.ship_to_subs(rec);
+        let written = self.push_locked(&mut inner, rec);
         drop(inner);
         self.await_bound(written);
         true
@@ -522,31 +471,30 @@ impl WalJournal {
     /// write index for [`WalJournal::await_bound`], which the caller runs
     /// after releasing `inner`.
     fn append_locked(&self, inner: &mut Inner, tenant: &str, op: ChangeOp) -> (u64, Option<u64>) {
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
         let rec = ChangeRecord {
-            seq,
+            seq: inner.next_seq,
             tenant: tenant.to_string(),
             op,
         };
-        inner.state.apply(&rec);
-        let written = self.write_locked(inner, &rec);
+        (rec.seq, self.push_locked(inner, &rec))
+    }
+
+    /// Take `rec` as the journal's next record: advance the sequence and
+    /// the epoch, write it, and ship it. Returns its write index.
+    fn push_locked(&self, inner: &mut Inner, rec: &ChangeRecord) -> Option<u64> {
+        inner.next_seq = rec.seq + 1;
+        if let ChangeOp::Epoch(epoch) = rec.op {
+            // Epochs only move forward; a stale bump in the stream is
+            // ignored rather than rewinding the fence.
+            inner.epoch = inner.epoch.max(epoch);
+        }
+        let written = self.write_locked(inner, rec);
         // Ship to live tail subscribers *under the append lock*: the
         // subscriber's queue order is exactly the journal's append order,
         // and a tail() registration can never miss a record between its
         // catch-up read and its first push.
-        self.ship_to_subs(&rec);
-        if let Some(every) = self.config.snapshot_every {
-            if seq.is_multiple_of(every) {
-                if let Err(e) = self.compact_locked(inner) {
-                    self.durability
-                        .append_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    eprintln!("carp-service: wal auto-compaction failed: {e}");
-                }
-            }
-        }
-        (seq, written)
+        self.ship_to_subs(rec);
+        written
     }
 
     /// Write `rec` through to the file and wake the syncer at half a
@@ -568,7 +516,7 @@ impl WalJournal {
         let mut st = d.lock();
         st.written += 1;
         st.written_seq = rec.seq;
-        if st.unsynced() >= Self::trigger(&self.config) {
+        if st.unsynced() >= SYNC_TRIGGER {
             d.request(&mut st);
         }
         Some(st.written)
@@ -576,23 +524,22 @@ impl WalJournal {
 
     /// Hold the durability bound for the record written at index
     /// `written`: wait, without any journal lock, until it is fewer than
-    /// `fsync_every` records past the watermark, or until a sync fails.
+    /// [`FSYNC_EVERY`] records past the watermark, or until a sync fails.
     fn await_bound(&self, written: Option<u64>) {
         let Some(written) = written else {
             return;
         };
         let d = &*self.durability;
-        let bound = Self::bound(&self.config);
         let mut st = d.lock();
         let failures = st.failures;
-        while written.saturating_sub(st.durable) >= bound && st.failures == failures {
+        while written.saturating_sub(st.durable) >= FSYNC_EVERY && st.failures == failures {
             d.request(&mut st);
             st = d.synced.wait(st).expect("wal sync lock poisoned");
         }
         let gap = written.saturating_sub(st.durable);
         debug_assert!(
-            gap < bound || st.failures != failures,
-            "append returned {gap} records past the watermark (bound {bound})"
+            gap < FSYNC_EVERY || st.failures != failures,
+            "append returned {gap} records past the watermark (bound {FSYNC_EVERY})"
         );
         st.max_unsynced = st.max_unsynced.max(gap);
     }
@@ -619,9 +566,8 @@ impl WalJournal {
 
     /// Subscribe to the journal's live append stream, starting at
     /// `from_seq`: returns every already-journaled record with
-    /// `seq >= from_seq` (the catch-up — on a compacted log this starts at
-    /// the snapshot record, which replays to the same state) plus a
-    /// [`LogSubscription`] that every later append is pushed into.
+    /// `seq >= from_seq` (the catch-up) plus a [`LogSubscription`] that
+    /// every later append is pushed into.
     /// `waker` is called (with no journal locks held by the *caller*)
     /// after each push — a reactor points it at its self-pipe.
     pub fn tail(
@@ -679,62 +625,6 @@ impl WalJournal {
         }
     }
 
-    /// Rewrite the log as a single snapshot record capturing the current
-    /// replay state; all prior history is dropped. Appends continue after
-    /// the snapshot with the sequence uninterrupted, so
-    /// `replay(snapshot ⊕ tail)` reconstructs the same state as replaying
-    /// the uncompacted log.
-    pub fn compact(&self) -> std::io::Result<()> {
-        let mut inner = self.inner.lock().expect("wal lock poisoned");
-        self.compact_locked(&mut inner)
-    }
-
-    fn compact_locked(&self, inner: &mut Inner) -> std::io::Result<()> {
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        let rec = ChangeRecord {
-            seq,
-            tenant: String::new(),
-            op: ChangeOp::Snapshot(inner.state.snapshot()),
-        };
-        inner.state.apply(&rec);
-        let bytes = encode_record(&rec);
-        let tmp = self.path.with_extension("wal-compact");
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, &self.path)?;
-        // See sync_parent_dir: the rename swapped the directory entry; a
-        // crash before the directory is synced could resurrect the
-        // pre-compaction file under the live name.
-        sync_parent_dir(&self.path)?;
-        // The handle followed the inode through the rename: it now *is*
-        // the live log file, positioned at its end. The syncer gets it
-        // too, and the watermark jumps to the snapshot, which is durable
-        // and covers everything before it.
-        inner.file = Arc::new(file);
-        {
-            let d = &*self.durability;
-            let mut st = d.lock();
-            st.file = Arc::clone(&inner.file);
-            st.written += 1;
-            st.written_seq = seq;
-            let covered = (st.written, seq);
-            d.settle(&mut st, covered, Ok(()));
-        }
-        self.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        // Tail subscribers get the snapshot record too: their replayed
-        // state jumps to the compaction point exactly like a late reader
-        // of the file would.
-        self.ship_to_subs(&rec);
-        Ok(())
-    }
-
     /// Snapshot of the journal's counters.
     pub fn stats(&self) -> WalStats {
         let d = &*self.durability;
@@ -746,7 +636,6 @@ impl WalJournal {
             appends: self.appends.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
             fsyncs: d.fsyncs.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
             append_errors: d.append_errors.load(Ordering::Relaxed),
             fenced_appends: self.fenced_appends.load(Ordering::Relaxed),
             durable_seq,
@@ -757,11 +646,6 @@ impl WalJournal {
     /// Sequence number of the last record appended (0 = empty log).
     pub fn last_seq(&self) -> u64 {
         self.inner.lock().expect("wal lock poisoned").next_seq - 1
-    }
-
-    /// Clone of the replay state implied by everything appended so far.
-    pub fn state(&self) -> ReplayState {
-        self.inner.lock().expect("wal lock poisoned").state.clone()
     }
 
     /// The log file's path.
@@ -878,23 +762,21 @@ mod tests {
     fn an_append_parked_on_the_bound_does_not_block_the_journal() {
         let path =
             std::env::temp_dir().join(format!("carp-wal-bound-unit-{}.wal", std::process::id()));
-        let journal = WalJournal::create_with(
-            &path,
-            WalConfig {
-                fsync_every: 1,
-                snapshot_every: None,
-            },
-        )
-        .expect("create journal");
+        let journal = WalJournal::create(&path).expect("create journal");
         // Pretend a sync is already running: requests are then left to it,
         // so nothing reaches the disk until the test lets the syncer go.
         journal.durability.lock().running = true;
+        // Fill the log to one record short of the bound; the next append
+        // is the one that must wait.
+        for _ in 1..FSYNC_EVERY {
+            journal.append("t", ChangeOp::TenantOpen);
+        }
 
         let appender = {
             let journal = Arc::clone(&journal);
             std::thread::spawn(move || journal.append("t", ChangeOp::TenantOpen))
         };
-        while journal.durability.lock().written < 1 {
+        while journal.durability.lock().written < FSYNC_EVERY {
             std::thread::yield_now();
         }
         std::thread::sleep(Duration::from_millis(20));
@@ -909,13 +791,13 @@ mod tests {
             std::thread::spawn(move || {
                 let last = journal.last_seq();
                 let (catch_up, _sub) = journal.tail(1, || {}).expect("tail");
-                let _ = tx.send((last, catch_up.len()));
+                let _ = tx.send((last, catch_up.len() as u64));
             });
         }
         let (last, caught_up) = rx
             .recv_timeout(Duration::from_secs(10))
             .expect("last_seq and tail must not wait behind a parked append");
-        assert_eq!((last, caught_up), (1, 1));
+        assert_eq!((last, caught_up), (FSYNC_EVERY, FSYNC_EVERY));
         assert!(!appender.is_finished());
 
         {
@@ -924,10 +806,10 @@ mod tests {
             st.running = false;
             d.request(&mut st);
         }
-        assert_eq!(appender.join().expect("appender"), 1);
+        assert_eq!(appender.join().expect("appender"), FSYNC_EVERY);
         let stats = journal.stats();
-        assert!(stats.durable_seq >= 1);
-        assert_eq!(stats.max_unsynced, 0);
+        assert_eq!(stats.durable_seq, FSYNC_EVERY);
+        assert_eq!(stats.max_unsynced, FSYNC_EVERY - 1);
         drop(journal);
         let _ = std::fs::remove_file(&path);
     }

@@ -13,11 +13,11 @@
 //! runs on a syncer thread the journal owns, off the commit path. The
 //! journal's *durable watermark* is the highest sequence number a
 //! successful sync covers. An append wakes the syncer at half of
-//! [`log::WalConfig::fsync_every`] unsynced records and waits for the
-//! watermark only at a full one, so an append still never returns with
-//! `fsync_every` or more unsynced records. `sync`, `seal`, `bump_epoch`
-//! and compaction sync inline. A failed sync is counted and leaves the
-//! watermark where it was; the next trigger retries.
+//! [`log::FSYNC_EVERY`] unsynced records and waits for the watermark only
+//! at a full one, so an append never returns with `FSYNC_EVERY` or more
+//! unsynced records. `sync`, `seal` and `bump_epoch` sync inline. A
+//! failed sync is counted and leaves the watermark where it was; the
+//! next trigger retries.
 //!
 //! Layer map:
 //!
@@ -25,8 +25,8 @@
 //!   [`record::ChangeOp`] vocabulary, and the torn-tail-tolerant decoder.
 //! * [`log`] — the file-backed [`log::WalJournal`] (append, the
 //!   background syncer and its durable watermark, torn-tail repair on
-//!   open, snapshot compaction) and the
-//!   per-tenant [`log::TenantJournal`] handle the pipelines hold.
+//!   open, the leadership epoch) and the per-tenant
+//!   [`log::TenantJournal`] handle the pipelines hold.
 //! * [`replay`] — pure state folding ([`replay::ReplayState`]), standby
 //!   planner recovery ([`replay::recover_planners`]), the log-level
 //!   strict audit ([`replay::audit_log`]), and `ReproBundle` derivation
@@ -40,9 +40,9 @@ pub mod record;
 pub mod replay;
 pub mod standby;
 
-pub use self::log::{read_log, LogSubscription, TenantJournal, WalConfig, WalJournal, WalStats};
-pub use self::record::{ChangeOp, ChangeRecord, LogTail, TenantSnapshot, WalSnapshot};
+pub use self::log::{read_log, LogSubscription, TenantJournal, WalJournal, WalStats, FSYNC_EVERY};
+pub use self::record::{ChangeOp, ChangeRecord, LogTail};
 pub use self::replay::{
-    audit_log, bundle_from_log, recover_planners, requests_in_log, ReplayState,
+    audit_log, bundle_from_log, recover_planners, requests_in_log, ReplayState, TenantState,
 };
 pub use self::standby::{follow, take_over};

@@ -30,7 +30,6 @@ use crate::wire::WireError;
 use carp_warehouse::request::{QueryKind, Request, RequestId};
 use carp_warehouse::route::Route;
 use carp_warehouse::types::{Cell, Time};
-use std::collections::BTreeMap;
 
 /// Bytes in the fixed record header (length + CRC).
 pub const RECORD_HEADER_LEN: usize = 8;
@@ -51,45 +50,6 @@ pub fn crc32(data: &[u8]) -> u32 {
         }
     }
     !crc
-}
-
-/// One tenant's planning state as captured by a snapshot record: the
-/// replay-relevant residue of every record up to the snapshot point.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TenantSnapshot {
-    /// Simulated clock at the snapshot (last `Advance` applied).
-    pub now: Time,
-    /// Active (committed, not yet retired/cancelled) routes with the
-    /// requests that produced them.
-    pub active: BTreeMap<RequestId, (Request, Route)>,
-    /// Total commits journaled for this tenant.
-    pub committed: u64,
-    /// Total cancels journaled.
-    pub cancelled: u64,
-    /// Total route revisions journaled.
-    pub revised: u64,
-    /// Routes retired by clock advances.
-    pub retired: u64,
-}
-
-/// A full-state snapshot: per-tenant [`TenantSnapshot`]s. Written as a
-/// [`ChangeOp::Snapshot`] record at the head of a compacted log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalSnapshot {
-    /// Leadership epoch in force at the snapshot point — compaction must
-    /// not lose a fencing bump that preceded it.
-    pub epoch: u64,
-    /// State of every open tenant, keyed by tenant id.
-    pub tenants: BTreeMap<String, TenantSnapshot>,
-}
-
-impl Default for WalSnapshot {
-    fn default() -> Self {
-        WalSnapshot {
-            epoch: 1,
-            tenants: BTreeMap::new(),
-        }
-    }
 }
 
 /// The state transition a record carries.
@@ -125,8 +85,6 @@ pub enum ChangeOp {
         /// The replacement route.
         route: Route,
     },
-    /// A compaction snapshot: replaces all preceding history.
-    Snapshot(WalSnapshot),
     /// A leadership epoch bump: every later append is made under this
     /// epoch. A standby writes one at takeover; appends stamped with an
     /// older epoch are fenced off (refused) from then on.
@@ -142,19 +100,20 @@ impl ChangeOp {
             ChangeOp::Cancel { .. } => 4,
             ChangeOp::Advance { .. } => 5,
             ChangeOp::Revise { .. } => 6,
-            ChangeOp::Snapshot(_) => 7,
+            // 7 is retired (it framed whole-state snapshots); it is never
+            // reused, so older logs keep decoding as they always did.
             ChangeOp::Epoch(_) => 8,
         }
     }
 }
 
 /// One decoded log record: a sequence number, the tenant it belongs to
-/// (empty for [`ChangeOp::Snapshot`], which spans tenants), and the op.
+/// (empty for [`ChangeOp::Epoch`], which spans tenants), and the op.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChangeRecord {
     /// Strictly monotonic sequence number (log-wide, 1-based).
     pub seq: u64,
-    /// Owning tenant id; empty for snapshot records.
+    /// Owning tenant id; empty for epoch records.
     pub tenant: String,
     /// The state transition.
     pub op: ChangeOp,
@@ -235,54 +194,6 @@ fn get_route(r: &mut Reader<'_>) -> Result<Route, WireError> {
     Ok(Route::new(start, grids))
 }
 
-fn put_snapshot(w: &mut Writer, snap: &WalSnapshot) {
-    w.put_u64(snap.epoch);
-    w.put_u32(snap.tenants.len() as u32);
-    for (tenant, st) in &snap.tenants {
-        w.put_str16(tenant);
-        w.put_u32(st.now);
-        w.put_u64(st.committed);
-        w.put_u64(st.cancelled);
-        w.put_u64(st.revised);
-        w.put_u64(st.retired);
-        w.put_u32(st.active.len() as u32);
-        for (req, route) in st.active.values() {
-            put_request(w, req);
-            put_route(w, route);
-        }
-    }
-}
-
-fn get_snapshot(r: &mut Reader<'_>) -> Result<WalSnapshot, WireError> {
-    let epoch = r.u64()?;
-    if epoch == 0 {
-        return Err(WireError::Malformed("snapshot epoch zero"));
-    }
-    let ntenants = r.u32()? as usize;
-    let mut tenants = BTreeMap::new();
-    for _ in 0..ntenants {
-        let tenant = r.str16()?.to_string();
-        let mut st = TenantSnapshot {
-            now: r.u32()?,
-            committed: r.u64()?,
-            cancelled: r.u64()?,
-            revised: r.u64()?,
-            retired: r.u64()?,
-            ..TenantSnapshot::default()
-        };
-        let nactive = r.u32()? as usize;
-        for _ in 0..nactive {
-            let req = get_request(r)?;
-            let route = get_route(r)?;
-            st.active.insert(req.id, (req, route));
-        }
-        if tenants.insert(tenant, st).is_some() {
-            return Err(WireError::Malformed("duplicate tenant in snapshot"));
-        }
-    }
-    Ok(WalSnapshot { epoch, tenants })
-}
-
 /// Encode one record (header + payload) into a fresh buffer.
 pub fn encode_record(rec: &ChangeRecord) -> Vec<u8> {
     let mut w = Writer::new();
@@ -301,7 +212,6 @@ pub fn encode_record(rec: &ChangeRecord) -> Vec<u8> {
             w.put_u64(*id);
             put_route(&mut w, route);
         }
-        ChangeOp::Snapshot(snap) => put_snapshot(&mut w, snap),
         ChangeOp::Epoch(epoch) => w.put_u64(*epoch),
     }
     let payload = w.into_inner();
@@ -333,7 +243,6 @@ fn decode_payload(payload: &[u8]) -> Result<ChangeRecord, WireError> {
             let route = get_route(&mut r)?;
             ChangeOp::Revise { id, route }
         }
-        7 => ChangeOp::Snapshot(get_snapshot(&mut r)?),
         8 => {
             let epoch = r.u64()?;
             if epoch == 0 {
@@ -462,34 +371,6 @@ mod tests {
         let (got, tail) = decode_records(&buf);
         assert_eq!(tail, LogTail::Clean);
         assert_eq!(got, recs);
-    }
-
-    #[test]
-    fn snapshot_round_trips() {
-        let req = Request::new(9, 0, Cell::new(0, 0), Cell::new(1, 0), QueryKind::Return);
-        let mut snap = WalSnapshot {
-            epoch: 3,
-            ..WalSnapshot::default()
-        };
-        let mut st = TenantSnapshot {
-            now: 12,
-            committed: 3,
-            cancelled: 1,
-            revised: 2,
-            retired: 1,
-            ..TenantSnapshot::default()
-        };
-        st.active.insert(9, (req, sample_route()));
-        snap.tenants.insert("w".into(), st);
-        let rec = ChangeRecord {
-            seq: 42,
-            tenant: String::new(),
-            op: ChangeOp::Snapshot(snap),
-        };
-        let buf = encode_record(&rec);
-        let (got, tail) = decode_records(&buf);
-        assert_eq!(tail, LogTail::Clean);
-        assert_eq!(got, vec![rec]);
     }
 
     #[test]

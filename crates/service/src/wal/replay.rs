@@ -3,10 +3,9 @@
 //! Three consumers share the fold:
 //!
 //! * [`ReplayState`] — the pure, comparable residue of a log (active
-//!   routes, counters, clocks per tenant). The journal maintains one
-//!   incrementally so compaction can snapshot without re-reading the
-//!   file; the compaction proptest pins `replay(snapshot ⊕ tail) ==
-//!   live state`.
+//!   routes, counters, clocks per tenant, the epoch). Tests fold two logs
+//!   into it to compare them: a primary's file against a standby's, or a
+//!   file against the op stream that wrote it.
 //! * [`recover_planners`] — the warm standby: rebuilds real
 //!   [`ReplayPlanner`]s (committed segments, reservation layers and all)
 //!   by replaying adopt/cancel/advance/revise in log order.
@@ -20,20 +19,40 @@
 //! replay format: a bundle is just a log slice projected onto its
 //! requests (see [`bundle_from_log`]).
 
-use super::record::{ChangeOp, ChangeRecord, TenantSnapshot, WalSnapshot};
+use super::record::{ChangeOp, ChangeRecord};
 use carp_simenv::audit::ReproBundle;
 use carp_warehouse::collision::{AuditConflict, IncrementalAuditor};
 use carp_warehouse::layout::LayoutConfig;
 use carp_warehouse::planner::ReplayPlanner;
-use carp_warehouse::request::Request;
+use carp_warehouse::request::{Request, RequestId};
+use carp_warehouse::route::Route;
+use carp_warehouse::types::Time;
 use std::collections::BTreeMap;
+
+/// One tenant's replay-relevant residue of a record prefix.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct TenantState {
+    /// Simulated clock (last `Advance` applied).
+    pub now: Time,
+    /// Active (committed, not yet retired/cancelled) routes with the
+    /// requests that produced them.
+    pub active: BTreeMap<RequestId, (Request, Route)>,
+    /// Total commits journaled for this tenant.
+    pub committed: u64,
+    /// Total cancels journaled.
+    pub cancelled: u64,
+    /// Total route revisions journaled.
+    pub revised: u64,
+    /// Routes retired by clock advances.
+    pub retired: u64,
+}
 
 /// The replay-relevant residue of a record prefix: per-tenant state plus
 /// the last sequence number folded in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayState {
     /// Per-tenant state, keyed by tenant id. Closed tenants are removed.
-    pub tenants: BTreeMap<String, TenantSnapshot>,
+    pub tenants: BTreeMap<String, TenantState>,
     /// Sequence number of the last record applied (0 = none).
     pub last_seq: u64,
     /// Leadership epoch in force after the last record (1 when the log
@@ -99,23 +118,11 @@ impl ReplayState {
                     }
                 }
             }
-            ChangeOp::Snapshot(snap) => {
-                self.tenants = snap.tenants.clone();
-                self.epoch = self.epoch.max(snap.epoch);
-            }
             ChangeOp::Epoch(epoch) => {
                 // Epochs only move forward; a stale bump in the stream is
                 // ignored rather than rewinding the fence.
                 self.epoch = self.epoch.max(*epoch);
             }
-        }
-    }
-
-    /// Capture the state as a snapshot payload for compaction.
-    pub fn snapshot(&self) -> WalSnapshot {
-        WalSnapshot {
-            epoch: self.epoch,
-            tenants: self.tenants.clone(),
         }
     }
 }
@@ -126,26 +133,20 @@ impl ReplayState {
 /// the authoritative planner committed, so the replica's committed
 /// segments and reservations are bit-identical to the primary's at the
 /// moment of its last append.
-pub fn recover_planners<P, F>(
-    records: &[ChangeRecord],
-    mut factory: F,
-) -> (BTreeMap<String, P>, ReplayState)
+pub fn recover_planners<P, F>(records: &[ChangeRecord], mut factory: F) -> BTreeMap<String, P>
 where
     P: ReplayPlanner,
     F: FnMut(&str) -> P,
 {
     let mut planners: BTreeMap<String, P> = BTreeMap::new();
-    let mut state = ReplayState::default();
     // Revision records precede their Advance in the log (the journal
     // writes them in commit order), but planner replay must run the
     // advance *first* — the planner may propose its own revisions there,
     // which are discarded — and then re-impose the log's authoritative
     // revised routes via cancel + adopt. Buffer revisions per tenant
     // until that tenant's next Advance.
-    let mut pending_revisions: BTreeMap<String, Vec<(u64, carp_warehouse::route::Route)>> =
-        BTreeMap::new();
+    let mut pending_revisions: BTreeMap<String, Vec<(RequestId, Route)>> = BTreeMap::new();
     for rec in records {
-        state.apply(rec);
         match &rec.op {
             ChangeOp::TenantOpen => {
                 planners
@@ -183,18 +184,6 @@ where
                         .push((*id, route.clone()));
                 }
             }
-            ChangeOp::Snapshot(snap) => {
-                planners.clear();
-                pending_revisions.clear();
-                for (tenant, st) in &snap.tenants {
-                    let mut p = factory(tenant);
-                    for (req, route) in st.active.values() {
-                        p.adopt(req.id, route);
-                    }
-                    let _ = p.advance(st.now);
-                    planners.insert(tenant.clone(), p);
-                }
-            }
             // Epoch bumps carry no planning state.
             ChangeOp::Epoch(_) => {}
         }
@@ -209,7 +198,7 @@ where
             }
         }
     }
-    (planners, state)
+    planners
 }
 
 /// Strict collision audit of a decoded log: replay every tenant's route
@@ -253,15 +242,6 @@ pub fn audit_log(records: &[ChangeRecord]) -> Result<(), (String, AuditConflict)
                 let a = auditors.entry(rec.tenant.as_str()).or_default();
                 a.cancel(*id);
                 a.commit(*id, route).map_err(|c| (rec.tenant.clone(), c))?;
-            }
-            ChangeOp::Snapshot(snap) => {
-                auditors.clear();
-                for (tenant, st) in &snap.tenants {
-                    let a = auditors.entry(tenant.as_str()).or_default();
-                    for (req, route) in st.active.values() {
-                        a.commit(req.id, route).map_err(|c| (tenant.clone(), c))?;
-                    }
-                }
             }
             // Epoch bumps carry no routes to audit.
             ChangeOp::Epoch(_) => {}

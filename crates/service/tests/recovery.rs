@@ -206,7 +206,7 @@ fn revisions_are_journaled_and_replayed() {
         assert_eq!(t.active[&id].1.start, 2, "request {id} not revised");
     }
 
-    let (planners, _) = wal::take_over(&open_slice, |_| RevisingPlanner::default())
+    let planners = wal::take_over(&open_slice, |_| RevisingPlanner::default())
         .expect("journaled history passes the takeover audit");
     let recovered = &planners["rev"];
     assert_eq!(recovered.active.len(), 6);

@@ -7,15 +7,18 @@
 //! run's, with zero audited collisions — and the takeover must actually
 //! arm the epoch fence (a stale pre-takeover append is refused and
 //! counted, proving a resurrected primary could not corrupt the log).
+//! A standby that never subscribes must not take over at all.
 #![cfg(unix)]
 
 use carp_service::loadgen::{run_load_replication, LoadScenario};
 use carp_service::service::ServiceConfig;
+use carp_service::wal::{self, WalJournal};
 use carp_simenv::SimConfig;
 use carp_srp::{SrpConfig, SrpPlanner};
 use carp_warehouse::layout::LayoutConfig;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 struct ScratchLog(PathBuf);
 
@@ -82,4 +85,26 @@ fn network_standby_takeover_finishes_the_day_bit_identically() {
     assert!(report.primary.planned > 0, "primary planned nothing");
     assert!(report.replicated.service.planned > 0);
     assert!(report.wal_stats.appends > 0);
+}
+
+/// A standby whose primary never answers is refused, not promoted:
+/// `follow` to an address nobody listens on retries for a while, then
+/// returns an error with nothing shipped, the standby's journal empty and
+/// its epoch unbumped.
+#[test]
+fn follow_with_nothing_shipped_is_an_error() {
+    let addr = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.local_addr().expect("local addr")
+    };
+    let scratch = ScratchLog::new();
+    let journal = WalJournal::create(&scratch.0).expect("create standby log");
+    let mut shipped = Vec::new();
+    let started = Instant::now();
+    assert!(wal::follow(addr, &journal, &mut shipped).is_err());
+    // It retried for a while instead of giving up at the first refusal.
+    assert!(started.elapsed() >= Duration::from_secs(1));
+    assert!(shipped.is_empty());
+    assert_eq!(journal.last_seq(), 0);
+    assert_eq!(journal.epoch(), 1);
 }

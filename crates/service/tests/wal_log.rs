@@ -1,29 +1,30 @@
 //! Changeset-log robustness suite, mirroring the wire fuzz tests.
 //!
-//! Three families:
+//! Five families:
 //!
 //! * **Torn-tail / corruption fuzz** — cut a valid log anywhere or flip
 //!   any single byte: decoding must keep every record *before* the damage
 //!   bit-exactly, drop the rest, and never panic; `open_append` on the
 //!   damaged file must truncate the tail and accept new appends cleanly.
 //!
-//! * **Snapshot ⊕ tail ≡ live state** — drive a random op stream through
-//!   a journal with aggressive auto-compaction; re-reading the file
-//!   (snapshot record plus post-snapshot tail) must replay to exactly the
-//!   state the live journal tracked append-by-append.
+//! * **File ≡ op stream** — drive a random op stream through a journal;
+//!   the file, and a reopened journal's records and epoch, must replay to
+//!   exactly the state of the ops that were appended.
+//!
+//! * **Shipping ≡ file** — a standby fed over the wire ends with the
+//!   primary's last sequence, epoch and on-disk replay state.
 //!
 //! * **Append-after-recovery** — a journal reopened over a torn file
 //!   resumes the sequence without gaps or reuse.
 //!
 //! * **Durability bound** — the background syncer's watermark is
 //!   monotone, never passes the last record, and no append returns with
-//!   `fsync_every` or more unsynced records; the synchronous paths and
-//!   compaction leave it at the last record; dropping a journal joins its
-//!   syncer.
+//!   `FSYNC_EVERY` or more unsynced records; the synchronous paths leave
+//!   it at the last record; dropping a journal joins its syncer.
 
 use carp_service::wal::record::{decode_records, encode_record};
 use carp_service::wal::{
-    read_log, ChangeOp, ChangeRecord, LogTail, ReplayState, TenantJournal, WalConfig, WalJournal,
+    read_log, ChangeOp, ChangeRecord, LogTail, ReplayState, TenantJournal, WalJournal, FSYNC_EVERY,
 };
 use carp_service::wire::schema;
 use carp_service::wire::{write_frame, FrameDecoder, FrameKind, WireError};
@@ -86,9 +87,15 @@ fn request_strategy() -> impl Strategy<Value = Request> {
 }
 
 fn op_strategy() -> impl Strategy<Value = ChangeOp> {
-    // Commit is over-weighted (variants 5..=8) — it is the hot record kind.
-    (0u8..9, request_strategy(), route_strategy(), 0u32..300).prop_map(
-        |(variant, request, route, now)| match variant {
+    // Commit is over-weighted (variants 6..=9) — it is the hot record kind.
+    (
+        0u8..10,
+        request_strategy(),
+        route_strategy(),
+        0u32..300,
+        1u64..8,
+    )
+        .prop_map(|(variant, request, route, now, epoch)| match variant {
             0 => ChangeOp::TenantOpen,
             1 => ChangeOp::TenantClose,
             2 => ChangeOp::Cancel { id: request.id },
@@ -97,9 +104,9 @@ fn op_strategy() -> impl Strategy<Value = ChangeOp> {
                 id: request.id,
                 route,
             },
+            5 => ChangeOp::Epoch(epoch),
             _ => ChangeOp::Commit { request, route },
-        },
-    )
+        })
 }
 
 /// An encoded multi-record stream plus each record's end offset.
@@ -198,62 +205,56 @@ proptest! {
         journal.seal();
     }
 
-    /// snapshot ⊕ tail ≡ live: with auto-compaction rewriting the log
-    /// mid-stream, re-reading the file always replays to the exact state
-    /// the live journal accumulated.
+    /// file ≡ op stream: the file, and a reopened journal's records,
+    /// replay to exactly the state of the ops that were appended, and
+    /// both journals hold the stream's epoch.
     #[test]
-    fn snapshot_plus_tail_replays_to_live_state(
+    fn the_file_replays_to_the_appended_op_stream(
         ops in proptest::collection::vec((0u8..3, op_strategy()), 1..24),
-        snapshot_every in 1u64..8,
     ) {
         let scratch = ScratchLog::new();
-        let journal = WalJournal::create_with(
-            &scratch.0,
-            WalConfig {
-                fsync_every: 4,
-                snapshot_every: Some(snapshot_every),
-            },
-        )
-        .expect("create journal");
+        let journal = WalJournal::create(&scratch.0).expect("create journal");
+        let mut logical = Vec::new();
         for (tenant, op) in &ops {
-            journal.append(&format!("wh-{tenant}"), op.clone());
+            let tenant = format!("wh-{tenant}");
+            let seq = journal.append(&tenant, op.clone());
+            logical.push(ChangeRecord { seq, tenant, op: op.clone() });
         }
+        let expected = ReplayState::from_records(&logical);
+        prop_assert_eq!(journal.epoch(), expected.epoch);
         journal.seal();
-        let live = journal.state();
         drop(journal);
 
         let (records, tail) = read_log(&scratch.0).expect("read log");
         prop_assert_eq!(tail, LogTail::Clean);
-        let replayed = ReplayState::from_records(&records);
-        prop_assert_eq!(replayed, live);
+        prop_assert_eq!(ReplayState::from_records(&records), expected.clone());
 
         // And the reopened journal agrees too (the standby's view).
         let (journal, reopened, tail) = WalJournal::open_append(&scratch.0).expect("reopen");
         prop_assert_eq!(tail, LogTail::Clean);
-        prop_assert_eq!(journal.state(), ReplayState::from_records(&reopened));
+        prop_assert_eq!(ReplayState::from_records(&reopened), expected.clone());
+        prop_assert_eq!(journal.epoch(), expected.epoch);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Live shipping equivalence: a standby that replays
-    /// `snapshot ⊕ shipped tail` — records carried over the wire in
-    /// `LogChunk` frames, reassembled through the reactor's incremental
-    /// decoder at arbitrary read segmentation, with a mid-stream
-    /// disconnect re-delivering an overlapping suffix — ends bit-identical
-    /// to the primary: same live replay state, same last sequence number,
-    /// and its on-disk log replays to the same state as the primary's.
+    /// Live shipping equivalence: a standby that mirrors the shipped tail
+    /// — records carried over the wire in `LogChunk` frames, reassembled
+    /// through the reactor's incremental decoder at arbitrary read
+    /// segmentation, with a mid-stream disconnect re-delivering an
+    /// overlapping suffix — ends bit-identical to the primary: same epoch,
+    /// same last sequence number, and its on-disk log replays to the same
+    /// state as the primary's.
     ///
     /// The subscription may start anywhere in the history (`from_ppm`);
-    /// the standby seeds the skipped prefix with a synthetic snapshot
-    /// record, exactly as a real standby bootstraps from a state transfer
-    /// before tailing the live stream.
+    /// the standby already holds the prefix below it verbatim, as a
+    /// reconnecting follower has mirrored it before.
     #[test]
     fn shipped_tail_replays_to_primary_state(
         prefix in proptest::collection::vec((0u8..3, op_strategy()), 1..12),
         suffix in proptest::collection::vec((0u8..3, op_strategy()), 0..12),
-        snapshot_every in (0u64..3, 2u64..6).prop_map(|(on, n)| (on == 0).then_some(n)),
         from_ppm in 0u32..1_000_000,
         chunk_len in 1usize..5,
         split_ppm in 0u32..1_000_000,
@@ -262,15 +263,9 @@ proptest! {
     ) {
         let primary_path = ScratchLog::new();
         let standby_path = ScratchLog::new();
-        let primary = WalJournal::create_with(
-            &primary_path.0,
-            WalConfig { fsync_every: 4, snapshot_every },
-        )
-        .expect("create primary");
+        let primary = WalJournal::create(&primary_path.0).expect("create primary");
 
-        // History before the standby shows up. Track the logical records
-        // on the test side (auto-compaction may rewrite the file under
-        // us, but replaying the originals gives the same state).
+        // History before the standby shows up, tracked on the test side.
         let mut logical = Vec::new();
         for (tenant, op) in &prefix {
             let tenant = format!("wh-{tenant}");
@@ -285,16 +280,8 @@ proptest! {
         let (catch_up, sub) = primary.tail(from_seq, || {}).expect("subscribe");
 
         let standby = WalJournal::create(&standby_path.0).expect("create standby");
-        if from_seq > 1 {
-            // Bootstrap the skipped prefix as a snapshot record.
-            let state =
-                ReplayState::from_records(logical.iter().filter(|r| r.seq < from_seq));
-            let seeded = standby.append_record(&ChangeRecord {
-                seq: from_seq - 1,
-                tenant: String::new(),
-                op: ChangeOp::Snapshot(state.snapshot()),
-            });
-            prop_assert!(seeded);
+        for rec in logical.iter().filter(|r| r.seq < from_seq) {
+            prop_assert!(standby.append_record(rec));
         }
 
         // Live phase: these appends are pushed into the subscription.
@@ -319,9 +306,9 @@ proptest! {
         prop_assert_eq!(first, split);
         prop_assert_eq!(first + second, shipped.len() + overlap);
 
-        // Live state equivalence, then on-disk equivalence.
+        // Live equivalence, then on-disk equivalence.
         prop_assert_eq!(standby.last_seq(), primary.last_seq());
-        prop_assert_eq!(standby.state(), primary.state());
+        prop_assert_eq!(standby.epoch(), primary.epoch());
         primary.seal();
         standby.seal();
         let (p_records, p_tail) = read_log(&primary_path.0).expect("read primary");
@@ -427,14 +414,18 @@ fn stale_epoch_append_is_refused_with_typed_fenced_error() {
     journal.seal();
     drop(stale_handle);
     drop(journal);
-    let (reopened, _records, tail) = WalJournal::open_append(&scratch.0).expect("reopen");
+    let (reopened, records, tail) = WalJournal::open_append(&scratch.0).expect("reopen");
     assert_eq!(tail, LogTail::Clean);
     assert_eq!(reopened.epoch(), 2);
+    // The reopened watermark starts at the last record, and the sequence
+    // resumes right after it.
+    let last = records.last().map_or(0, |r| r.seq);
+    assert_eq!(reopened.last_seq(), last);
+    assert_eq!(reopened.stats().durable_seq, last);
     let fresh = TenantJournal::new(Arc::clone(&reopened), "wh-0");
     assert_eq!(fresh.epoch(), 2);
-    let before = reopened.last_seq();
     fresh.advance(11, &[]);
-    assert_eq!(reopened.last_seq(), before + 1);
+    assert_eq!(reopened.last_seq(), last + 1);
 }
 
 /// Reconnect dedup pin: `append_record` skips records at or below the
@@ -463,37 +454,30 @@ fn append_record_dedups_reconnect_overlap() {
     assert_eq!(records, vec![rec(1), rec(2), rec(3)]);
 }
 
-/// The group-commit bound at small cadences, where the syncer and the
-/// appender race hardest: over 2000 appends the watermark only grows,
-/// never passes the last record, and every append returns with fewer
-/// than `fsync_every` records unsynced.
+/// The group-commit bound: over many sync cycles the watermark only
+/// grows, never passes the last record, and every append returns with
+/// fewer than `FSYNC_EVERY` records unsynced.
 #[test]
 fn appends_never_return_past_the_durability_bound() {
-    for fsync_every in [2, 4] {
-        let scratch = ScratchLog::new();
-        let config = WalConfig {
-            fsync_every,
-            snapshot_every: None,
-        };
-        let journal = WalJournal::create_with(&scratch.0, config).expect("create");
-        let mut watermark = 0;
-        for now in 0..2000 {
-            let seq = journal.append("wh-0", ChangeOp::Advance { now });
-            let stats = journal.stats();
-            assert!(stats.durable_seq >= watermark, "watermark went back");
-            assert!(stats.durable_seq <= seq, "watermark passed the log");
-            assert!(
-                seq - stats.durable_seq < fsync_every,
-                "append {seq} returned with watermark {} (fsync_every {fsync_every})",
-                stats.durable_seq
-            );
-            watermark = stats.durable_seq;
-        }
+    let scratch = ScratchLog::new();
+    let journal = WalJournal::create(&scratch.0).expect("create");
+    let mut watermark = 0;
+    for now in 0..(32 * FSYNC_EVERY as u32) {
+        let seq = journal.append("wh-0", ChangeOp::Advance { now });
         let stats = journal.stats();
-        assert!(stats.max_unsynced < fsync_every, "{stats:?}");
-        assert!(stats.fsyncs > 0);
-        assert_eq!(stats.append_errors, 0);
+        assert!(stats.durable_seq >= watermark, "watermark went back");
+        assert!(stats.durable_seq <= seq, "watermark passed the log");
+        assert!(
+            seq - stats.durable_seq < FSYNC_EVERY,
+            "append {seq} returned with watermark {}",
+            stats.durable_seq
+        );
+        watermark = stats.durable_seq;
     }
+    let stats = journal.stats();
+    assert!(stats.max_unsynced < FSYNC_EVERY, "{stats:?}");
+    assert!(stats.fsyncs > 0);
+    assert_eq!(stats.append_errors, 0);
 }
 
 /// `sync` and `seal` stay synchronous: each leaves the watermark at the
@@ -517,64 +501,15 @@ fn sync_and_seal_leave_the_watermark_at_the_last_record() {
     assert_eq!(journal.stats().durable_seq, journal.last_seq());
 }
 
-/// Compaction swaps the live file under the syncer: appends interleaved
-/// with auto-compaction keep the bound, every compaction moves the
-/// watermark to its snapshot, and after `sync` a reopened journal decodes
-/// every record and starts its own watermark at the last one.
-#[test]
-fn the_watermark_follows_compaction_into_the_new_file() {
-    let scratch = ScratchLog::new();
-    let config = WalConfig {
-        fsync_every: 4,
-        snapshot_every: Some(3),
-    };
-    let journal = WalJournal::create_with(&scratch.0, config).expect("create");
-    let handle = TenantJournal::new(Arc::clone(&journal), "wh-0");
-    handle.open();
-    let mut watermark = 0;
-    for now in 0..200 {
-        handle.advance(now, &[]);
-        let stats = journal.stats();
-        let last = journal.last_seq();
-        assert!(stats.durable_seq >= watermark && stats.durable_seq <= last);
-        assert!(last - stats.durable_seq < config.fsync_every);
-        watermark = stats.durable_seq;
-    }
-    let stats = journal.stats();
-    assert!(stats.compactions > 0);
-    assert!(stats.max_unsynced < config.fsync_every);
-    journal.sync();
-    assert_eq!(journal.stats().durable_seq, journal.last_seq());
-    let live = journal.state();
-    let last = journal.last_seq();
-    drop(handle);
-    drop(journal);
-
-    let (reopened, records, tail) =
-        WalJournal::open_append_with(&scratch.0, config).expect("reopen");
-    assert_eq!(tail, LogTail::Clean);
-    assert!(matches!(records[0].op, ChangeOp::Snapshot(_)));
-    assert_eq!(records.last().map(|r| r.seq), Some(last));
-    assert!(records.windows(2).all(|w| w[1].seq == w[0].seq + 1));
-    assert_eq!(ReplayState::from_records(&records), live);
-    assert_eq!(reopened.stats().durable_seq, last);
-    let seq = reopened.append("wh-0", ChangeOp::Advance { now: 200 });
-    assert_eq!(seq, last + 1);
-}
-
 /// Dropping a journal stops and joins its syncer: create → append → drop
-/// cycles without `seal`, each with a sync in flight or just asked for,
-/// all return.
+/// cycles without `seal`, some past half the cadence so that a sync is in
+/// flight or just asked for, all return.
 #[test]
 fn dropping_a_journal_joins_its_syncer() {
     let scratch = ScratchLog::new();
     for cycle in 0..64u32 {
-        let config = WalConfig {
-            fsync_every: u64::from(1 + cycle % 4),
-            snapshot_every: None,
-        };
-        let journal = WalJournal::create_with(&scratch.0, config).expect("create");
-        for now in 0..(cycle % 5) {
+        let journal = WalJournal::create(&scratch.0).expect("create");
+        for now in 0..(cycle % 5) * 17 {
             journal.append("wh-0", ChangeOp::Advance { now });
         }
         drop(journal);
