@@ -6,13 +6,14 @@
 //! and dropped once their last segment leaves, so an idle strip costs one
 //! empty slot; queries against it are answered by one shared empty store.
 //! Route retirement is batched: [`StoreEngine::remove_batch`] groups the
-//! drained retire queue into per-shard removal lists and hands each list to
-//! [`SegmentStore::remove_batch`] in one call, instead of one shard lookup
-//! per segment.
+//! drained retire queue's `(shard, segment)` pairs into per-shard segment
+//! lists and hands each list to [`SegmentStore::remove_batch`] in one call,
+//! instead of one shard lookup per segment. A stored segment is its own
+//! key, so removal names the segment and the engine hands out no handles.
 
 use crate::intersect::SegCollision;
 use crate::segment::Segment;
-use crate::store::{SegmentId, SegmentStore};
+use crate::store::SegmentStore;
 use carp_warehouse::memory;
 
 /// Key of one shard. This is the planner's `StripId`; the engine lives one
@@ -61,8 +62,7 @@ impl<S: SegmentStore + Default> StoreEngine<S> {
     }
 
     /// Insert a segment into `key`'s shard (allocated on first use).
-    /// Returns the removal handle.
-    pub fn insert(&mut self, key: ShardKey, seg: Segment) -> SegmentId {
+    pub fn insert(&mut self, key: ShardKey, seg: Segment) {
         let slot = key as usize;
         if slot >= self.shards.len() {
             self.shards.resize_with(slot + 1, || None);
@@ -75,54 +75,33 @@ impl<S: SegmentStore + Default> StoreEngine<S> {
         self.shards.get(key as usize)?.as_deref()
     }
 
-    /// `key`'s live shard, if any, for mutation.
-    fn live_shard_mut(&mut self, key: ShardKey) -> Option<&mut S> {
-        self.shards.get_mut(key as usize)?.as_deref_mut()
-    }
-
-    /// Drop `key`'s shard once it has no segments left.
-    fn drop_if_empty(&mut self, key: ShardKey) {
-        let slot = &mut self.shards[key as usize];
-        if slot.as_ref().is_some_and(|s| s.is_empty()) {
-            *slot = None;
-        }
-    }
-
-    /// Remove one segment. Empty shards are dropped. Prefer
-    /// [`StoreEngine::remove_batch`] for retirement.
-    pub fn remove(&mut self, key: ShardKey, id: SegmentId, seg: &Segment) -> bool {
-        let Some(store) = self.live_shard_mut(key) else {
-            return false;
-        };
-        let removed = store.remove(id, seg);
-        if removed {
-            self.drop_if_empty(key);
-        }
-        removed
-    }
-
     /// Apply a whole retirement batch: removals are grouped per shard and
-    /// each shard's list lands in one [`SegmentStore::remove_batch`] call.
+    /// each shard's list lands in one [`SegmentStore::remove_batch`] call,
+    /// which drops one copy per listed segment. Empty shards are dropped.
     /// Returns how many segments were actually removed.
-    pub fn remove_batch(&mut self, removals: &[(ShardKey, SegmentId, Segment)]) -> usize {
+    pub fn remove_batch(&mut self, removals: &[(ShardKey, Segment)]) -> usize {
         if removals.is_empty() {
             return 0;
         }
         // A stable sort groups the batch by shard, keeping each shard's
         // removals in batch order.
         let mut sorted = removals.to_vec();
-        sorted.sort_by_key(|&(key, _, _)| key);
-        let mut list: Vec<(SegmentId, Segment)> = Vec::new();
+        sorted.sort_by_key(|&(key, _)| key);
+        let mut list: Vec<Segment> = Vec::new();
         let mut removed = 0usize;
         for group in sorted.chunk_by(|a, b| a.0 == b.0) {
-            let key = group[0].0;
-            let Some(store) = self.live_shard_mut(key) else {
+            let Some(slot) = self.shards.get_mut(group[0].0 as usize) else {
+                continue;
+            };
+            let Some(store) = slot.as_deref_mut() else {
                 continue;
             };
             list.clear();
-            list.extend(group.iter().map(|&(_, id, seg)| (id, seg)));
+            list.extend(group.iter().map(|&(_, seg)| seg));
             removed += store.remove_batch(&list);
-            self.drop_if_empty(key);
+            if store.is_empty() {
+                *slot = None;
+            }
         }
         self.stats.retire_batches += 1;
         self.stats.retired_segments += removed as u64;
@@ -195,7 +174,8 @@ mod tests {
         let mut removals = Vec::new();
         for key in 0..32u32 {
             let s = seg(0, key as i32);
-            removals.push((key, engine.insert(key, s), s));
+            engine.insert(key, s);
+            removals.push((key, s));
         }
         assert_eq!(engine.total_segments(), 32);
         assert_eq!(engine.active_shards(), 32);
@@ -213,14 +193,19 @@ mod tests {
     }
 
     #[test]
-    fn single_remove_drops_empty_shards_and_refuses_unknown() {
+    fn remove_batch_drops_empty_shards_and_refuses_unknown() {
         let mut engine: StoreEngine<SlopeIndexStore> = StoreEngine::new();
         let s = seg(0, 3);
-        let id = engine.insert(7, s);
-        assert!(!engine.remove(9, id, &s), "wrong shard refused");
-        assert!(engine.remove(7, id, &s));
-        assert!(!engine.remove(7, id, &s), "double remove refused");
+        engine.insert(7, s);
+        assert_eq!(engine.remove_batch(&[(9, s)]), 0, "wrong shard refused");
+        assert_eq!(engine.active_shards(), 1);
+        assert_eq!(
+            engine.remove_batch(&[(7, s), (7, s)]),
+            1,
+            "double remove refused"
+        );
         assert_eq!(engine.active_shards(), 0);
+        assert_eq!(engine.remove_batch(&[(7, s)]), 0, "dropped shard refused");
     }
 
     #[test]
@@ -239,7 +224,8 @@ mod tests {
         let mut removals = Vec::new();
         for key in 0..8u32 {
             let s = seg(0, 0);
-            removals.push((key, engine.insert(key, s), s));
+            engine.insert(key, s);
+            removals.push((key, s));
         }
         for key in 0..8u32 {
             assert!(engine.earliest_collision(key, &seg(1, 0)).is_some());
@@ -271,7 +257,8 @@ mod tests {
         let mut removals = Vec::new();
         for key in 0..16u32 {
             let s = seg(key, key as i32);
-            removals.push((key, engine.insert(key, s), s));
+            engine.insert(key, s);
+            removals.push((key, s));
         }
         let peak = engine.memory_bytes();
         assert!(peak > empty);

@@ -8,12 +8,15 @@
 //! slope `0` keys a waiter by its cell.
 //!
 //! Every class keeps Algorithm 3's `M_k` as a sorted flat array of
-//! `(key, t0, t1, id)` entries. The waiting class also keeps `S_k`, its
-//! segments in `(t0, id)` order, for the one query that needs a time
-//! window: a mover asking about waiters. A query binary-searches and then
-//! walks contiguous memory; an insert or remove is a binary search plus an
+//! `(key, t0, t1)` entries — an entry pins its segment exactly, so a
+//! stored segment needs no other name and removal finds it by its entry.
+//! The waiting class also keeps `S_k`, its segments in [`Segment`] order
+//! (which leads with `t0`), for the one query that needs a time window: a
+//! mover asking about waiters. A query binary-searches and then walks
+//! contiguous memory; an insert or remove is a binary search plus an
 //! `O(n)` memmove, with `n` a few hundred per class on the presets
-//! (DESIGN.md §3).
+//! (DESIGN.md §3). Equal segments are stored as equal entries, one per
+//! copy.
 //!
 //! A collision query for a segment `q` of slope `k` over `[t0, t1]`:
 //!
@@ -46,7 +49,7 @@
 
 use crate::intersect::{earliest_collision, CollisionKind, SegCollision};
 use crate::segment::Segment;
-use crate::store::{SegmentId, SegmentStore};
+use crate::store::SegmentStore;
 use carp_warehouse::memory;
 use carp_warehouse::types::Time;
 
@@ -71,19 +74,19 @@ pub fn key_range(q: &Segment, class: i8) -> Option<(i64, i64)> {
     }
 }
 
-/// One `M_k` entry: `(key, t0, t1, id)`. Two segments with the same key
-/// lie on the same space-time line, so they collide **iff** their time
-/// spans overlap, with the vertex conflict starting at the first shared
-/// instant.
-type LineEntry = (i64, Time, Time, SegmentId);
+/// One `M_k` entry: `(key, t0, t1)`, which with the class's slope pins
+/// the segment. Two segments with the same key lie on the same space-time
+/// line, so they collide **iff** their time spans overlap, with the vertex
+/// conflict starting at the first shared instant.
+type LineEntry = (i64, Time, Time);
 
-/// The `M_k` entry of segment `seg` stored under `id`.
-fn line_entry(id: SegmentId, seg: &Segment) -> LineEntry {
-    (seg.index_key(), seg.t0, seg.t1, id)
+/// The `M_k` entry of segment `seg`.
+fn line_entry(seg: &Segment) -> LineEntry {
+    (seg.index_key(), seg.t0, seg.t1)
 }
 
 /// The rotated-coordinate array `M_k` of one slope class, in
-/// `(key, t0, t1, id)` order.
+/// `(key, t0, t1)` order.
 #[derive(Debug, Default, Clone)]
 struct Lines(Vec<LineEntry>);
 
@@ -101,7 +104,7 @@ impl Lines {
         true
     }
 
-    /// The entries with keys in `[lo, hi]`, in `(key, t0, t1, id)` order.
+    /// The entries with keys in `[lo, hi]`, in `(key, t0, t1)` order.
     /// A range holds few entries, so its end is found by walking, not by
     /// a second binary search.
     fn range(&self, lo: i64, hi: i64) -> impl Iterator<Item = &LineEntry> {
@@ -135,7 +138,7 @@ impl Lines {
     ) -> impl Iterator<Item = Time> + '_ {
         let (lo, hi) = key_range(&Segment::wait(t0, t1, s), slope).expect("a moving class");
         let s = i64::from(s);
-        self.range(lo, hi).filter_map(move |&(key, m0, m1, _)| {
+        self.range(lo, hi).filter_map(move |&(key, m0, m1)| {
             let t = (if slope == 1 { s - key } else { key - s }) as Time;
             (m0 <= t && t <= m1).then_some(t)
         })
@@ -146,34 +149,33 @@ impl Lines {
     }
 }
 
-/// The waiting class: `M_0` plus `S_0`, the segments in `(t0, id)` order
+/// The waiting class: `M_0` plus `S_0`, the segments in start-time order
 /// that a moving query window-scans.
 #[derive(Debug, Default, Clone)]
 struct WaitClass {
     lines: Lines,
-    /// Segments in `(t0, id)` order — the `S_0` of Algorithm 3.
-    by_start: Vec<(SegmentId, Segment)>,
+    /// Segments in [`Segment`] order, which leads with `t0` — the `S_0` of
+    /// Algorithm 3.
+    by_start: Vec<Segment>,
     /// High-water mark of waiter durations, bounding the overlap window.
     max_duration: Time,
 }
 
 impl WaitClass {
-    fn insert(&mut self, id: SegmentId, seg: Segment) {
+    fn insert(&mut self, seg: Segment) {
         self.max_duration = self.max_duration.max(seg.duration());
-        let at = self
-            .by_start
-            .partition_point(|&(i, s)| (s.t0, i) < (seg.t0, id));
-        self.by_start.insert(at, (id, seg));
-        self.lines.insert(line_entry(id, &seg));
+        let at = self.by_start.partition_point(|s| *s < seg);
+        self.by_start.insert(at, seg);
+        self.lines.insert(line_entry(&seg));
     }
 
-    fn remove(&mut self, id: SegmentId, seg: &Segment) -> bool {
-        if !self.lines.remove(line_entry(id, seg)) {
+    fn remove(&mut self, seg: &Segment) -> bool {
+        if !self.lines.remove(line_entry(seg)) {
             return false;
         }
         let at = self
             .by_start
-            .binary_search_by(|&(i, s)| (s.t0, i).cmp(&(seg.t0, id)))
+            .binary_search(seg)
             .expect("every key entry has its start entry");
         self.by_start.remove(at);
         true
@@ -184,7 +186,7 @@ impl WaitClass {
         self.max_duration = self
             .by_start
             .iter()
-            .map(|(_, s)| s.duration())
+            .map(|s| s.duration())
             .max()
             .unwrap_or(0);
     }
@@ -202,8 +204,8 @@ impl WaitClass {
         let (lo_s, hi_s) = (seg.s_min(), seg.s_max());
         let from = self
             .by_start
-            .partition_point(|(_, s)| s.t0 < seg.t0.saturating_sub(self.max_duration));
-        for (_, w) in &self.by_start[from..] {
+            .partition_point(|s| s.t0 < seg.t0.saturating_sub(self.max_duration));
+        for w in &self.by_start[from..] {
             if w.t0 > seg.t1 || best.is_some_and(|b| w.t0 > b.time) {
                 break;
             }
@@ -281,7 +283,6 @@ pub struct SlopeIndexStore {
     rising: Lines,
     /// Slope −1, keyed by `c = s0 + t0`.
     falling: Lines,
-    next_id: SegmentId,
     len: usize,
 }
 
@@ -303,26 +304,22 @@ impl SlopeIndexStore {
 }
 
 impl SegmentStore for SlopeIndexStore {
-    fn insert(&mut self, seg: Segment) -> SegmentId {
+    fn insert(&mut self, seg: Segment) {
         debug_assert!(seg.validate(), "invalid segment {seg}");
-        let id = self.next_id;
-        self.next_id += 1;
         match seg.slope() {
-            0 => self.waiters.insert(id, seg),
-            1 => self.rising.insert(line_entry(id, &seg)),
-            _ => self.falling.insert(line_entry(id, &seg)),
+            0 => self.waiters.insert(seg),
+            1 => self.rising.insert(line_entry(&seg)),
+            _ => self.falling.insert(line_entry(&seg)),
         }
         self.len += 1;
-        id
     }
 
-    /// Removes the `(id, segment)` pair; the entry is found by its key, so
-    /// a segment that differs from the stored one is unknown.
-    fn remove(&mut self, id: SegmentId, seg: &Segment) -> bool {
+    /// Removes one copy of `seg`, found by its `M_k` entry.
+    fn remove(&mut self, seg: &Segment) -> bool {
         let removed = match seg.slope() {
-            0 => self.waiters.remove(id, seg),
-            1 => self.rising.remove(line_entry(id, seg)),
-            _ => self.falling.remove(line_entry(id, seg)),
+            0 => self.waiters.remove(seg),
+            1 => self.rising.remove(line_entry(seg)),
+            _ => self.falling.remove(line_entry(seg)),
         };
         if removed {
             self.len -= 1;
@@ -333,11 +330,11 @@ impl SegmentStore for SlopeIndexStore {
     /// Removes one by one, then re-tightens the waiters' duration
     /// high-water mark when the batch removed a waiter — the batch
     /// bookkeeping single `remove` cannot afford.
-    fn remove_batch(&mut self, removals: &[(SegmentId, Segment)]) -> usize {
+    fn remove_batch(&mut self, segs: &[Segment]) -> usize {
         let mut removed = 0usize;
         let mut waiter_gone = false;
-        for (id, seg) in removals {
-            if self.remove(*id, seg) {
+        for seg in segs {
+            if self.remove(seg) {
                 removed += 1;
                 waiter_gone |= seg.slope() == 0;
             }
@@ -361,7 +358,7 @@ impl SegmentStore for SlopeIndexStore {
             k => {
                 let mut best = self.movers(k).parallel_collision(seg);
                 let (lo, hi) = key_range(seg, -k).expect("opposite moving class");
-                for &(key, t0, t1, _) in self.movers(-k).range(lo, hi) {
+                for &(key, t0, t1) in self.movers(-k).range(lo, hi) {
                     if t1 < seg.t0 || t0 > seg.t1 || best.is_some_and(|b| t0 > b.time) {
                         continue;
                     }
@@ -384,7 +381,7 @@ impl SegmentStore for SlopeIndexStore {
         }
         let mut blocked = Spans::new();
         let key = i64::from(s);
-        for &(_, b0, b1, _) in self.waiters.lines.range(key, key) {
+        for &(_, b0, b1) in self.waiters.lines.range(key, key) {
             if b0 > t1 {
                 break;
             }
@@ -416,13 +413,13 @@ impl SegmentStore for SlopeIndexStore {
             self.movers(k)
                 .0
                 .iter()
-                .map(move |&(key, t0, t1, _)| mover(k, key, t0, t1))
+                .map(move |&(key, t0, t1)| mover(k, key, t0, t1))
         });
         let mut out: Vec<Segment> = self
             .waiters
             .by_start
             .iter()
-            .map(|&(_, s)| s)
+            .copied()
             .chain(movers)
             .collect();
         out.sort();
@@ -501,20 +498,22 @@ mod tests {
     fn remove_clears_every_array() {
         let mut idx = SlopeIndexStore::new();
         let seg = Segment::travel(3, 1, 6);
-        let id = idx.insert(seg);
+        idx.insert(seg);
         assert_eq!(idx.len(), 1);
-        assert!(idx.remove(id, &seg));
+        assert!(idx.remove(&seg));
         assert_eq!(idx.len(), 0);
         assert_eq!(idx.earliest_collision(&Segment::travel(3, 6, 1)), None);
         // No class keeps an entry for the removed segment.
         assert!(idx.rising.0.is_empty());
         let wait = Segment::wait(2, 4, 5);
-        let id = idx.insert(wait);
+        idx.insert(wait);
+        idx.insert(wait);
         assert!(
-            !idx.remove(id, &Segment::wait(2, 5, 5)),
+            !idx.remove(&Segment::wait(2, 5, 5)),
             "a different span is unknown"
         );
-        assert!(idx.remove(id, &wait));
+        assert_eq!(idx.remove_batch(&[wait, wait, wait]), 2, "two copies held");
+        assert!(!idx.remove(&wait), "no copy left");
         assert!(idx.waiters.by_start.is_empty());
         assert!(idx.waiters.lines.0.is_empty());
     }

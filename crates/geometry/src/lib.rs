@@ -33,4 +33,4 @@ pub use intersect::{
 pub use segment::Segment;
 #[cfg(feature = "shadow-store")]
 pub use shadow::ShadowStore;
-pub use store::{NaiveStore, SegmentId, SegmentStore};
+pub use store::{NaiveStore, SegmentStore};

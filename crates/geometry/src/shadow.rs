@@ -10,6 +10,10 @@
 //! index (store divergence) versus the planner (both stores agree, the
 //! route is still bad).
 //!
+//! A stored segment is its own key in both inner stores, so every
+//! operation forwards the same segment to both; removals are compared
+//! too, since both must hold the same multiset of segments.
+//!
 //! Asserting equality of full [`SegCollision`] values is sound because a
 //! collision answer is only `(time, kind)`: both stores report the earliest
 //! collision under the same half-step `order_key` ordering, so ties between
@@ -18,21 +22,15 @@
 use crate::index::SlopeIndexStore;
 use crate::intersect::SegCollision;
 use crate::segment::Segment;
-use crate::store::{NaiveStore, SegmentId, SegmentStore};
+use crate::store::{NaiveStore, SegmentStore};
 use carp_warehouse::types::Time;
-use std::collections::HashMap;
 
 /// A [`SegmentStore`] that mirrors every operation into both a
 /// [`SlopeIndexStore`] and a [`NaiveStore`] and panics on any divergence.
-///
-/// Handles returned by the two inner stores are private to each; the shadow
-/// store issues its own ids and keeps the mapping.
 #[derive(Debug, Default, Clone)]
 pub struct ShadowStore {
     fast: SlopeIndexStore,
     naive: NaiveStore,
-    handles: HashMap<SegmentId, (SegmentId, SegmentId)>,
-    next: SegmentId,
 }
 
 impl ShadowStore {
@@ -53,21 +51,14 @@ impl ShadowStore {
 }
 
 impl SegmentStore for ShadowStore {
-    fn insert(&mut self, seg: Segment) -> SegmentId {
-        let f = self.fast.insert(seg);
-        let n = self.naive.insert(seg);
-        let id = self.next;
-        self.next += 1;
-        self.handles.insert(id, (f, n));
-        id
+    fn insert(&mut self, seg: Segment) {
+        self.fast.insert(seg);
+        self.naive.insert(seg);
     }
 
-    fn remove(&mut self, id: SegmentId, seg: &Segment) -> bool {
-        let Some((f, n)) = self.handles.remove(&id) else {
-            return false;
-        };
-        let rf = self.fast.remove(f, seg);
-        let rn = self.naive.remove(n, seg);
+    fn remove(&mut self, seg: &Segment) -> bool {
+        let rf = self.fast.remove(seg);
+        let rn = self.naive.remove(seg);
         assert_eq!(
             rf, rn,
             "shadow-store divergence removing {seg}: slope-index {rf}, naive {rn}"
@@ -75,17 +66,9 @@ impl SegmentStore for ShadowStore {
         rf
     }
 
-    fn remove_batch(&mut self, removals: &[(SegmentId, Segment)]) -> usize {
-        let mut fast_list = Vec::with_capacity(removals.len());
-        let mut naive_list = Vec::with_capacity(removals.len());
-        for (id, seg) in removals {
-            if let Some((f, n)) = self.handles.remove(id) {
-                fast_list.push((f, *seg));
-                naive_list.push((n, *seg));
-            }
-        }
-        let rf = self.fast.remove_batch(&fast_list);
-        let rn = self.naive.remove_batch(&naive_list);
+    fn remove_batch(&mut self, segs: &[Segment]) -> usize {
+        let rf = self.fast.remove_batch(segs);
+        let rn = self.naive.remove_batch(segs);
         assert_eq!(
             rf, rn,
             "shadow-store divergence in remove_batch: slope-index removed {rf}, naive removed {rn}"
@@ -125,9 +108,7 @@ impl SegmentStore for ShadowStore {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.fast.memory_bytes()
-            + self.naive.memory_bytes()
-            + carp_warehouse::memory::hashmap_bytes(&self.handles)
+        self.fast.memory_bytes() + self.naive.memory_bytes()
     }
 
     fn snapshot(&self) -> Vec<Segment> {
@@ -149,22 +130,25 @@ mod tests {
     fn mirrors_insert_query_remove() {
         let mut store = ShadowStore::new();
         let seg = Segment::travel(0, 0, 5);
-        let id = store.insert(seg);
+        store.insert(seg);
         assert_eq!(store.len(), 1);
         let c = store
             .earliest_collision(&Segment::travel(0, 5, 0))
             .expect("swap");
         assert_eq!(c.kind, CollisionKind::Swap);
-        assert!(store.remove(id, &seg));
+        assert!(store.remove(&seg));
         assert!(store.is_empty());
-        assert!(!store.remove(id, &seg), "unknown handle refused");
+        assert!(
+            !store.remove(&seg),
+            "a segment with no copy left is refused"
+        );
     }
 
     #[test]
     fn agrees_over_a_random_workload() {
         // Deterministic mixed workload: inserts, queries, removals.
         let mut store = ShadowStore::new();
-        let mut live: Vec<(SegmentId, Segment)> = Vec::new();
+        let mut live: Vec<Segment> = Vec::new();
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut rng = move || {
             state ^= state << 13;
@@ -187,12 +171,12 @@ mod tests {
                     let _ = store.earliest_collision(&seg);
                 }
                 1 if !live.is_empty() => {
-                    let (id, old) = live.swap_remove((rng() % live.len() as u64) as usize);
-                    assert!(store.remove(id, &old));
+                    let old = live.swap_remove((rng() % live.len() as u64) as usize);
+                    assert!(store.remove(&old));
                 }
                 _ => {
-                    let id = store.insert(seg);
-                    live.push((id, seg));
+                    store.insert(seg);
+                    live.push(seg);
                 }
             }
             if step % 50 == 0 {

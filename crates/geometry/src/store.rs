@@ -1,8 +1,13 @@
 //! Segment stores: collections of committed segments within one strip that
 //! answer *earliest-collision* queries for candidate segments.
 //!
+//! A store is a multiset of [`Segment`]s: a stored segment is its own key,
+//! so removal names the segment itself and drops one copy of it. Every
+//! query answer is a minimum over `(time, kind)`, so it depends only on
+//! which segments are stored, not on the order they arrived in.
+//!
 //! [`NaiveStore`] is the ordered-set scheme of §V-B-2: all segments in one
-//! red-black tree (std's `BTreeMap`) keyed by start time; a query binary
+//! red-black tree (std's `BTreeMap`) ordered by start time; a query binary
 //! searches the time-overlap window and judges the survivors one by one —
 //! `O(2·log n + n)`.
 //!
@@ -14,35 +19,29 @@ use crate::intersect::{earliest_collision, SegCollision};
 use crate::segment::Segment;
 use carp_warehouse::memory;
 use carp_warehouse::types::Time;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-/// Handle of an inserted segment, used for removal when a route retires.
-pub type SegmentId = u64;
-
-/// A collection of segments supporting insertion, removal and
+/// A multiset of segments supporting insertion, removal and
 /// earliest-collision queries (the operations of Algorithm 3).
 ///
 /// Stores are `Send + Sync` so a planner owning them can move to a service
 /// worker thread. All stores here are plain owned data structures, so the
 /// bound is free.
 pub trait SegmentStore: Send + Sync {
-    /// Insert a segment, returning its removal handle.
-    fn insert(&mut self, seg: Segment) -> SegmentId;
+    /// Insert one copy of a segment. Duplicates are legal.
+    fn insert(&mut self, seg: Segment);
 
-    /// Remove a previously inserted segment. Returns `false` when the
-    /// `(id, segment)` pair is unknown.
-    fn remove(&mut self, id: SegmentId, seg: &Segment) -> bool;
+    /// Remove one copy of `seg`. Returns `false` when no copy is stored.
+    fn remove(&mut self, seg: &Segment) -> bool;
 
-    /// Remove a batch of previously inserted segments in one call,
-    /// returning how many were actually present. The default loops over
+    /// Remove one copy of each segment of a batch in one call, returning
+    /// how many copies were actually present. The default loops over
     /// [`SegmentStore::remove`]; stores override it when a batch admits
     /// cheaper bookkeeping (e.g. re-tightening duration high-water marks
     /// once per batch instead of never).
-    fn remove_batch(&mut self, removals: &[(SegmentId, Segment)]) -> usize {
-        removals
-            .iter()
-            .filter(|(id, seg)| self.remove(*id, seg))
-            .count()
+    fn remove_batch(&mut self, segs: &[Segment]) -> usize {
+        segs.iter().filter(|seg| self.remove(seg)).count()
     }
 
     /// Earliest collision of a candidate segment against every stored
@@ -115,16 +114,17 @@ pub(crate) fn earliest_uncovered(blocked: &mut [(Time, Time)], t0: Time, t1: Tim
 
 /// The naive ordered-set store of §V-B-2.
 ///
-/// Segments are kept in a `BTreeMap` ordered by `(start time, id)`. Queries
-/// scan the window `[q.t0 − max_duration, q.t1]` of start times — every
-/// segment whose span can overlap the query — and judge each with the exact
-/// intersection test. `max_duration` is a high-water mark (removals do not
-/// lower it), which is conservative but always correct.
+/// Segments are kept in a `BTreeMap` in [`Segment`] order, which leads with
+/// the start time, each with its number of copies. Queries scan the window
+/// `[q.t0 − max_duration, q.t1]` of start times — every segment whose span
+/// can overlap the query — and judge each with the exact intersection test.
+/// `max_duration` is a high-water mark (single removals do not lower it),
+/// which is conservative but always correct.
 #[derive(Debug, Default, Clone)]
 pub struct NaiveStore {
-    by_start: BTreeMap<(Time, SegmentId), Segment>,
+    by_start: BTreeMap<Segment, u32>,
+    len: usize,
     max_duration: Time,
-    next_id: SegmentId,
 }
 
 impl NaiveStore {
@@ -132,29 +132,39 @@ impl NaiveStore {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The stored segments that start in `[lo, hi]`, one per distinct
+    /// segment, in start-time order.
+    fn starting_in(&self, lo: Time, hi: Time) -> impl Iterator<Item = &Segment> {
+        self.by_start
+            .range(Segment::point(lo, i32::MIN)..)
+            .map(|(seg, _)| seg)
+            .take_while(move |seg| seg.t0 <= hi)
+    }
 }
 
 impl SegmentStore for NaiveStore {
-    fn insert(&mut self, seg: Segment) -> SegmentId {
+    fn insert(&mut self, seg: Segment) {
         debug_assert!(seg.validate(), "invalid segment {seg}");
-        let id = self.next_id;
-        self.next_id += 1;
         self.max_duration = self.max_duration.max(seg.duration());
-        self.by_start.insert((seg.t0, id), seg);
-        id
+        *self.by_start.entry(seg).or_default() += 1;
+        self.len += 1;
     }
 
-    fn remove(&mut self, id: SegmentId, seg: &Segment) -> bool {
-        self.by_start.remove(&(seg.t0, id)).is_some()
-    }
-
-    fn remove_batch(&mut self, removals: &[(SegmentId, Segment)]) -> usize {
-        let mut removed = 0usize;
-        for (id, seg) in removals {
-            if self.by_start.remove(&(seg.t0, *id)).is_some() {
-                removed += 1;
-            }
+    fn remove(&mut self, seg: &Segment) -> bool {
+        let Entry::Occupied(mut copies) = self.by_start.entry(*seg) else {
+            return false;
+        };
+        *copies.get_mut() -= 1;
+        if *copies.get() == 0 {
+            copies.remove();
         }
+        self.len -= 1;
+        true
+    }
+
+    fn remove_batch(&mut self, segs: &[Segment]) -> usize {
+        let removed = segs.iter().filter(|seg| self.remove(seg)).count();
         // A batch is the one moment where re-tightening the duration
         // high-water mark pays for itself: one pass over the survivors
         // narrows every later query window back to the true maximum
@@ -165,7 +175,7 @@ impl SegmentStore for NaiveStore {
         if removed > 0 {
             self.max_duration = self
                 .by_start
-                .values()
+                .keys()
                 .map(|s| s.duration())
                 .max()
                 .unwrap_or(0);
@@ -176,7 +186,7 @@ impl SegmentStore for NaiveStore {
     fn earliest_collision(&self, seg: &Segment) -> Option<SegCollision> {
         let lo = seg.t0.saturating_sub(self.max_duration);
         let mut best: Option<SegCollision> = None;
-        for (_, other) in self.by_start.range((lo, 0)..=(seg.t1, SegmentId::MAX)) {
+        for other in self.starting_in(lo, seg.t1) {
             if other.t1 < seg.t0 {
                 continue;
             }
@@ -193,7 +203,7 @@ impl SegmentStore for NaiveStore {
     fn earliest_free_point(&self, t0: Time, t1: Time, s: i32) -> Option<Time> {
         let lo = t0.saturating_sub(self.max_duration);
         let mut blocked: Vec<(Time, Time)> = Vec::new();
-        for (_, other) in self.by_start.range((lo, 0)..=(t1, SegmentId::MAX)) {
+        for other in self.starting_in(lo, t1) {
             if other.t1 < t0 {
                 continue;
             }
@@ -207,7 +217,7 @@ impl SegmentStore for NaiveStore {
     }
 
     fn len(&self) -> usize {
-        self.by_start.len()
+        self.len
     }
 
     fn memory_bytes(&self) -> usize {
@@ -215,7 +225,10 @@ impl SegmentStore for NaiveStore {
     }
 
     fn snapshot(&self) -> Vec<Segment> {
-        self.by_start.values().copied().collect()
+        self.by_start
+            .iter()
+            .flat_map(|(&seg, &copies)| std::iter::repeat_n(seg, copies as usize))
+            .collect()
     }
 }
 
@@ -228,17 +241,17 @@ mod tests {
     fn insert_query_remove_cycle() {
         let mut store = NaiveStore::new();
         let seg = Segment::travel(0, 0, 5);
-        let id = store.insert(seg);
+        store.insert(seg);
         assert_eq!(store.len(), 1);
 
         let head_on = Segment::travel(0, 5, 0);
         let c = store.earliest_collision(&head_on).expect("collide");
         assert_eq!(c.kind, CollisionKind::Swap);
 
-        assert!(store.remove(id, &seg));
+        assert!(store.remove(&seg));
         assert!(store.is_empty());
         assert_eq!(store.earliest_collision(&head_on), None);
-        assert!(!store.remove(id, &seg), "double remove must fail");
+        assert!(!store.remove(&seg), "double remove must fail");
     }
 
     #[test]
@@ -275,9 +288,9 @@ mod tests {
         let mut store = NaiveStore::new();
         let base = store.memory_bytes();
         let seg = Segment::wait(0, 1, 0);
-        let id = store.insert(seg);
+        store.insert(seg);
         assert!(store.memory_bytes() > base);
-        store.remove(id, &seg);
+        store.remove(&seg);
         assert_eq!(store.memory_bytes(), base);
     }
 

@@ -4,7 +4,7 @@
 use carp_geometry::index::key_range;
 use carp_geometry::{
     collide_paper, earliest_collision, earliest_collision_reference, CollisionKind, NaiveStore,
-    SegCollision, Segment, SegmentId, SegmentStore, SlopeIndexStore,
+    SegCollision, Segment, SegmentStore, SlopeIndexStore,
 };
 use proptest::prelude::*;
 
@@ -75,10 +75,13 @@ proptest! {
     fn removal_restores_emptiness(segs in prop::collection::vec(arb_segment(), 1..40)) {
         let mut naive = NaiveStore::new();
         let mut index = SlopeIndexStore::new();
-        let handles: Vec<_> = segs.iter().map(|s| (naive.insert(*s), index.insert(*s), *s)).collect();
-        for (nid, iid, s) in handles {
-            prop_assert!(naive.remove(nid, &s));
-            prop_assert!(index.remove(iid, &s));
+        for s in &segs {
+            naive.insert(*s);
+            index.insert(*s);
+        }
+        for s in &segs {
+            prop_assert!(naive.remove(s));
+            prop_assert!(index.remove(s));
         }
         prop_assert!(naive.is_empty());
         prop_assert!(index.is_empty());
@@ -143,10 +146,8 @@ proptest! {
         // through a minimal wrapper store that inherits the default.
         struct DefaultOnly(NaiveStore);
         impl SegmentStore for DefaultOnly {
-            fn insert(&mut self, seg: Segment) -> carp_geometry::SegmentId { self.0.insert(seg) }
-            fn remove(&mut self, id: carp_geometry::SegmentId, seg: &Segment) -> bool {
-                self.0.remove(id, seg)
-            }
+            fn insert(&mut self, seg: Segment) { self.0.insert(seg) }
+            fn remove(&mut self, seg: &Segment) -> bool { self.0.remove(seg) }
             fn earliest_collision(&self, seg: &Segment) -> Option<SegCollision> {
                 self.0.earliest_collision(seg)
             }
@@ -178,62 +179,66 @@ proptest! {
     }
 
     /// Random interleavings of every store operation leave the slope index
-    /// and the naive store in agreement after each step: equal query
-    /// answers, `len` and snapshot. Removals include handles already
-    /// removed, ids never issued, repeats within one batch, and one copy of
-    /// a segment inserted twice.
+    /// and the naive store in agreement with an explicit multiset model
+    /// after each step: a removal succeeds exactly when the model held a
+    /// copy, a batch removes exactly the copies the model drops (repeats
+    /// within the batch included), and queries, `len` and snapshot agree.
+    /// Removals include segments with no live copy, repeats within one
+    /// batch, and one copy of a segment inserted twice.
     #[test]
     fn slope_index_matches_naive_store_under_interleavings(
         ops in prop::collection::vec(arb_op(), 1..120),
     ) {
         let mut naive = NaiveStore::new();
         let mut index = SlopeIndexStore::new();
-        // (naive id, index id, segment) of live and of removed segments.
-        let mut live: Vec<(SegmentId, SegmentId, Segment)> = Vec::new();
-        let mut dead: Vec<(SegmentId, SegmentId, Segment)> = Vec::new();
+        // The model: one entry per stored copy. `dead` holds every segment
+        // a removal has named, live copies left or not.
+        let mut model: Vec<Segment> = Vec::new();
+        let mut dead: Vec<Segment> = Vec::new();
         for op in ops {
             match op {
-                Op::Insert(seg) => live.push((naive.insert(seg), index.insert(seg), seg)),
+                Op::Insert(seg) => {
+                    naive.insert(seg);
+                    index.insert(seg);
+                    model.push(seg);
+                }
                 Op::InsertCopy(k) => {
-                    if let Some(&(_, _, seg)) = pick(&live, k) {
-                        live.push((naive.insert(seg), index.insert(seg), seg));
+                    if let Some(&seg) = pick(&model, k) {
+                        naive.insert(seg);
+                        index.insert(seg);
+                        model.push(seg);
                     }
                 }
                 Op::Remove(k) => {
-                    if !live.is_empty() {
-                        let h = live.swap_remove(k % live.len());
-                        prop_assert!(naive.remove(h.0, &h.2));
-                        prop_assert!(index.remove(h.1, &h.2));
-                        dead.push(h);
+                    if let Some(&seg) = pick(&model, k) {
+                        prop_assert!(drop_copy(&mut model, &seg));
+                        prop_assert!(naive.remove(&seg));
+                        prop_assert!(index.remove(&seg));
+                        dead.push(seg);
                     }
                 }
                 Op::RemoveUnknown(k, seg) => {
-                    let (nid, iid, seg) = match pick(&dead, k) {
-                        Some(&h) => h,
-                        None => (UNISSUED + k as SegmentId, UNISSUED + k as SegmentId, seg),
-                    };
-                    prop_assert!(!naive.remove(nid, &seg));
-                    prop_assert!(!index.remove(iid, &seg));
+                    // A removed segment with no live copy left, else the
+                    // fresh one when it has none.
+                    let gone: Vec<Segment> =
+                        dead.iter().chain([&seg]).copied().filter(|s| !model.contains(s)).collect();
+                    if let Some(seg) = pick(&gone, k) {
+                        prop_assert!(!naive.remove(seg));
+                        prop_assert!(!index.remove(seg));
+                    }
                 }
                 Op::RemoveBatch(picks) => {
-                    let (mut nb, mut ib) = (Vec::new(), Vec::new());
-                    let mut gone = Vec::new();
-                    for k in picks {
-                        // Every fifth pick names a removed handle; the rest
-                        // name live ones, possibly the same one twice.
-                        let h = if k % 5 == 0 { pick(&dead, k) } else { pick(&live, k) };
-                        if let Some(&(nid, iid, seg)) = h {
-                            nb.push((nid, seg));
-                            ib.push((iid, seg));
-                            if !gone.contains(&(nid, iid, seg)) && live.contains(&(nid, iid, seg)) {
-                                gone.push((nid, iid, seg));
-                            }
-                        }
-                    }
-                    prop_assert_eq!(naive.remove_batch(&nb), gone.len());
-                    prop_assert_eq!(index.remove_batch(&ib), gone.len());
-                    live.retain(|h| !gone.contains(h));
-                    dead.extend(gone);
+                    // Every fifth pick names a removed segment; the rest
+                    // name live ones, possibly the same one twice.
+                    let batch: Vec<Segment> = picks
+                        .iter()
+                        .filter_map(|&k| if k % 5 == 0 { pick(&dead, k) } else { pick(&model, k) })
+                        .copied()
+                        .collect();
+                    let dropped = batch.iter().filter(|seg| drop_copy(&mut model, seg)).count();
+                    prop_assert_eq!(naive.remove_batch(&batch), dropped);
+                    prop_assert_eq!(index.remove_batch(&batch), dropped);
+                    dead.extend(batch);
                 }
                 Op::Collide(q) => {
                     prop_assert_eq!(index.earliest_collision(&q), naive.earliest_collision(&q), "query {}", q);
@@ -245,11 +250,14 @@ proptest! {
                     );
                 }
             }
-            prop_assert_eq!(index.len(), live.len());
-            prop_assert_eq!(naive.len(), live.len());
-            let mut a = naive.snapshot();
-            a.sort();
-            prop_assert_eq!(a, index.snapshot());
+            prop_assert_eq!(index.len(), model.len());
+            prop_assert_eq!(naive.len(), model.len());
+            let mut expected = model.clone();
+            expected.sort();
+            for mut snapshot in [naive.snapshot(), index.snapshot()] {
+                snapshot.sort();
+                prop_assert_eq!(&snapshot, &expected);
+            }
         }
     }
 }
@@ -337,10 +345,7 @@ fn arb_swap_pair() -> impl Strategy<Value = (Segment, Segment)> {
         })
 }
 
-/// First id the interleaving test treats as never issued.
-const UNISSUED: SegmentId = 1 << 40;
-
-/// One step of the interleaving test; `usize` fields pick a handle modulo
+/// One step of the interleaving test; `usize` fields pick a segment modulo
 /// the list they index.
 #[derive(Debug, Clone)]
 enum Op {
@@ -386,4 +391,14 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 fn pick<T>(list: &[T], k: usize) -> Option<&T> {
     (!list.is_empty()).then(|| &list[k % list.len()])
+}
+
+/// Drop one copy of `seg` from the multiset model; `false` when it holds
+/// none.
+fn drop_copy(model: &mut Vec<Segment>, seg: &Segment) -> bool {
+    let Some(at) = model.iter().position(|s| s == seg) else {
+        return false;
+    };
+    model.swap_remove(at);
+    true
 }

@@ -1,7 +1,7 @@
 //! The shared ingest front-end: decodes framed requests and runs each one
 //! on its tenant.
 //!
-//! [`dispatch`] runs one inbound frame to completion on the addressed
+//! `dispatch` runs one inbound frame to completion on the addressed
 //! tenant (plan and commit, advance, cancel or metrics, under the tenant's
 //! lock). Two front-ends feed it: the event-loop server (`mux`), which
 //! serves every TCP connection, and [`serve_connection`], the in-process
@@ -291,11 +291,9 @@ impl Read for PipeReader {
         if st.buf.is_empty() {
             return Ok(0); // closed and drained: EOF
         }
-        let n = st.buf.len().min(out.len());
-        for slot in out.iter_mut().take(n) {
-            *slot = st.buf.pop_front().expect("len checked");
-        }
-        Ok(n)
+        // Copies from the front contiguous slice only; callers that need a
+        // whole frame loop (`read_frame`, `read_exact`).
+        st.buf.read(out)
     }
 }
 

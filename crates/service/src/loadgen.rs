@@ -232,7 +232,7 @@ pub struct RecoveryRun {
 /// The standby takes over through [`wal::take_over`] — strict audit, then
 /// planner replay into fresh planners from `make_planner` — re-registers
 /// the tenant (appending a reopen `TenantOpen` to the same log), and
-/// drives the rest of the day. Because a paused [`DayDriver`] has no
+/// drives the rest of the day. Because a paused `DayDriver` has no
 /// request in flight and every acked commit was journaled before its
 /// reply, the standby's planner state is exactly the primary's at the
 /// pause point — so with deadlines disabled the whole day's committed
@@ -316,7 +316,7 @@ where
 ///   *received entirely over the wire* — the on-disk file is never shared.
 ///   Takeover: epoch bump (fencing any resurrected-primary handle),
 ///   [`wal::take_over`] on the shipped records, re-listen, and the paused
-///   [`DayDriver`] resumes against it.
+///   `DayDriver` resumes against it.
 ///
 /// The kill is graceful-enough rather than graceless: the reactor's drain
 /// flushes the shipping connection, so the standby's copy is the complete
@@ -974,7 +974,7 @@ fn nearest_free_robot(robots: &[RobotState], target: Cell) -> Option<usize> {
 /// rung, a fresh registry gets two tenants:
 ///
 /// * the **measured tenant** (`scenario.name`) — its whole day is driven
-///   over one TCP connection by the same [`DayDriver`] the blocking-path
+///   over one TCP connection by the same `DayDriver` the blocking-path
 ///   benches use, recording client-side submit → ack latency;
 /// * a **churn tenant** (`{name}#churn`, its own planner and lock) —
 ///   hammered with submit → plan → cancel cycles by a handful of client

@@ -14,7 +14,7 @@
 //!
 //! * **Run to completion** — a reactor decodes each connection's frames
 //!   strictly in arrival order and runs every one through
-//!   [`crate::ingest::dispatch`], the same code the in-process adapter runs:
+//!   `crate::ingest::dispatch`, the same code the in-process adapter runs:
 //!   a submit is planned, committed and journaled on the reactor under its
 //!   tenant's lock, and its `SubmitAck` and `PlanReply` land in the
 //!   connection's write buffer back to back. Per-connection admission
@@ -29,7 +29,7 @@
 //!   answers `ServiceDied` from then on, and the reactor keeps serving.
 //! * **Rate limiting and drain** — the per-connection token bucket runs
 //!   per inbound frame before any tenant lookup, inside
-//!   [`crate::ingest::dispatch`]; on shutdown the acceptor stops, reactors
+//!   `crate::ingest::dispatch`; on shutdown the acceptor stops, reactors
 //!   stop reading, flush what they already wrote into buffers (bounded by
 //!   [`MuxConfig::drain_grace`]), and [`serve_tcp_mux`] returns so the
 //!   caller can [`TenantRegistry::drain_all`] and seal the WAL.
@@ -38,7 +38,7 @@
 //! over by the acceptor, and a record shipped to a log-tail subscriber.
 //!
 //! The reactor is hand-rolled on `poll(2)` through a single-declaration FFI
-//! shim ([`sys`]) — no event-loop dependency, no `libc` crate. This module
+//! shim (`sys`) — no event-loop dependency, no `libc` crate. This module
 //! is the only code in the crate allowed to contain `unsafe` (the crate
 //! root is `#![deny(unsafe_code)]`; the shim opts in locally).
 //!

@@ -200,6 +200,16 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(FrameKind, Vec<u8>)>, Wi
         }
         got += n;
     }
+    let (kind, len) = parse_header(&header)?;
+    let mut payload = vec![0u8; len as usize];
+    r.read_exact(&mut payload)?;
+    Ok(Some((kind, payload)))
+}
+
+/// Validate a frame header's magic, version, kind and payload length, and
+/// return its kind and length. Both [`read_frame`] and
+/// [`FrameDecoder::next_frame`] judge headers here, so they fail alike.
+fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(FrameKind, u32), WireError> {
     if header[0..4] != MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -213,9 +223,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(FrameKind, Vec<u8>)>, Wi
     if len > MAX_PAYLOAD {
         return Err(WireError::Oversize(len));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some((kind, payload)))
+    Ok((kind, len))
 }
 
 /// Incremental frame reassembler for nonblocking transports.
@@ -273,24 +281,13 @@ impl FrameDecoder {
         if let Some(err) = &self.poisoned {
             return Err(err.clone());
         }
-        if self.buf.len() < HEADER_LEN {
+        let Some(header) = self.buf.first_chunk::<HEADER_LEN>() else {
             return Ok(None);
-        }
-        if self.buf[0..4] != MAGIC {
-            return Err(self.poison(WireError::BadMagic));
-        }
-        let version = u16::from_le_bytes(self.buf[4..6].try_into().expect("len 2"));
-        if version != VERSION {
-            return Err(self.poison(WireError::UnsupportedVersion(version)));
-        }
-        let kind_raw = u16::from_le_bytes(self.buf[6..8].try_into().expect("len 2"));
-        let Some(kind) = FrameKind::from_u16(kind_raw) else {
-            return Err(self.poison(WireError::UnknownKind(kind_raw)));
         };
-        let len = u32::from_le_bytes(self.buf[8..12].try_into().expect("len 4"));
-        if len > MAX_PAYLOAD {
-            return Err(self.poison(WireError::Oversize(len)));
-        }
+        let (kind, len) = match parse_header(header) {
+            Ok(parsed) => parsed,
+            Err(err) => return Err(self.poison(err)),
+        };
         let total = HEADER_LEN + len as usize;
         if self.buf.len() < total {
             return Ok(None);

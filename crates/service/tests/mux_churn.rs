@@ -162,7 +162,7 @@ struct Slot {
 }
 
 impl Slot {
-    fn next_id(&mut self) -> u64 {
+    fn fresh_id(&mut self) -> u64 {
         let id = self.base + self.seq;
         self.seq += 1;
         id
@@ -183,7 +183,7 @@ fn burst(slot: &mut Slot, n: usize, nap: Option<Duration>, accepted: &mut [Vec<u
     let tenant = TENANTS[slot.tenant];
     let mut ids = Vec::with_capacity(n);
     for _ in 0..n {
-        let id = slot.next_id();
+        let id = slot.fresh_id();
         loop {
             match client.submit(tenant, &req_for(id)) {
                 Ok(()) => break,
@@ -220,7 +220,7 @@ fn pipelined_burst(slot: &mut Slot, n: usize, accepted: &mut [Vec<u64>; 2]) {
     let mut writer = slot.stream.try_clone().expect("clone write half");
     let mut ids = Vec::with_capacity(n);
     for _ in 0..n {
-        let id = slot.next_id();
+        let id = slot.fresh_id();
         let payload = schema::encode_submit(tenant, &req_for(id));
         write_frame(&mut writer, FrameKind::Submit, &payload).expect("pipelined submit");
         ids.push(id);

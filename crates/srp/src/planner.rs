@@ -17,7 +17,7 @@
 //! space-time A\*, which reads the committed segment stores and crossing
 //! set directly through `StoreView` — no reservation table is built.
 
-use crate::convert::{compose, decompose};
+use crate::convert::{compose, decompose, Decomposition};
 #[cfg(debug_assertions)]
 use crate::intra::plan_within_reference;
 use crate::intra::{arrival_at, IntraConfig, IntraRoute, IntraSweep};
@@ -25,7 +25,7 @@ use crate::lane_cursor::{LaneCursor, LaneProbe};
 use crate::mul_hash::MulHasher;
 use crate::strip_graph::{EdgeGeom, StripEdge, StripGraph, StripId, StripKind};
 use carp_geometry::engine::{ShardKey, StoreEngine};
-use carp_geometry::store::{SegmentId, SegmentStore};
+use carp_geometry::store::SegmentStore;
 use carp_geometry::{Segment, SlopeIndexStore};
 use carp_spacetime::{AStarConfig, Occupancy, SpaceTimeAStar};
 use carp_warehouse::matrix::WarehouseMatrix;
@@ -192,11 +192,11 @@ impl core::fmt::Display for Provenance {
 }
 
 /// Bookkeeping for one committed route, enough to retire it later and to
-/// answer provenance queries while it is active.
+/// answer provenance queries while it is active: its decomposition names
+/// every stored segment and crossing exactly.
 #[derive(Debug, Clone)]
 struct Committed {
-    segs: Vec<(StripId, SegmentId, Segment)>,
-    crossings: Vec<(Cell, Cell, Time)>,
+    dec: Decomposition,
     path: PlannerPath,
 }
 
@@ -563,11 +563,6 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         self.engine.total_segments()
     }
 
-    /// The segment-store engine (for inspection and its operation stats).
-    pub fn engine(&self) -> &StoreEngine<S> {
-        &self.engine
-    }
-
     /// Byte breakdown of [`Planner::memory_bytes`] for diagnostics:
     /// `(stores, committed bookkeeping, crossings, scratch, graph)`.
     pub fn memory_breakdown(&self) -> (usize, usize, usize, usize, usize) {
@@ -575,7 +570,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         let committed: usize = self
             .committed
             .values()
-            .map(|c| memory::vec_bytes(&c.segs) + memory::vec_bytes(&c.crossings))
+            .map(|c| memory::vec_bytes(&c.dec.segments) + memory::vec_bytes(&c.dec.crossings))
             .sum::<usize>()
             + memory::hashmap_bytes(&self.committed)
             + memory::btreeset_bytes(&self.retire_queue);
@@ -607,7 +602,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
     pub fn route_provenance(&self, id: RequestId) -> Option<Provenance> {
         self.committed.get(&id).map(|c| {
             let mut strips: Vec<StripId> = Vec::new();
-            for &(sid, _, _) in &c.segs {
+            for &(sid, _) in &c.dec.segments {
                 if strips.last() != Some(&sid) {
                     strips.push(sid);
                 }
@@ -615,8 +610,8 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             Provenance {
                 path: c.path,
                 strips,
-                crossings: c.crossings.clone(),
-                segments: c.segs.len(),
+                crossings: c.dec.crossings.clone(),
+                segments: c.dec.segments.len(),
             }
         })
     }
@@ -1242,7 +1237,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
     /// produced it.
     fn commit(&mut self, id: RequestId, route: &Route, path: PlannerPath) {
         let started = self.now();
-        let dec = decompose(&self.matrix, &self.graph, route);
+        let mut dec = decompose(&self.matrix, &self.graph, route);
         // Pre-commit validation of every segment against its strip's
         // store. The check is always on: a colliding commit means a planner
         // bug, and one probe per segment is noise next to the search that
@@ -1253,22 +1248,15 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
                 "committing colliding segment {seg} in strip {sid}"
             );
         }
-        let mut segs = Vec::with_capacity(dec.segments.len());
-        for (sid, seg) in dec.segments {
-            let handle = self.engine.insert(sid, seg);
-            segs.push((sid, handle, seg));
+        for &(sid, seg) in &dec.segments {
+            self.engine.insert(sid, seg);
         }
         for &c in &dec.crossings {
             self.crossings.insert(c);
         }
-        self.committed.insert(
-            id,
-            Committed {
-                segs,
-                crossings: dec.crossings,
-                path,
-            },
-        );
+        // The segment list lives as long as the route: trim its growth slack.
+        dec.segments.shrink_to_fit();
+        self.committed.insert(id, Committed { dec, path });
         self.retire_queue.insert((route.end_time(), id));
         self.lap(started, |s| &mut s.convert_ns);
     }
@@ -1279,11 +1267,11 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
     /// per segment. Ids with no committed route (already retired,
     /// cancelled) are skipped.
     fn retire_batch(&mut self, ids: &[RequestId]) {
-        let mut removals: Vec<(ShardKey, SegmentId, Segment)> = Vec::new();
+        let mut removals: Vec<(ShardKey, Segment)> = Vec::new();
         for id in ids {
             if let Some(c) = self.committed.remove(id) {
-                removals.extend(c.segs);
-                for key in c.crossings {
+                removals.extend(c.dec.segments);
+                for key in c.dec.crossings {
                     self.crossings.remove(&key);
                 }
             }
@@ -1471,20 +1459,8 @@ impl<S: SegmentStore + Default> Planner for SrpPlanner<S> {
     }
 
     fn memory_bytes(&self) -> usize {
-        let stores: usize = self.engine.memory_bytes();
-        let committed: usize = self
-            .committed
-            .values()
-            .map(|c| memory::vec_bytes(&c.segs) + memory::vec_bytes(&c.crossings))
-            .sum();
-        stores
-            + committed
-            + memory::hashset_bytes(&self.crossings)
-            + memory::hashmap_bytes(&self.committed)
-            + memory::btreeset_bytes(&self.retire_queue)
-            + self.scratch.memory_bytes()
-            + self.stats.fallback_peak_bytes
-            + self.graph.memory_bytes()
+        let (stores, committed, crossings, scratch, graph) = self.memory_breakdown();
+        stores + committed + crossings + scratch + graph
     }
 }
 
@@ -1542,7 +1518,7 @@ mod tests {
     fn rebuilt_table<S: SegmentStore + Default>(p: &SrpPlanner<S>) -> ReservationTable {
         let mut rt = ReservationTable::new();
         for (id, c) in &p.committed {
-            for &(sid, _, seg) in &c.segs {
+            for &(sid, seg) in &c.dec.segments {
                 let strip = p.graph.strip(sid);
                 let mut prev: Option<(Time, Cell)> = None;
                 for (t, off) in seg.occupancy() {
@@ -1556,7 +1532,7 @@ mod tests {
                     prev = Some((t, cell));
                 }
             }
-            for &(from, to, t) in &c.crossings {
+            for &(from, to, t) in &c.dec.crossings {
                 rt.reserve(&Route::new(t, vec![from, to]), *id);
             }
         }
