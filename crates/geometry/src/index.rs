@@ -330,7 +330,11 @@ impl SegmentStore for SlopeIndexStore {
     /// Removes one by one, then re-tightens the waiters' duration
     /// high-water mark when the batch removed a waiter — the batch
     /// bookkeeping single `remove` cannot afford.
-    fn remove_batch(&mut self, segs: &[Segment]) -> usize {
+    fn remove_batch<'a, I>(&mut self, segs: I) -> usize
+    where
+        I: IntoIterator<Item = &'a Segment>,
+        I::IntoIter: Clone,
+    {
         let mut removed = 0usize;
         let mut waiter_gone = false;
         for seg in segs {

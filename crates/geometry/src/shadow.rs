@@ -66,8 +66,13 @@ impl SegmentStore for ShadowStore {
         rf
     }
 
-    fn remove_batch(&mut self, segs: &[Segment]) -> usize {
-        let rf = self.fast.remove_batch(segs);
+    fn remove_batch<'a, I>(&mut self, segs: I) -> usize
+    where
+        I: IntoIterator<Item = &'a Segment>,
+        I::IntoIter: Clone,
+    {
+        let segs = segs.into_iter();
+        let rf = self.fast.remove_batch(segs.clone());
         let rn = self.naive.remove_batch(segs);
         assert_eq!(
             rf, rn,

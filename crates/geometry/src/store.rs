@@ -39,9 +39,15 @@ pub trait SegmentStore: Send + Sync {
     /// how many copies were actually present. The default loops over
     /// [`SegmentStore::remove`]; stores override it when a batch admits
     /// cheaper bookkeeping (e.g. re-tightening duration high-water marks
-    /// once per batch instead of never).
-    fn remove_batch(&mut self, segs: &[Segment]) -> usize {
-        segs.iter().filter(|seg| self.remove(seg)).count()
+    /// once per batch instead of never). The batch is any re-iterable
+    /// sequence of segments — a slice, or one shard's run of a keyed list —
+    /// so a store that forwards it may read it more than once.
+    fn remove_batch<'a, I>(&mut self, segs: I) -> usize
+    where
+        I: IntoIterator<Item = &'a Segment>,
+        I::IntoIter: Clone,
+    {
+        segs.into_iter().filter(|seg| self.remove(seg)).count()
     }
 
     /// Earliest collision of a candidate segment against every stored
@@ -163,8 +169,12 @@ impl SegmentStore for NaiveStore {
         true
     }
 
-    fn remove_batch(&mut self, segs: &[Segment]) -> usize {
-        let removed = segs.iter().filter(|seg| self.remove(seg)).count();
+    fn remove_batch<'a, I>(&mut self, segs: I) -> usize
+    where
+        I: IntoIterator<Item = &'a Segment>,
+        I::IntoIter: Clone,
+    {
+        let removed = segs.into_iter().filter(|seg| self.remove(seg)).count();
         // A batch is the one moment where re-tightening the duration
         // high-water mark pays for itself: one pass over the survivors
         // narrows every later query window back to the true maximum

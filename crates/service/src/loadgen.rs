@@ -780,7 +780,7 @@ impl DayDriver {
                 }
             }
             // Clock moved: let the planner retire state (the engine's
-            // batched remove_batch path) and deliver revisions before this
+            // batched remove_routes path) and deliver revisions before this
             // burst plans.
             let revisions = client.advance(tenant, now).expect("advance over the wire");
             if !revisions.is_empty() {

@@ -162,7 +162,7 @@ impl Tenant {
     }
 
     /// Advance the planner's clock to `now` (batched retirement through the
-    /// engine's `remove_batch` path) and return any route revisions; empty
+    /// engine's `remove_routes` path) and return any route revisions; empty
     /// once the tenant is gone.
     pub fn advance(&self, now: Time) -> Vec<(RequestId, Route)> {
         self.with_planner(|p| {

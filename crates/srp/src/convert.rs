@@ -5,14 +5,19 @@
 //! inside exactly one strip; while it stays in a strip it moves along the
 //! strip axis or waits (strips are maximal same-value runs, so a lateral
 //! step always changes strips), and each strip change is a *crossing*
-//! motion. [`decompose`] produces the per-strip segment polylines plus the
-//! crossing list; [`compose`] rebuilds the grid route from a chain of
-//! intra-strip legs (used by the planner's route assembly).
+//! motion. The result is a [`Decomposition`]: the per-strip maximal
+//! constant-slope segments plus the crossing list.
+//!
+//! A strip-level route is built from its legs by `RouteBuilder`, which
+//! writes the grid cells and the decomposition in one pass over the legs'
+//! polylines. [`decompose`] walks a grid route cell by cell and is for
+//! routes without legs: the grid A\* fallback's, and routes committed or
+//! replayed from outside the planner.
 
-use crate::intra::IntraRoute;
-use crate::strip_graph::{StripGraph, StripId};
+use crate::strip_graph::{Strip, StripGraph, StripId};
 use carp_geometry::Segment;
 use carp_warehouse::matrix::WarehouseMatrix;
+use carp_warehouse::memory;
 use carp_warehouse::route::Route;
 use carp_warehouse::types::{Cell, Time};
 
@@ -98,44 +103,97 @@ fn make_seg(t_base: Time, a: usize, b: usize, offsets: &[i32]) -> Segment {
     }
 }
 
-/// Rebuild the grid cells of one intra-strip leg.
-pub fn leg_cells(graph: &StripGraph, strip: StripId, leg: &IntraRoute) -> Vec<Cell> {
-    let s = graph.strip(strip);
-    let mut cells = Vec::with_capacity((leg.arrive - leg.enter + 1) as usize);
-    for seg in &leg.segments {
-        for (t, off) in seg.occupancy() {
-            // Shared endpoints between consecutive segments appear twice;
-            // keep the first occurrence of each instant.
-            if cells.len() as Time + leg.enter > t {
-                continue;
-            }
-            cells.push(s.cell_at(off));
-        }
-    }
-    cells
+/// Builds a strip-level route from its chain of legs in one pass: the grid
+/// cells, the maximal constant-slope segments and the crossings, exactly
+/// what [`decompose`] would rebuild from the cells. Kept between plans for
+/// its segment buffer; the route's cells and crossings are allocated at
+/// their final size.
+///
+/// Consecutive legs lie in different strips: the first starts at the
+/// route's start, and each later one starts one instant after the previous
+/// one ends, on a cell adjacent to its last. So the legs are exactly
+/// [`decompose`]'s strip runs, and each leg boundary is one crossing.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct RouteBuilder {
+    start: Time,
+    grids: Vec<Cell>,
+    segments: Vec<(StripId, Segment)>,
+    crossings: Vec<(Cell, Cell, Time)>,
 }
 
-/// Compose a full grid route from a chain of `(strip, leg)` pairs, where
-/// consecutive legs are bridged by one crossing step (the first leg starts
-/// at the route's departure; each following leg starts one instant after
-/// the previous leg ends, on an adjacent cell).
-pub fn compose(graph: &StripGraph, legs: &[(StripId, IntraRoute)]) -> Route {
-    assert!(!legs.is_empty());
-    let start = legs[0].1.enter;
-    let mut grids: Vec<Cell> = Vec::new();
-    for (k, (strip, leg)) in legs.iter().enumerate() {
-        let cells = leg_cells(graph, *strip, leg);
-        if k > 0 {
-            let prev = &legs[k - 1].1;
-            debug_assert_eq!(leg.enter, prev.arrive + 1, "legs must be time-contiguous");
-            debug_assert!(
-                grids.last().expect("nonempty").is_adjacent(cells[0]),
-                "legs must be space-adjacent"
-            );
-        }
-        grids.extend(cells);
+impl RouteBuilder {
+    /// Start a route that occupies `[start, end]` and has `legs` legs.
+    pub fn begin(&mut self, start: Time, end: Time, legs: usize) {
+        debug_assert!(start <= end && legs > 0);
+        self.start = start;
+        self.grids = Vec::with_capacity((end - start + 1) as usize);
+        self.segments.clear();
+        self.crossings = Vec::with_capacity(legs - 1);
     }
-    Route::new(start, grids)
+
+    /// Append the leg in strip `sid` (geometry `strip`) whose polyline is
+    /// `pieces`: consecutive in time, each starting where the one before
+    /// ends. A single-instant leg becomes one point; in a longer leg,
+    /// zero-length pieces add nothing, and adjacent pieces of equal slope
+    /// merge into one segment, as [`decompose`] cuts them.
+    pub fn push_leg(&mut self, strip: &Strip, sid: StripId, pieces: &[Segment]) {
+        let (first, last) = (pieces[0], pieces[pieces.len() - 1]);
+        debug_assert_eq!(
+            first.t0,
+            self.start + self.grids.len() as Time,
+            "legs must be time-contiguous"
+        );
+        if let Some(&exit) = self.grids.last() {
+            debug_assert_ne!(self.segments.last().map(|s| s.0), Some(sid));
+            let entry = strip.cell_at(first.s0);
+            debug_assert!(exit.is_adjacent(entry), "legs must be space-adjacent");
+            self.crossings.push((exit, entry, first.t0 - 1));
+        }
+        if first.t0 == last.t1 {
+            self.segments
+                .push((sid, Segment::point(first.t0, first.s0)));
+            self.grids.push(strip.cell_at(first.s0));
+            return;
+        }
+        let leg_start = self.segments.len();
+        for &piece in pieces.iter().filter(|p| p.t1 > p.t0) {
+            // The instant a piece shares with the one before is already
+            // emitted.
+            let dir = i32::from(piece.slope());
+            let next_t = self.start + self.grids.len() as Time;
+            debug_assert!(
+                next_t == piece.t0 || next_t == piece.t0 + 1,
+                "pieces must chain"
+            );
+            for t in next_t..=piece.t1 {
+                let off = piece.s0 + dir * (t - piece.t0) as i32;
+                self.grids.push(strip.cell_at(off));
+            }
+            match self.segments[leg_start..].last_mut() {
+                Some((_, seg)) if seg.slope() == piece.slope() => {
+                    debug_assert!(seg.t1 == piece.t0 && seg.s1 == piece.s0);
+                    seg.t1 = piece.t1;
+                    seg.s1 = piece.s1;
+                }
+                _ => self.segments.push((sid, piece)),
+            }
+        }
+    }
+
+    /// The finished route and its decomposition.
+    pub fn finish(&mut self) -> (Route, Decomposition) {
+        let route = Route::new(self.start, core::mem::take(&mut self.grids));
+        let dec = Decomposition {
+            segments: self.segments.to_vec(),
+            crossings: core::mem::take(&mut self.crossings),
+        };
+        (route, dec)
+    }
+
+    /// Heap bytes held between routes.
+    pub fn memory_bytes(&self) -> usize {
+        memory::vec_bytes(&self.segments)
+    }
 }
 
 #[cfg(test)]
@@ -290,61 +348,59 @@ mod tests {
         assert_eq!(rebuilt, expected);
     }
 
+    /// Build a route from `(strip of the cell, pieces)` legs, and check
+    /// that its decomposition is the one [`decompose`] rebuilds from its
+    /// cells.
+    fn build(
+        m: &WarehouseMatrix,
+        g: &StripGraph,
+        legs: &[(Cell, &[Segment])],
+    ) -> (Route, Decomposition) {
+        let start = legs[0].1[0].t0;
+        let end = legs.last().expect("legs").1.last().expect("pieces").t1;
+        let mut b = RouteBuilder::default();
+        b.begin(start, end, legs.len());
+        for &(cell, pieces) in legs {
+            let sid = g.strip_of(m, cell);
+            b.push_leg(g.strip(sid), sid, pieces);
+        }
+        let (route, dec) = b.finish();
+        assert_eq!(route.grids.len(), route.grids.capacity());
+        assert_eq!(dec.crossings.len(), dec.crossings.capacity());
+        assert_eq!(dec.segments.len(), dec.segments.capacity());
+        assert_eq!(dec, decompose(m, g, &route));
+        (route, dec)
+    }
+
     #[test]
-    fn compose_chains_legs() {
-        let (_, g) = toy();
-        // Leg 1: top aisle, offsets 0→... point at 0; leg 2: col0 strip.
-        let leg1 = IntraRoute {
-            segments: vec![Segment::point(5, 0)],
-            enter: 5,
-            arrive: 5,
-        };
-        let leg2 = IntraRoute {
-            segments: vec![Segment {
-                t0: 6,
-                t1: 7,
-                s0: 0,
-                s1: 1,
-            }],
-            enter: 6,
-            arrive: 7,
-        };
-        let (m, _) = toy();
-        let top = g.strip_of(&m, Cell::new(0, 0));
-        let col0 = g.strip_of(&m, Cell::new(1, 0));
-        let r = compose(&g, &[(top, leg1), (col0, leg2)]);
+    fn builder_chains_legs() {
+        let (m, g) = toy();
+        // A single-instant leg in the top aisle, then two steps down the
+        // col-0 strip.
+        let (r, dec) = build(
+            &m,
+            &g,
+            &[
+                (Cell::new(0, 0), &[Segment::point(5, 0)]),
+                (Cell::new(1, 0), &[Segment::travel(6, 0, 1)]),
+            ],
+        );
         assert_eq!(r.start, 5);
         assert_eq!(
             r.grids,
             vec![Cell::new(0, 0), Cell::new(1, 0), Cell::new(2, 0)]
         );
+        assert_eq!(dec.segments[0].1, Segment::point(5, 0));
+        assert_eq!(dec.crossings, vec![(Cell::new(0, 0), Cell::new(1, 0), 5)]);
     }
 
     #[test]
-    fn leg_cells_deduplicates_shared_endpoints() {
+    fn builder_emits_each_instant_once() {
         let (m, g) = toy();
-        let top = g.strip_of(&m, Cell::new(0, 0));
-        let leg = IntraRoute {
-            segments: vec![
-                Segment {
-                    t0: 0,
-                    t1: 2,
-                    s0: 0,
-                    s1: 2,
-                },
-                Segment {
-                    t0: 2,
-                    t1: 3,
-                    s0: 2,
-                    s1: 2,
-                },
-            ],
-            enter: 0,
-            arrive: 3,
-        };
-        let cells = leg_cells(&g, top, &leg);
+        let pieces = [Segment::travel(0, 0, 2), Segment::wait(2, 3, 2)];
+        let (r, dec) = build(&m, &g, &[(Cell::new(0, 0), &pieces)]);
         assert_eq!(
-            cells,
+            r.grids,
             vec![
                 Cell::new(0, 0),
                 Cell::new(0, 1),
@@ -352,5 +408,118 @@ mod tests {
                 Cell::new(0, 2)
             ]
         );
+        assert_eq!(dec.segments.len(), 2);
+    }
+
+    #[test]
+    fn builder_merges_a_transit_wait_into_the_legs_last_wait() {
+        let (m, g) = toy();
+        // The leg ends waiting at offset 2 over [2, 4]; the transit wait
+        // [4, 6] at the same offset extends it, and a zero-length piece
+        // between equal-slope travels splits nothing.
+        let pieces = [
+            Segment::travel(0, 0, 1),
+            Segment::point(1, 1),
+            Segment::travel(1, 1, 2),
+            Segment::wait(2, 4, 2),
+            Segment::wait(4, 6, 2),
+        ];
+        let (_, dec) = build(
+            &m,
+            &g,
+            &[
+                (Cell::new(0, 0), &pieces),
+                (Cell::new(1, 2), &[Segment::point(7, 0)]),
+            ],
+        );
+        let segs: Vec<Segment> = dec.segments.iter().map(|&(_, s)| s).collect();
+        assert_eq!(
+            segs,
+            vec![
+                Segment::travel(0, 0, 2),
+                Segment::wait(2, 6, 2),
+                Segment::point(7, 0)
+            ]
+        );
+        // A leg that only waits: the point of `from == to` is dropped.
+        let (_, dec) = build(
+            &m,
+            &g,
+            &[(
+                Cell::new(0, 3),
+                &[Segment::point(3, 3), Segment::wait(3, 5, 3)],
+            )],
+        );
+        assert_eq!(
+            dec.segments,
+            vec![(dec.segments[0].0, Segment::wait(3, 5, 3))]
+        );
+    }
+
+    #[test]
+    fn builder_ends_at_a_rack_destination_point() {
+        let (m, g) = toy();
+        // Along the top aisle to (0, 1), then one step into the rack cell
+        // (1, 1), which the final leg occupies for one instant.
+        let (r, dec) = build(
+            &m,
+            &g,
+            &[
+                (Cell::new(0, 0), &[Segment::travel(2, 0, 1)]),
+                (Cell::new(1, 1), &[Segment::point(4, 0)]),
+            ],
+        );
+        assert_eq!(r.destination(), Cell::new(1, 1));
+        assert_eq!(r.end_time(), 4);
+        assert_eq!(dec.crossings, vec![(Cell::new(0, 1), Cell::new(1, 1), 3)]);
+        assert_eq!(dec.segments.last().expect("point").1, Segment::point(4, 0));
+    }
+
+    #[test]
+    fn builder_crossings_depart_at_each_legs_last_instant() {
+        let (m, g) = toy();
+        // Top aisle 0 → 0 with a wait, col-0 strip down, bottom aisle east.
+        let (_, dec) = build(
+            &m,
+            &g,
+            &[
+                (Cell::new(0, 0), &[Segment::wait(10, 12, 0)]),
+                (Cell::new(1, 0), &[Segment::travel(13, 0, 1)]),
+                (Cell::new(3, 0), &[Segment::travel(15, 0, 2)]),
+            ],
+        );
+        assert_eq!(
+            dec.crossings,
+            vec![
+                (Cell::new(0, 0), Cell::new(1, 0), 12),
+                (Cell::new(2, 0), Cell::new(3, 0), 14)
+            ]
+        );
+    }
+
+    #[test]
+    fn builder_keeps_the_runs_of_a_route_that_reenters_a_strip() {
+        let (m, g) = toy();
+        // Top aisle east, down the col-4 strip and back up into the top
+        // aisle: two runs of one strip, as a fallback route may have.
+        let (r, dec) = build(
+            &m,
+            &g,
+            &[
+                (Cell::new(0, 2), &[Segment::travel(0, 2, 4)]),
+                (
+                    Cell::new(1, 4),
+                    &[Segment::travel(3, 0, 1), Segment::travel(4, 1, 0)],
+                ),
+                (Cell::new(0, 4), &[Segment::wait(6, 7, 4)]),
+            ],
+        );
+        assert_eq!(r.grids.len(), 8);
+        let top = g.strip_of(&m, Cell::new(0, 0));
+        let strips: Vec<StripId> = dec.segments.iter().map(|s| s.0).collect();
+        assert_eq!(strips.first(), Some(&top));
+        assert_eq!(strips.last(), Some(&top));
+        assert_eq!(dec.segments.len(), 4);
+        assert_eq!(dec.crossings.len(), 2);
     }
 }

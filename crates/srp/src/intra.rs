@@ -233,33 +233,50 @@ impl IntraSweep {
         to: i32,
         config: &IntraConfig,
     ) -> Option<IntraRoute> {
+        let mut segments = Vec::new();
+        let arrive = self.route_into(store, t, from, to, config, &mut segments)?;
+        let route = IntraRoute {
+            segments,
+            enter: t,
+            arrive,
+        };
+        debug_assert!(route.is_well_formed());
+        Some(route)
+    }
+
+    /// Plan the route of [`plan_within`] and append its polyline to `out`,
+    /// a buffer the caller reuses across legs; returns the arrival, or
+    /// `None` (with `out` untouched) when no route exists within the
+    /// limits. The pieces are those of [`IntraSweep::route`]: a point when
+    /// `from == to`, else travels and waits of nonzero length, consecutive
+    /// in time, the first at `t`.
+    pub(crate) fn route_into<S: SegmentStore>(
+        &mut self,
+        store: &S,
+        t: Time,
+        from: i32,
+        to: i32,
+        config: &IntraConfig,
+        out: &mut Vec<Segment>,
+    ) -> Option<Time> {
         if from == to {
-            return Some(IntraRoute {
-                segments: vec![Segment::point(t, from)],
-                enter: t,
-                arrive: t,
-            });
+            out.push(Segment::point(t, from));
+            return Some(t);
         }
         let start = self.covers.len();
         self.run(store, t, from, to, config);
         let last = *self.covers[start..].last().filter(|c| c.reach == to)?;
         // The frames are the reaching node's ancestors, each waiting the
         // `tau` that led towards it.
-        let mut segments = Vec::with_capacity(2 * self.frames.len() + 1);
+        out.reserve(2 * self.frames.len() + 1);
         for f in &self.frames {
             if f.stop_t > f.t {
-                segments.push(Segment::travel(f.t, f.p, f.p_stop));
+                out.push(Segment::travel(f.t, f.p, f.p_stop));
             }
-            segments.push(Segment::wait(f.stop_t, f.stop_t + f.tau, f.p_stop));
+            out.push(Segment::wait(f.stop_t, f.stop_t + f.tau, f.p_stop));
         }
-        segments.push(Segment::travel(last.t, last.p, to));
-        let route = IntraRoute {
-            segments,
-            enter: t,
-            arrive: last.t + to.abs_diff(last.p),
-        };
-        debug_assert!(route.is_well_formed());
-        Some(route)
+        out.push(Segment::travel(last.t, last.p, to));
+        Some(last.t + to.abs_diff(last.p))
     }
 
     /// The covers of every pass since the last [`IntraSweep::clear`].

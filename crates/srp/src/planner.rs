@@ -17,14 +17,14 @@
 //! space-time A\*, which reads the committed segment stores and crossing
 //! set directly through `StoreView` — no reservation table is built.
 
-use crate::convert::{compose, decompose, Decomposition};
+use crate::convert::{decompose, Decomposition, RouteBuilder};
 #[cfg(debug_assertions)]
 use crate::intra::plan_within_reference;
-use crate::intra::{arrival_at, IntraConfig, IntraRoute, IntraSweep};
+use crate::intra::{arrival_at, IntraConfig, IntraSweep};
 use crate::lane_cursor::{LaneCursor, LaneProbe};
 use crate::mul_hash::MulHasher;
 use crate::strip_graph::{EdgeGeom, StripEdge, StripGraph, StripId, StripKind};
-use carp_geometry::engine::{ShardKey, StoreEngine};
+use carp_geometry::engine::StoreEngine;
 use carp_geometry::store::SegmentStore;
 use carp_geometry::{Segment, SlopeIndexStore};
 use carp_spacetime::{AStarConfig, Occupancy, SpaceTimeAStar};
@@ -124,7 +124,12 @@ pub struct SrpStats {
     /// Nanoseconds in intra-strip planning + collision queries, including
     /// the boundary-crossing scan that prices each strip edge's departure.
     pub intra_ns: u64,
-    /// Nanoseconds converting between strip and grid representations.
+    /// Nanoseconds converting between strip and grid representations and
+    /// committing: walking the search's parent chain, building the route's
+    /// cells, segments and crossings from its legs (`RouteBuilder`; the leg
+    /// re-plans themselves are booked to `intra_ns`), and the commit's
+    /// validation, store and crossing inserts and bookkeeping, including
+    /// `decompose` for routes without legs.
     pub convert_ns: u64,
     /// High-water bytes of the fallback A\* search (part of MC).
     pub fallback_peak_bytes: usize,
@@ -355,6 +360,12 @@ struct SearchScratch {
     passes: Vec<PassSlot>,
     /// The passes' frame stack and cover arena, emptied per search.
     sweep: IntraSweep,
+    /// Phase 2's hop chain, origin first.
+    hops: Vec<ParentLite>,
+    /// One leg's polyline pieces at a time, as Phase 2 re-plans it.
+    pieces: Vec<Segment>,
+    /// Phase 2's route builder.
+    builder: RouteBuilder,
 }
 
 /// One intra pass of a search: when stamped with the search's generation,
@@ -492,6 +503,9 @@ impl SearchScratch {
             + memory::vec_bytes(&self.walk)
             + memory::vec_bytes(&self.passes)
             + self.sweep.memory_bytes()
+            + memory::vec_bytes(&self.hops)
+            + memory::vec_bytes(&self.pieces)
+            + self.builder.memory_bytes()
     }
 }
 
@@ -507,6 +521,8 @@ pub struct SrpPlanner<S: SegmentStore = SlopeIndexStore> {
     crossings: CrossingSet,
     committed: HashMap<RequestId, Committed>,
     retire_queue: BTreeSet<(Time, RequestId)>,
+    /// `advance`'s list of expired routes, kept for its allocation.
+    expired: Vec<RequestId>,
     scratch: SearchScratch,
     /// Settles of one search before its first dead-region check
     /// (`CUT_FIRST_CHECK`; unit tests lower it to reach small graphs).
@@ -536,6 +552,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             crossings: CrossingSet::default(),
             committed: HashMap::new(),
             retire_queue: BTreeSet::new(),
+            expired: Vec::new(),
             scratch: SearchScratch::default(),
             cut_first_check: CUT_FIRST_CHECK,
             config,
@@ -588,13 +605,13 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
     /// the competitive-ratio experiment (Theorem 1), which compares single
     /// uncommitted routes against the space-time-optimal ones.
     pub fn plan_uncommitted(&mut self, req: &Request) -> Option<Route> {
-        self.plan_strip_level(req).map(|(route, _)| route)
+        self.plan_strip_level(req).map(|(route, _, _)| route)
     }
 
     /// Commit an externally produced route into the collision state (used
     /// by experiments that need to seed background traffic).
     pub fn commit_route(&mut self, id: RequestId, route: &Route) {
-        self.commit(id, route, PlannerPath::External);
+        self.commit_decomposed(id, route, PlannerPath::External);
     }
 
     /// Provenance of a currently committed (not yet retired) route: the
@@ -634,6 +651,17 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         }
     }
 
+    /// Book the time since `mark` to `bucket` and move `mark` to now: one
+    /// clock read per boundary between buckets.
+    #[inline]
+    fn split(&mut self, mark: &mut Option<Instant>, bucket: fn(&mut SrpStats) -> &mut u64) {
+        if let Some(m) = mark {
+            let now = Instant::now();
+            *bucket(&mut self.stats) += (now - *m).as_nanos() as u64;
+            *m = now;
+        }
+    }
+
     /// Earliest `t' ∈ [t, t + limit]` at which `(t', cell)` is free in the
     /// cell's strip store, or `None`.
     fn probe_free_time(&self, cell: Cell, t: Time, limit: Time) -> Option<Time> {
@@ -644,8 +672,9 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             .earliest_free_point(t, t + limit, off)
     }
 
-    /// Plan a route at strip level; `None` means the restricted search
-    /// space has no solution and the fallback should take over.
+    /// Plan a route at strip level, with its decomposition; `None` means
+    /// the restricted search space has no solution and the fallback should
+    /// take over.
     ///
     /// The search runs in two phases for speed: a cost-only time-dependent
     /// A*/Dijkstra over strips (no segment polylines are materialized —
@@ -653,14 +682,18 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
     /// that re-plans the few legs along the winning chain with full
     /// polylines. Both phases query the same immutable stores, so the
     /// rebuilt legs are identical to the ones the search priced.
-    fn plan_strips(&mut self, req: &Request) -> Option<Route> {
+    fn plan_strips(&mut self, req: &Request) -> Option<(Route, Decomposition)> {
         let (o, d) = (req.origin, req.destination);
         let su = self.graph.strip_of(&self.matrix, o);
         let sd = self.graph.strip_of(&self.matrix, d);
         let start_t = self.probe_free_time(o, req.t, self.config.max_start_delay)?;
 
         if o == d {
-            return Some(Route::stationary(start_t, o));
+            let strip = self.graph.strip(su);
+            let builder = &mut self.scratch.builder;
+            builder.begin(start_t, start_t, 1);
+            builder.push_leg(strip, su, &[Segment::point(start_t, strip.offset_of(o))]);
+            return Some(builder.finish());
         }
         let su_kind = self.graph.strip(su).kind;
         if su == sd && su_kind == StripKind::Rack {
@@ -937,9 +970,15 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
 
         let total = self.scratch.dist(goal_slot)?;
         // Phase 2: reconstruct the leg chain (line 24 of Algorithm 4) by
-        // walking the parent pointers and re-planning each leg in full.
-        let convert_t = self.now();
-        let mut hops: Vec<ParentLite> = Vec::new();
+        // walking the parent pointers and re-planning each leg in full, in
+        // one pass that writes the route's cells, segments and crossings
+        // (`RouteBuilder`). The re-plans are booked to `intra_ns`, the rest
+        // to `convert_ns`.
+        let mut mark = self.now();
+        let mut hops = core::mem::take(&mut self.scratch.hops);
+        let mut pieces = core::mem::take(&mut self.scratch.pieces);
+        let mut builder = core::mem::take(&mut self.scratch.builder);
+        hops.clear();
         let mut node = goal_slot;
         loop {
             let p = self.scratch.parent[node];
@@ -951,50 +990,48 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             node = p.prev as usize;
         }
         hops.reverse();
-        self.lap(convert_t, |s| &mut s.convert_ns);
-
-        let mut legs: Vec<(StripId, IntraRoute)> = Vec::with_capacity(hops.len() + 1);
+        builder.begin(start_t, total, hops.len() + usize::from(sd_is_rack));
         for hop in &hops {
             let u = hop.prev;
             let strip = *self.graph.strip(u);
             let enter_t = self.scratch.dist(u as usize).expect("on chain");
-            let gu = self.scratch.entry[u as usize];
-            let mut leg = self
-                .intra_full(
-                    u,
+            let from = strip.offset_of(self.scratch.entry[u as usize]);
+            let exit_off = strip.offset_of(hop.exit_cell);
+            self.split(&mut mark, |s| &mut s.convert_ns);
+            pieces.clear();
+            let arrive = self
+                .scratch
+                .sweep
+                .route_into(
+                    self.engine.shard(u),
                     enter_t,
-                    strip.offset_of(gu),
-                    strip.offset_of(hop.exit_cell),
+                    from,
+                    exit_off,
+                    &self.config.intra,
+                    &mut pieces,
                 )
                 .expect("cost phase succeeded on this leg");
-            debug_assert!(leg.arrive <= hop.depart);
-            if leg.arrive < hop.depart {
-                let off = strip.offset_of(hop.exit_cell);
-                leg.segments
-                    .push(Segment::wait(leg.arrive, hop.depart, off));
-                leg.arrive = hop.depart;
+            self.split(&mut mark, |s| &mut s.intra_ns);
+            debug_assert!(arrive <= hop.depart);
+            if arrive < hop.depart {
+                pieces.push(Segment::wait(arrive, hop.depart, exit_off));
             }
-            legs.push((u, leg));
+            builder.push_leg(&strip, u, &pieces);
         }
         if sd_is_rack {
             // The rack destination is entered by the final crossing; it
             // contributes a single point of occupancy.
-            legs.push((
-                sd,
-                IntraRoute {
-                    segments: vec![Segment::point(total, self.graph.strip(sd).offset_of(d))],
-                    enter: total,
-                    arrive: total,
-                },
-            ));
+            let strip = self.graph.strip(sd);
+            builder.push_leg(strip, sd, &[Segment::point(total, strip.offset_of(d))]);
         }
-
-        let convert_t = self.now();
-        let route = compose(&self.graph, &legs);
-        self.lap(convert_t, |s| &mut s.convert_ns);
-        debug_assert_eq!(route.destination(), d);
-        debug_assert_eq!(route.end_time(), total);
-        Some(route)
+        let built = builder.finish();
+        self.scratch.hops = hops;
+        self.scratch.pieces = pieces;
+        self.scratch.builder = builder;
+        self.split(&mut mark, |s| &mut s.convert_ns);
+        debug_assert_eq!(built.0.destination(), d);
+        debug_assert_eq!(built.0.end_time(), total);
+        Some(built)
     }
 
     /// The key inputs of lane `lane` of the settled strip `u`.
@@ -1089,18 +1126,6 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         }
         self.lap(started, |s| &mut s.intra_ns);
         arrive
-    }
-
-    /// Instrumented full intra-strip planning (reconstruction phase).
-    fn intra_full(&mut self, strip: StripId, t: Time, from: i32, to: i32) -> Option<IntraRoute> {
-        let started = self.now();
-        let store = self.engine.shard(strip);
-        let leg = self
-            .scratch
-            .sweep
-            .route(store, t, from, to, &self.config.intra);
-        self.lap(started, |s| &mut s.intra_ns);
-        leg
     }
 
     /// Find the earliest boundary departure `>= arrive` for the motion
@@ -1215,9 +1240,9 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
     /// the first success. A fired cancellation token skips the remaining
     /// bumps — the request is being abandoned, not rescued. Commits
     /// nothing and counts nothing but search work.
-    fn plan_strip_level(&mut self, req: &Request) -> Option<(Route, PlannerPath)> {
-        if let Some(route) = self.plan_strips(req) {
-            return Some((route, PlannerPath::Direct));
+    fn plan_strip_level(&mut self, req: &Request) -> Option<(Route, PlannerPath, Decomposition)> {
+        if let Some((route, dec)) = self.plan_strips(req) {
+            return Some((route, PlannerPath::Direct, dec));
         }
         for bump in self.config.retry_bumps {
             if self.cancelled() {
@@ -1225,62 +1250,65 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             }
             let mut delayed = *req;
             delayed.t = req.t + bump;
-            if let Some(route) = self.plan_strips(&delayed) {
-                return Some((route, PlannerPath::Retry { bump }));
+            if let Some((route, dec)) = self.plan_strips(&delayed) {
+                return Some((route, PlannerPath::Retry { bump }, dec));
             }
         }
         None
     }
 
-    /// Commit a planned route: decompose it and insert its segments and
-    /// crossings into the collision state, tagged with the search path that
-    /// produced it.
-    fn commit(&mut self, id: RequestId, route: &Route, path: PlannerPath) {
+    /// Commit a route that has no legs (the fallback's, or one from
+    /// outside the planner): decompose it, then [`Self::commit`].
+    fn commit_decomposed(&mut self, id: RequestId, route: &Route, path: PlannerPath) {
         let started = self.now();
         let mut dec = decompose(&self.matrix, &self.graph, route);
+        // The segment list lives as long as the route: trim its growth slack.
+        dec.segments.shrink_to_fit();
+        self.lap(started, |s| &mut s.convert_ns);
+        self.commit(id, route, path, dec);
+    }
+
+    /// Commit a planned route, given with its decomposition: validate and
+    /// insert its segments one strip run at a time, insert its crossings,
+    /// and tag it with the search path that produced it.
+    fn commit(&mut self, id: RequestId, route: &Route, path: PlannerPath, dec: Decomposition) {
+        debug_assert_eq!(
+            dec,
+            decompose(&self.matrix, &self.graph, route),
+            "route built from legs decomposes differently"
+        );
+        let started = self.now();
         // Pre-commit validation of every segment against its strip's
         // store. The check is always on: a colliding commit means a planner
         // bug, and one probe per segment is noise next to the search that
         // produced the route.
-        for &(sid, seg) in &dec.segments {
-            assert!(
-                self.engine.earliest_collision(sid, &seg).is_none(),
-                "committing colliding segment {seg} in strip {sid}"
-            );
-        }
-        for &(sid, seg) in &dec.segments {
-            self.engine.insert(sid, seg);
+        if let Err((sid, seg)) = self.engine.insert_route(&dec.segments) {
+            panic!("committing colliding segment {seg} in strip {sid}");
         }
         for &c in &dec.crossings {
             self.crossings.insert(c);
         }
-        // The segment list lives as long as the route: trim its growth slack.
-        dec.segments.shrink_to_fit();
         self.committed.insert(id, Committed { dec, path });
         self.retire_queue.insert((route.end_time(), id));
         self.lap(started, |s| &mut s.convert_ns);
     }
 
-    /// Remove a batch of committed routes from the collision state. All
-    /// their segments are retired through one [`StoreEngine::remove_batch`]
-    /// call — one removal list per shard — instead of one map traversal
-    /// per segment. Ids with no committed route (already retired,
-    /// cancelled) are skipped.
+    /// Remove a batch of committed routes from the collision state: one
+    /// [`StoreEngine::remove_routes`] call takes every route's segments,
+    /// one strip run at a time. Ids with no committed route (already
+    /// retired, cancelled) are skipped.
     fn retire_batch(&mut self, ids: &[RequestId]) {
-        let mut removals: Vec<(ShardKey, Segment)> = Vec::new();
-        for id in ids {
-            if let Some(c) = self.committed.remove(id) {
-                removals.extend(c.dec.segments);
-                for key in c.dec.crossings {
-                    self.crossings.remove(&key);
-                }
+        let (committed, crossings) = (&mut self.committed, &mut self.crossings);
+        let mut listed = 0;
+        let retired = ids.iter().filter_map(|id| committed.remove(id)).map(|c| {
+            for key in &c.dec.crossings {
+                crossings.remove(key);
             }
-        }
-        if removals.is_empty() {
-            return;
-        }
-        let removed = self.engine.remove_batch(&removals);
-        debug_assert_eq!(removed, removals.len(), "segment missing on retire");
+            listed += c.dec.segments.len();
+            c.dec.segments
+        });
+        let removed = self.engine.remove_routes(retired);
+        debug_assert_eq!(removed, listed, "segment missing on retire");
     }
 }
 
@@ -1384,26 +1412,30 @@ impl<S: SegmentStore + Default> Planner for SrpPlanner<S> {
             let sub = (self.stats.intra_ns + self.stats.convert_ns) - sub_before;
             self.stats.inter_ns += (started.elapsed().as_nanos() as u64).saturating_sub(sub);
         }
-        if let Some((_, PlannerPath::Retry { .. })) = strip_level {
+        if let Some((_, PlannerPath::Retry { .. }, _)) = strip_level {
             self.stats.retries += 1;
         }
-        let planned = match strip_level {
+        let route = match strip_level {
+            Some((route, path, dec)) => {
+                self.commit(req.id, &route, path, dec);
+                Some(route)
+            }
             None if self.config.use_fallback && !self.cancelled() => {
                 let r = self.plan_fallback(req);
-                if r.is_some() {
+                if let Some(route) = &r {
                     self.stats.fallbacks += 1;
+                    self.commit_decomposed(req.id, route, PlannerPath::Fallback);
                 }
-                r.map(|route| (route, PlannerPath::Fallback))
+                r
             }
-            planned => planned,
+            None => None,
         };
-        match planned {
-            Some((route, path)) => {
+        match route {
+            Some(route) => {
                 debug_assert!(
                     route.validate(&self.matrix).is_ok(),
                     "invalid route planned"
                 );
-                self.commit(req.id, &route, path);
                 self.stats.planned += 1;
                 PlanOutcome::Planned(route)
             }
@@ -1418,15 +1450,14 @@ impl<S: SegmentStore + Default> Planner for SrpPlanner<S> {
         // Retire routes that finished strictly before `now`; their segments
         // can no longer collide with requests emerging at `t ≥ now`. The
         // whole batch of expirations goes through one engine removal pass.
-        let mut expired: Vec<RequestId> = Vec::new();
-        while let Some(&(end, id)) = self.retire_queue.iter().next() {
-            if end >= now {
-                break;
-            }
-            self.retire_queue.remove(&(end, id));
+        let mut expired = core::mem::take(&mut self.expired);
+        while self.retire_queue.first().is_some_and(|&(end, _)| end < now) {
+            let (_, id) = self.retire_queue.pop_first().expect("first exists");
             expired.push(id);
         }
         self.retire_batch(&expired);
+        expired.clear();
+        self.expired = expired;
         Vec::new()
     }
 
@@ -1439,13 +1470,16 @@ impl<S: SegmentStore + Default> Planner for SrpPlanner<S> {
     }
 
     fn cancel(&mut self, id: RequestId) -> bool {
-        if self.committed.contains_key(&id) {
-            self.retire_queue.retain(|&(_, rid)| rid != id);
-            self.retire_batch(&[id]);
-            true
-        } else {
-            false
-        }
+        let Some(c) = self.committed.get(&id) else {
+            return false;
+        };
+        // The queue key is the route's end time, which is its last
+        // segment's end.
+        let end = c.dec.segments.last().expect("a route has a segment").1.t1;
+        let queued = self.retire_queue.remove(&(end, id));
+        debug_assert!(queued, "committed route {id} has no retire-queue key");
+        self.retire_batch(&[id]);
+        true
     }
 
     fn engine_metrics(&self) -> Option<EngineMetrics> {
@@ -1617,6 +1651,34 @@ mod tests {
             srp.plan(req);
         }
         assert_eq!(checked, 2, "the stream must reach the fallback");
+    }
+
+    #[test]
+    fn cancel_drops_its_retire_key_and_later_expirations_retire_in_order() {
+        let layout = LayoutConfig::small().generate();
+        let mut srp = SrpPlanner::new(layout.matrix.clone(), SrpConfig::default());
+        let mut ends: Vec<(Time, RequestId)> = Vec::new();
+        for req in &generate_requests(&layout, 30, 4.0, 9) {
+            if let Some(r) = srp.plan(req).route() {
+                ends.push((r.end_time(), req.id));
+            }
+        }
+        ends.sort_unstable();
+        let (end, victim) = ends[ends.len() / 2];
+        assert!(srp.cancel(victim));
+        assert!(!srp.cancel(victim), "a cancelled route is gone");
+        assert!(!srp.retire_queue.contains(&(end, victim)));
+        ends.retain(|&(_, id)| id != victim);
+        let last = ends.last().expect("routes").0;
+        for now in 0..=last + 1 {
+            srp.advance(now);
+            let live: Vec<(Time, RequestId)> =
+                ends.iter().copied().filter(|&(e, _)| e >= now).collect();
+            assert!(srp.retire_queue.iter().copied().eq(live.iter().copied()));
+            assert_eq!(srp.active_routes(), live.len(), "at {now}");
+            assert!(live.iter().all(|(_, id)| srp.committed.contains_key(id)));
+        }
+        assert_eq!(srp.total_segments(), 0);
     }
 
     /// Three bands of alternating rack and aisle columns between four
